@@ -131,8 +131,15 @@ def validate_record(rec: UtteranceRecord) -> None:
         s = rec.utterance_scores[a]
         if not (0.0 <= s <= UTT_SCORE_MAX):
             _fail(rec.id, f"utterance_scores.{a}", f"{s} outside [0, {UTT_SCORE_MAX}]")
-    if rec.features is not None and rec.features.shape[0] != rec.n_phones:
-        _fail(rec.id, "features", f"{rec.features.shape[0]} feature rows for {rec.n_phones} phones")
+    if rec.features is not None:
+        if rec.features.shape[0] != rec.n_phones:
+            _fail(rec.id, "features",
+                  f"{rec.features.shape[0]} feature rows for {rec.n_phones} phones")
+        if not np.isfinite(rec.features).all():
+            bad = np.argwhere(~np.isfinite(rec.features))
+            row, col = bad[0]
+            _fail(rec.id, f"features[{row}][{col}]",
+                  f"non-finite value {rec.features[row, col]} ({len(bad)} in this record)")
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +403,6 @@ def load_run_config(path) -> RunConfig:
             e.conv_width = m.getint("conv_width", e.conv_width)
             e.n_think = m.getint("think_tokens", e.n_think)
             e.d_attn = m.getint("d_attn", e.d_attn)
-            e.scan_impl = m.get("scan_impl", e.scan_impl)
         if cp.has_section("training"):
             t = cp["training"]
             tc = cfg.training

@@ -3,7 +3,8 @@
 A ``Tensor`` wraps an ndarray plus an optional gradient buffer.  Operations
 executed while a ``Tape`` is active append a backward closure to it; calling
 ``Tape.backward(loss)`` replays the closures in exact reverse recording order,
-accumulating gradients by summation.  Everything runs in float64 so the
+accumulating gradients by summation, and releases each closure once it has
+run, so a tape is replayed once.  Everything runs in float64 so the
 finite-difference checker is meaningful at 1e-4 relative tolerance.
 """
 
@@ -66,8 +67,10 @@ class Tape:
         if not self._ops:
             raise ContractError("backward on an empty tape")
         loss.grad = np.ones_like(loss.data)
-        for fn in reversed(self._ops):
-            fn()
+        # drop each closure once it has run, so the activations and gradients
+        # it holds are freed as the pass goes rather than with the tape
+        while self._ops:
+            self._ops.pop()()
 
 
 def _record(fn):
@@ -75,10 +78,15 @@ def _record(fn):
         _TAPES[-1].record(fn)
 
 
-def _acc(t: Tensor, g: np.ndarray):
+def _acc(t: Tensor, g: np.ndarray, owned: bool = False):
+    """Add g to t.grad.  ``owned``: g is a fresh array no one else holds, so
+    it can become t.grad itself instead of a copy (saves time and memory on
+    the large (T, C, S) tensors)."""
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g.reshape(t.data.shape)
+        g = g.reshape(t.data.shape)
+        t.grad = g if owned else g.copy()
+    else:
+        t.grad += g.reshape(t.data.shape)
 
 
 def as_tensor(x) -> Tensor:
@@ -144,17 +152,17 @@ def scale(a: Tensor, c: float) -> Tensor:
     return out
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return add(a, scale(as_tensor(b), -1.0))
+def exp(a: Tensor, factor=None) -> Tensor:
+    """exp(a), times ``factor`` if given: a constant that broadcasts to a.
 
-
-def exp(a: Tensor) -> Tensor:
+    The factor costs no extra tensor, and d/da [c exp(a)] is still the output.
+    """
     a = as_tensor(a)
-    out = Tensor(np.exp(a.data))
+    out = Tensor(np.exp(a.data) if factor is None else np.exp(a.data) * factor)
 
     def bwd():
         if out.grad is not None:
-            _acc(a, out.grad * out.data)
+            _acc(a, out.grad * out.data, owned=True)
 
     _record(bwd)
     return out
@@ -278,22 +286,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 # shape plumbing
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(a.data.reshape(shape))
-
-    def bwd():
-        if out.grad is not None:
-            _acc(a, out.grad)
-
-    _record(bwd)
-    return out
-
-
-def flatten(a: Tensor) -> Tensor:
-    return reshape(a, (-1,))
-
-
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     a = as_tensor(a)
     out = Tensor(a.data[start:stop])
@@ -372,31 +364,43 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def stack(parts) -> Tensor:
-    """Stack equal-shaped tensors along a new leading axis."""
+def stack(parts, axis: int = 0) -> Tensor:
+    """Stack equal-shaped tensors along a new axis (leading by default)."""
     parts = [as_tensor(p) for p in parts]
-    out = Tensor(np.stack([p.data for p in parts], axis=0))
+    out = Tensor(np.stack([p.data for p in parts], axis=axis))
 
     def bwd():
         if out.grad is None:
             return
+        g = np.moveaxis(out.grad, axis, 0)
         for i, p in enumerate(parts):
-            _acc(p, out.grad[i])
+            _acc(p, g[i])
 
     _record(bwd)
     return out
 
 
-def mean_rows(a: Tensor) -> Tensor:
+def gather_rows(a: Tensor, index) -> Tensor:
+    """out[i] = a[index[i]] for an int index array; an index may repeat.
+
+    The adjoint scatter-adds each output row's gradient back onto the row
+    it was read from.
+    """
     a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"mean_rows: expected 2-D, got {a.data.shape}")
-    n = a.data.shape[0]
-    out = Tensor(a.data.mean(axis=0))
+    index = np.asarray(index, dtype=np.int64)
+    out = Tensor(a.data[index])
+    # without repeats the scatter is a plain assignment, far faster than add.at
+    repeats = np.unique(index).size < index.size
 
     def bwd():
-        if out.grad is not None:
-            _acc(a, np.broadcast_to(out.grad / n, a.data.shape).copy())
+        if out.grad is None:
+            return
+        g = np.zeros_like(a.data)
+        if repeats:
+            np.add.at(g, index, out.grad)
+        else:
+            g[index] = out.grad
+        _acc(a, g)
 
     _record(bwd)
     return out
@@ -428,6 +432,59 @@ def mean(a: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# segments: a 1-D axis cut into consecutive pieces, given by their starts
+# (increasing, the first one 0), as in a minibatch packed along time
+
+
+def _segment_of(starts, n: int) -> np.ndarray:
+    """Segment index of each of the n positions."""
+    return np.repeat(np.arange(len(starts)), np.diff(np.append(starts, n)))
+
+
+def segment_softmax(a: Tensor, starts) -> Tensor:
+    """Stable softmax of a 1-D tensor, taken separately within each segment."""
+    a = as_tensor(a)
+    if a.data.ndim != 1:
+        raise ShapeError(f"segment_softmax: expected 1-D, got {a.data.shape}")
+    seg = _segment_of(starts, a.data.shape[0])
+    e = np.exp(a.data - np.maximum.reduceat(a.data, starts)[seg])
+    s = e / np.add.reduceat(e, starts)[seg]
+    out = Tensor(s)
+
+    def bwd():
+        if out.grad is None:
+            return
+        g = out.grad
+        _acc(a, s * (g - np.add.reduceat(g * s, starts)[seg]))
+
+    _record(bwd)
+    return out
+
+
+def segment_matrix(a: Tensor, starts) -> Tensor:
+    """(N,) -> (B, N): row b holds the entries of segment b and zeros elsewhere.
+
+    ``matmul(segment_matrix(alpha, starts), h)`` is the per-segment weighted
+    sum of the rows of h.
+    """
+    a = as_tensor(a)
+    if a.data.ndim != 1:
+        raise ShapeError(f"segment_matrix: expected 1-D, got {a.data.shape}")
+    n = a.data.shape[0]
+    seg, cols = _segment_of(starts, n), np.arange(n)
+    m = np.zeros((len(starts), n))
+    m[seg, cols] = a.data
+    out = Tensor(m)
+
+    def bwd():
+        if out.grad is not None:
+            _acc(a, out.grad[seg, cols])
+
+    _record(bwd)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # broadcasting outer products used by the state-space discretization
 
 
@@ -443,8 +500,8 @@ def outer_time_channel(delta: Tensor, a: Tensor) -> Tensor:
     def bwd():
         if out.grad is None:
             return
-        _acc(delta, (out.grad * a.data[None, :, :]).sum(axis=2))
-        _acc(a, (out.grad * delta.data[:, :, None]).sum(axis=0))
+        _acc(delta, np.einsum("tcs,cs->tc", out.grad, a.data))
+        _acc(a, np.einsum("tcs,tc->cs", out.grad, delta.data))
 
     _record(bwd)
     return out
@@ -462,8 +519,9 @@ def outer_time_state(delta: Tensor, b: Tensor) -> Tensor:
     def bwd():
         if out.grad is None:
             return
-        _acc(delta, (out.grad * b.data[:, None, :]).sum(axis=2))
-        _acc(b, (out.grad * delta.data[:, :, None]).sum(axis=1))
+        # batched matrix products over t: (C,S)@(S,1) and (1,C)@(C,S)
+        _acc(delta, np.matmul(out.grad, b.data[:, :, None])[:, :, 0])
+        _acc(b, np.matmul(delta.data[:, None, :], out.grad)[:, 0, :])
 
     _record(bwd)
     return out
@@ -473,8 +531,14 @@ def outer_time_state(delta: Tensor, b: Tensor) -> Tensor:
 # depthwise causal convolution
 
 
-def conv1d_causal(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Depthwise causal conv: x (T,C), kernel (w,C), zero padding on the left."""
+def conv1d_causal(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
+                  pos=None) -> Tensor:
+    """Depthwise causal conv: x (T,C), kernel (w,C), zero padding on the left.
+
+    ``pos`` (T,) gives each row's position within its segment when x packs
+    several sequences; a tap reaching back past a segment's first row then
+    reads zero, as the left padding does for a single sequence.
+    """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.data.ndim != 2 or kernel.data.ndim != 2 or x.data.shape[1] != kernel.data.shape[1]:
         raise ShapeError(
@@ -483,9 +547,13 @@ def conv1d_causal(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tens
     t_len, _ = x.data.shape
     w = kernel.data.shape[0]
     xpad = np.concatenate([np.zeros((w - 1, x.data.shape[1])), x.data], axis=0)
+    # tap j reads x[t - (w - 1 - j)]; with pos, a 0/1 mask keeps it inside the segment
+    keep = [None] * w if pos is None else [(pos >= w - 1 - j)[:, None] for j in range(w)]
+    taps = [xpad[j : j + t_len] if m is None else xpad[j : j + t_len] * m
+            for j, m in enumerate(keep)]
     y = np.zeros_like(x.data)
     for j in range(w):
-        y += kernel.data[j] * xpad[j : j + t_len]
+        y += kernel.data[j] * taps[j]
     out = Tensor(y)
 
     def bwd():
@@ -495,8 +563,9 @@ def conv1d_causal(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tens
         dk = np.empty_like(kernel.data)
         dxpad = np.zeros_like(xpad)
         for j in range(w):
-            dk[j] = (g * xpad[j : j + t_len]).sum(axis=0)
-            dxpad[j : j + t_len] += g * kernel.data[j]
+            dk[j] = (g * taps[j]).sum(axis=0)
+            gk = g * kernel.data[j]
+            dxpad[j : j + t_len] += gk if keep[j] is None else gk * keep[j]
         _acc(kernel, dk)
         _acc(x, dxpad[w - 1 :])
 
@@ -511,20 +580,38 @@ def conv1d_causal(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tens
 # losses
 
 
-def mse(pred: Tensor, target) -> Tensor:
+def _row_weights(row_weights, n_rows: int, op: str) -> np.ndarray:
+    """The given per-row loss weights, or 1/n_rows each (a plain mean)."""
+    if row_weights is None:
+        return np.full(n_rows, 1.0 / n_rows)
+    w = np.asarray(row_weights, dtype=np.float64)
+    if w.shape != (n_rows,):
+        raise ShapeError(f"{op}: row weights {w.shape} for {n_rows} rows")
+    return w
+
+
+def mse(pred: Tensor, target, row_weights=None) -> Tensor:
+    """Mean squared error.
+
+    With ``row_weights`` (one per leading-axis row) it is the weighted sum
+    over rows of each row's mean squared error; weights 1/n give the plain mean.
+    """
     pred, target = as_tensor(pred), as_tensor(target)
     if pred.data.shape != target.data.shape:
         raise ShapeError(
             f"mse: shapes differ {pred.data.shape} vs {target.data.shape}"
         )
     diff = pred.data - target.data
-    n = diff.size
-    out = Tensor(np.asarray((diff**2).mean()))
+    n_rows = diff.shape[0] if diff.ndim else 1
+    # per-element weights: each row's weight spread evenly over its elements
+    w = _row_weights(row_weights, n_rows, "mse") * (n_rows / diff.size)
+    w = w.reshape((-1,) + (1,) * (diff.ndim - 1)) if diff.ndim else w[0]
+    out = Tensor(np.asarray((w * diff**2).sum()))
 
     def bwd():
         if out.grad is None:
             return
-        g = out.grad * 2.0 * diff / n
+        g = out.grad * 2.0 * w * diff
         _acc(pred, g)
         _acc(target, -g)
 
@@ -532,8 +619,8 @@ def mse(pred: Tensor, target) -> Tensor:
     return out
 
 
-def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean over rows of -log softmax(logits)[label]."""
+def cross_entropy(logits: Tensor, labels, row_weights=None) -> Tensor:
+    """Mean over rows of -log softmax(logits)[label]; weighted sum with ``row_weights``."""
     logits = as_tensor(logits)
     labels = np.asarray(labels, dtype=np.int64)
     if logits.data.ndim != 2 or labels.ndim != 1 or labels.shape[0] != logits.data.shape[0]:
@@ -543,10 +630,11 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     n, c = logits.data.shape
     if labels.min() < 0 or labels.max() >= c:
         raise ContractError(f"cross_entropy: label out of range for {c} classes")
+    w = _row_weights(row_weights, n, "cross_entropy")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(z).sum(axis=1))
     nll = logsumexp - z[np.arange(n), labels]
-    out = Tensor(np.asarray(nll.mean()))
+    out = Tensor(np.asarray((w * nll).sum()))
     probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
 
     def bwd():
@@ -554,7 +642,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
             return
         g = probs.copy()
         g[np.arange(n), labels] -= 1.0
-        _acc(logits, out.grad * g / n)
+        _acc(logits, out.grad * g * w[:, None])
 
     _record(bwd)
     return out

@@ -6,7 +6,8 @@ SiLU, input-dependent discretization and the selective scan; the gate branch
 modulates the scan output through SiLU before the output projection and a
 residual connection.  Per layer the two directions are concatenated and
 projected back to d_model.  Learnable "think" embeddings are appended after
-the real phone positions and dropped again after the final layer.
+the real phone positions and dropped again after the final layer.  Several
+utterances run as one sequence packed along time (``Packing``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ class EncoderConfig:
     conv_width: int = 4
     n_think: int = 4
     d_attn: int = 0  # 0 -> d_model // 2, resolved by the model assembly
-    scan_impl: str = "sequential"
 
     @property
     def d_inner(self) -> int:
@@ -40,8 +40,6 @@ class EncoderConfig:
             raise ConfigError("encoder dimensions must all be >= 1")
         if self.n_think < 0:
             raise ConfigError("think token count must be >= 0")
-        if self.scan_impl not in ("sequential", "parallel"):
-            raise ConfigError(f"unknown scan_impl {self.scan_impl!r}")
 
 
 class ParamStore:
@@ -119,39 +117,108 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator, store: Par
         store.add(f"{prefix}.l{layer}.comb.b", np.zeros(dm))
 
 
-def discretize(delta: dc.Tensor, a: dc.Tensor, b_t: dc.Tensor):
+def discretize(delta: dc.Tensor, a: dc.Tensor, b_t: dc.Tensor, reset=None):
     """Zero-order hold on the state path, Euler on the input path.
 
     delta (T, C) must be strictly positive; a (C, S) is the diagonal state
     matrix; b_t (T, S) the per-step input projection.  Returns
     A_bar = exp(delta * a) and B_bar = delta * b_t, both (T, C, S).
+    ``reset`` (T, 1, 1), a constant 0/1 factor on A_bar, is 0 on the rows
+    where the scan state must start from zero (see ``Packing``).
     """
     delta = dc.as_tensor(delta)
     if np.any(delta.data <= 0.0):
         raise ContractError("discretize: delta must be strictly positive")
-    a_bar = dc.exp(dc.outer_time_channel(delta, a))
+    a_bar = dc.exp(dc.outer_time_channel(delta, a), reset)
     b_bar = dc.outer_time_state(delta, b_t)
     return a_bar, b_bar
 
 
+class Packing:
+    """Row layout of B utterances packed along time into one graph.
+
+    Segment b holds utterance b's N_b phone rows followed by its own copy of
+    the K think rows, so the packed tensor has sum(N_b) + B*K rows.  The
+    segments stay exactly separate: the scan state and the causal conv reset
+    at each segment's first row, and the backward direction reverses rows
+    within each segment.  With one segment the layout is the plain
+    [phones; think] sequence: no mask, per-segment reversal or gather is
+    built, and each method below is the single-utterance op.
+    """
+
+    def __init__(self, n_phones, n_think: int):
+        n = np.asarray(n_phones, dtype=np.int64)
+        if n.ndim != 1 or n.size < 1 or n.min() < 1:
+            raise ContractError(f"packing: every utterance needs a phone, got {n.tolist()}")
+        self.n_phones = n
+        self.n_think = n_think
+        self.single = n.size == 1
+        if self.single:
+            self.n_rows = int(n[0]) + n_think
+            self.phone_starts = (0,)
+            self.pos = self.reset = None
+            return
+        lengths = n + n_think
+        self.n_rows = int(lengths.sum())
+        #: first phone row of each utterance among the packed phone rows
+        self.phone_starts = np.cumsum(n) - n
+        starts = np.cumsum(lengths) - lengths
+        seg = np.repeat(np.arange(n.size), lengths)
+        #: position of each row within its segment
+        self.pos = np.arange(self.n_rows) - starts[seg]
+        #: 0/1 factor on A_bar that is 0 on each segment's first row
+        self.reset = (self.pos > 0).astype(np.float64)[:, None, None]
+        self._reverse = starts[seg] + lengths[seg] - 1 - self.pos
+        is_phone = self.pos < n[seg]
+        self._phone_rows = np.flatnonzero(is_phone)
+        # source row in [phones; think] of each packed row
+        self._place = np.where(is_phone, np.cumsum(is_phone) - 1,
+                               n.sum() + self.pos - n[seg])
+
+    def place(self, x_hat: dc.Tensor, think: dc.Tensor | None) -> dc.Tensor:
+        """(sum N_b, d) phone rows and (K, d) think rows -> the packed rows."""
+        ext = append_think_tokens(x_hat, think)
+        if self.single or ext is x_hat:
+            return ext
+        return dc.gather_rows(ext, self._place)
+
+    def reverse(self, h: dc.Tensor) -> dc.Tensor:
+        """Reverse the rows of each segment in place."""
+        return dc.reverse_rows(h) if self.single else dc.gather_rows(h, self._reverse)
+
+    def phones(self, h: dc.Tensor) -> dc.Tensor:
+        """The sum(N_b) phone rows of the packed rows, in order."""
+        if self.n_think == 0:
+            return h
+        if self.single:
+            return dc.slice_rows(h, 0, int(self.n_phones[0]))
+        return dc.gather_rows(h, self._phone_rows)
+
+
 def mamba_block(x: dc.Tensor, params: ParamStore, prefix: str,
-                cfg: EncoderConfig) -> dc.Tensor:
-    """One gated selective-SSM block with residual connection; x is (T, d_model)."""
+                cfg: EncoderConfig, packing: Packing | None = None) -> dc.Tensor:
+    """One gated selective-SSM block with residual connection; x is (T, d_model).
+
+    ``packing`` describes the segments when x packs several sequences.
+    """
     if x.data.shape[0] < 1:
         raise ContractError("mamba_block: empty sequence")
+    pos, reset = (None, None) if packing is None else (packing.pos, packing.reset)
     di = cfg.d_inner
     xz = dc.linear(x, params[f"{prefix}.in_proj.w"], params[f"{prefix}.in_proj.b"])
     main = dc.slice_cols(xz, 0, di)
     gate = dc.slice_cols(xz, di, 2 * di)
 
-    u = dc.silu(dc.conv1d_causal(main, params[f"{prefix}.conv.k"], params[f"{prefix}.conv.b"]))
+    u = dc.silu(dc.conv1d_causal(main, params[f"{prefix}.conv.k"], params[f"{prefix}.conv.b"],
+                                 pos))
     delta = dc.softplus(dc.linear(u, params[f"{prefix}.delta_proj.w"],
                                   params[f"{prefix}.delta_proj.b"]))
     b_t = dc.matmul(u, params[f"{prefix}.b_proj.w"])
     c_t = dc.matmul(u, params[f"{prefix}.c_proj.w"])
     a = dc.scale(dc.exp(params[f"{prefix}.a_raw"]), -1.0)
-    a_bar, b_bar = discretize(delta, a, b_t)
-    y = selective_scan(u, a_bar, b_bar, c_t, params[f"{prefix}.d_skip"], impl=cfg.scan_impl)
+    # the previous segment's last state must not reach a segment's first row
+    a_bar, b_bar = discretize(delta, a, b_t, reset)
+    y = selective_scan(u, a_bar, b_bar, c_t, params[f"{prefix}.d_skip"])
 
     gated = dc.mul(y, dc.silu(gate))
     out = dc.linear(gated, params[f"{prefix}.out_proj.w"], params[f"{prefix}.out_proj.b"])
@@ -165,15 +232,17 @@ def append_think_tokens(x_hat: dc.Tensor, think: dc.Tensor | None) -> dc.Tensor:
     return dc.concat_rows([x_hat, think])
 
 
-def bimamba_encode(x_ext: dc.Tensor, n_phones: int, params: ParamStore,
+def bimamba_encode(x_ext: dc.Tensor, packing: Packing, params: ParamStore,
                    cfg: EncoderConfig, prefix: str = "enc") -> dc.Tensor:
-    """Run the bidirectional stack over (N+K, d_model); return the N phone rows."""
-    if n_phones < 1:
-        raise ContractError("bimamba_encode: utterance has no phones")
+    """Run the bidirectional stack over the packed rows; return the phone rows."""
+    if x_ext.data.shape[0] != packing.n_rows:
+        raise ContractError(
+            f"bimamba_encode: {x_ext.data.shape[0]} rows for a packing of {packing.n_rows}"
+        )
     h = x_ext
     for layer in range(cfg.n_layers):
         p = f"{prefix}.l{layer}"
-        f = mamba_block(h, params, f"{p}.fwd", cfg)
-        b = dc.reverse_rows(mamba_block(dc.reverse_rows(h), params, f"{p}.bwd", cfg))
+        f = mamba_block(h, params, f"{p}.fwd", cfg, packing)
+        b = packing.reverse(mamba_block(packing.reverse(h), params, f"{p}.bwd", cfg, packing))
         h = dc.linear(dc.concat_cols(f, b), params[f"{p}.comb.w"], params[f"{p}.comb.b"])
-    return dc.slice_rows(h, 0, n_phones)
+    return packing.phones(h)

@@ -14,19 +14,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import diffcore as dc
 from . import features as feat
 from . import phonology, scoring
-from .encoder import (EncoderConfig, ParamStore, append_think_tokens,
-                      bimamba_encode, init_encoder_params)
-from .errors import PersistenceError
+from .data import PHONE_SCORE_MAX, UTT_SCORE_MAX, WORD_SCORE_MAX
+from .encoder import EncoderConfig, Packing, ParamStore, bimamba_encode, init_encoder_params
+from .errors import ContractError, PersistenceError
 
 MODEL_FORMAT_VERSION = 1
-
-# raw annotation score ranges; training happens in [0, 1]
-PHONE_SCORE_MAX = 2.0
-WORD_SCORE_MAX = 10.0
-UTT_SCORE_MAX = 10.0
 
 
 @dataclass
@@ -38,17 +32,33 @@ class Model:
     onehot_attr: np.ndarray
     table_checksum: str
 
-    def forward(self, feature_rows, phone_ids, word_spans) -> scoring.GraphOutputs:
-        """Predictions for one utterance, in normalized [0, 1] score space."""
-        n = len(phone_ids)
+    def forward(self, feature_rows, phone_ids, word_spans,
+                n_phones=None) -> scoring.GraphOutputs:
+        """Predictions in normalized [0, 1] score space.
+
+        The rows are one utterance unless ``n_phones`` lists the phone
+        counts of several whose rows and ids are concatenated in order; the
+        word spans then index the concatenated phone rows.  All utterances
+        go through one packed graph (see ``encoder.Packing``); the outputs
+        hold their rows in the same order and utterance_scores is (B, 5)
+        instead of (5,).
+        """
+        n_total = len(phone_ids)
+        packing = Packing([n_total] if n_phones is None else n_phones, self.cfg.n_think)
+        if int(packing.n_phones.sum()) != n_total:
+            raise ContractError(
+                f"forward: phone counts sum to {int(packing.n_phones.sum())}, "
+                f"{n_total} phone ids given"
+            )
         x_hat = feat.assemble_utterance_features(
             feature_rows, phone_ids, self.onehot_attr, self.params
         )
         think = self.params["enc.think"] if "enc.think" in self.params else None
-        h = bimamba_encode(append_think_tokens(x_hat, think), n, self.params, self.cfg)
+        h = bimamba_encode(packing.place(x_hat, think), packing, self.params, self.cfg)
         phone_scores, mdd_logits = scoring.phone_level_outputs(h, self.params)
-        word_scores = scoring.word_level_outputs(h, word_spans, self.params)
-        utt_scores = scoring.utterance_level_outputs(h, self.params)
+        word_scores = scoring.word_level_outputs(h, word_spans, self.params,
+                                                 packing.phone_starts)
+        utt_scores = scoring.utterance_level_outputs(h, self.params, packing.phone_starts)
         return scoring.GraphOutputs(phone_scores, mdd_logits, word_scores, utt_scores)
 
     def predict(self, feature_rows, phone_ids, word_spans) -> scoring.PredictionBundle:
@@ -104,7 +114,8 @@ def load_model(path) -> Model:
                 raise PersistenceError(f"{path}: not a model file (missing metadata)")
             meta = json.loads(bytes(z["__meta__"]).decode())
             arrays = {k[len("param/"):]: z[k] for k in z.files if k.startswith("param/")}
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as e:
+        # a truncated file loses the zip's central directory: BadZipFile
         raise PersistenceError(f"{path}: cannot read model file: {e}") from e
     if meta.get("format_version") != MODEL_FORMAT_VERSION:
         raise PersistenceError(
@@ -118,7 +129,12 @@ def load_model(path) -> Model:
             f"(model {meta['table_checksum'][:12]}..., active {current[:12]}...); "
             "refusing to load against a different table"
         )
-    cfg = EncoderConfig(**meta["config"])
+    config = dict(meta["config"])
+    config.pop("scan_impl", None)  # an option that older model files still record
+    try:
+        cfg = EncoderConfig(**config)
+    except TypeError as e:
+        raise PersistenceError(f"{path}: bad model configuration: {e}") from e
     model = init_model(cfg, meta["feat_dim"], seed=0, d_attn=meta["d_attn"])
     names = set(model.params.names())
     if names != set(arrays):
@@ -129,7 +145,3 @@ def load_model(path) -> Model:
             raise PersistenceError(f"{path}: shape mismatch for parameter {name}")
         model.params[name].data = stored
     return model
-
-
-def all_param_tensors(model: Model) -> list[dc.Tensor]:
-    return model.params.tensors()

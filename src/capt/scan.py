@@ -7,7 +7,8 @@ numpy fallback (used by the benchmark and as a safety hatch).
 
 A parallel formulation via the associative composition
 (a2, b2) o (a1, b1) = (a2*a1, a2*b1 + b2) is provided as
-``scan_parallel_values``; it must agree with the sequential kernel to 1e-9.
+``scan_parallel_values``, the reference the sequential kernel must agree
+with to 1e-9; training and inference use the sequential kernel only.
 """
 
 from __future__ import annotations
@@ -182,21 +183,11 @@ def scan_parallel_values(x, a_bar, b_bar, c, d):
 # differentiable op
 
 
-def selective_scan(x, a_bar, b_bar, c, d, impl: str = "sequential"):
-    """Differentiable selective scan over Tensors.
-
-    ``impl`` picks the forward algorithm; the backward pass always uses the
-    sequential adjoint kernel (both forwards produce the same states).
-    """
+def selective_scan(x, a_bar, b_bar, c, d):
+    """Differentiable selective scan over Tensors (sequential kernels)."""
     x, a_bar, b_bar, c, d = (dc.as_tensor(v) for v in (x, a_bar, b_bar, c, d))
     _check_streams(x.data, a_bar.data, b_bar.data, c.data, d.data)
-    if impl == "sequential":
-        y, h = _fwd_kernel()(x.data, a_bar.data, b_bar.data, c.data, d.data)
-    elif impl == "parallel":
-        y = scan_parallel_values(x.data, a_bar.data, b_bar.data, c.data, d.data)
-        _, h = _fwd_kernel()(x.data, a_bar.data, b_bar.data, c.data, d.data)
-    else:
-        raise ContractError(f"unknown scan impl {impl!r}")
+    y, h = _fwd_kernel()(x.data, a_bar.data, b_bar.data, c.data, d.data)
     out = dc.Tensor(y)
 
     def bwd():
@@ -205,11 +196,8 @@ def selective_scan(x, a_bar, b_bar, c, d, impl: str = "sequential"):
         dx, da, db, dcs, dd = _bwd_kernel()(
             x.data, a_bar.data, b_bar.data, c.data, d.data, h, out.grad
         )
-        dc._acc(x, dx)
-        dc._acc(a_bar, da)
-        dc._acc(b_bar, db)
-        dc._acc(c, dcs)
-        dc._acc(d, dd)
+        for t, g in ((x, dx), (a_bar, da), (b_bar, db), (c, dcs), (d, dd)):
+            dc._acc(t, g, owned=True)
 
     dc._record(bwd)
     return out

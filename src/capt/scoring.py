@@ -67,24 +67,39 @@ def init_scoring_params(d_model: int, d_attn: int, rng: np.random.Generator,
     store.add("head.word.b", np.full(3, 0.5))
 
 
-def attention_weights(h: dc.Tensor, params: ParamStore, aspect: str) -> dc.Tensor:
-    """alpha_i = softmax_i( w_a . tanh(W_a h_i) ); (N,) summing to 1."""
+def attention_weights(h: dc.Tensor, params: ParamStore, aspect: str,
+                      starts=(0,)) -> dc.Tensor:
+    """alpha_i = softmax_i( w_a . tanh(W_a h_i) ); (N,) summing to 1.
+
+    When h packs several utterances, ``starts`` holds the first row of each
+    and the softmax runs within each utterance, so each one's weights sum to 1.
+    """
     if h.data.shape[0] < 1:
         raise ContractError("attention_weights: empty sequence")
     scores = dc.matmul(dc.tanh(dc.matmul(h, params[f"pool.{aspect}.w_proj"])),
                        params[f"pool.{aspect}.w_score"])
-    return dc.softmax(scores, axis=-1)
+    if len(starts) == 1:
+        return dc.softmax(scores, axis=-1)
+    return dc.segment_softmax(scores, starts)
 
 
-def pool(h: dc.Tensor, alpha: dc.Tensor) -> dc.Tensor:
-    """Convex combination of the rows of h; alpha must sum to 1."""
+def pool(h: dc.Tensor, alpha: dc.Tensor, starts=(0,)) -> dc.Tensor:
+    """Convex combination of the rows of h; alpha must sum to 1.
+
+    With several utterance ``starts`` it is one combination per utterance,
+    (B, d), and alpha must sum to 1 within each.
+    """
     if alpha.data.shape != (h.data.shape[0],):
         raise ContractError(
             f"pool: weight length {alpha.data.shape} vs {h.data.shape[0]} rows"
         )
-    if abs(alpha.data.sum() - 1.0) > 1e-9:
-        raise ContractError("pool: weights do not sum to 1")
-    return dc.matmul(alpha, h)
+    if len(starts) == 1:
+        if abs(alpha.data.sum() - 1.0) > 1e-9:
+            raise ContractError("pool: weights do not sum to 1")
+        return dc.matmul(alpha, h)
+    if np.any(np.abs(np.add.reduceat(alpha.data, starts) - 1.0) > 1e-9):
+        raise ContractError("pool: weights do not sum to 1 within an utterance")
+    return dc.matmul(dc.segment_matrix(alpha, starts), h)
 
 
 def phone_level_outputs(h: dc.Tensor, params: ParamStore):
@@ -93,8 +108,12 @@ def phone_level_outputs(h: dc.Tensor, params: ParamStore):
     return scores, logits
 
 
-def validate_word_spans(spans, n_phones: int):
-    """Spans must partition 0..N-1 into contiguous nonempty pieces, in order."""
+def validate_word_spans(spans, n_phones: int, starts=(0,)):
+    """Spans must partition 0..N-1 into contiguous nonempty pieces, in order.
+
+    No word may cross an utterance boundary: every entry of ``starts``
+    (first row of each utterance) must begin a word.
+    """
     expect = 0
     for w, (start, stop) in enumerate(spans):
         if start != expect or stop <= start:
@@ -104,19 +123,36 @@ def validate_word_spans(spans, n_phones: int):
         expect = stop
     if expect != n_phones:
         raise AlignmentError(f"word spans cover {expect} phones, utterance has {n_phones}")
+    if len(starts) > 1:
+        crossed = {int(s) for s in starts} - {s for s, _ in spans}
+        if crossed:
+            raise AlignmentError(
+                f"a word span crosses the utterance boundary at row {min(crossed)}")
 
 
-def word_level_outputs(h: dc.Tensor, word_spans, params: ParamStore) -> dc.Tensor:
-    validate_word_spans(word_spans, h.data.shape[0])
-    pooled = dc.stack([dc.mean_rows(dc.slice_rows(h, s, e)) for s, e in word_spans])
+def word_level_outputs(h: dc.Tensor, word_spans, params: ParamStore,
+                       starts=(0,)) -> dc.Tensor:
+    """Mean-pool the phone rows of each word, then one affine map to 3 scores.
+
+    The pooling is one product with a constant (W, N) segment-mean matrix.
+    """
+    n = h.data.shape[0]
+    validate_word_spans(word_spans, n, starts)
+    bounds = np.array(word_spans, dtype=np.int64).reshape(-1, 2)
+    sizes = bounds[:, 1] - bounds[:, 0]
+    word_of = np.repeat(np.arange(len(sizes)), sizes)
+    means = np.zeros((len(sizes), n))
+    means[word_of, np.arange(n)] = 1.0 / sizes[word_of]
+    pooled = dc.matmul(dc.Tensor(means), h)
     return dc.linear(pooled, params["head.word.w"], params["head.word.b"])
 
 
-def utterance_level_outputs(h: dc.Tensor, params: ParamStore) -> dc.Tensor:
+def utterance_level_outputs(h: dc.Tensor, params: ParamStore, starts=(0,)) -> dc.Tensor:
+    """Five aspect scores: (5,) for one utterance, (B, 5) for B utterance ``starts``."""
     scores = []
     for a in ASPECTS:
-        alpha = attention_weights(h, params, a)
-        h_u = pool(h, alpha)
+        alpha = attention_weights(h, params, a, starts)
+        h_u = pool(h, alpha, starts)
         scores.append(dc.add(dc.matmul(h_u, params[f"head.utt.{a}.w"]),
                              params[f"head.utt.{a}.b"]))
-    return dc.stack(scores)
+    return dc.stack(scores, axis=-1)

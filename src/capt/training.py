@@ -57,8 +57,12 @@ class LossBreakdown:
 # loss terms
 
 
-def apa_loss(out: GraphOutputs, phone_t, word_t, utt_t):
-    """Per-level MSE terms; returns (l_phn, l_word, l_utt, l_apa) tensors."""
+def apa_loss(out: GraphOutputs, phone_t, word_t, utt_t, phone_w=None, word_w=None):
+    """Per-level MSE terms; returns (l_phn, l_word, l_utt, l_apa) tensors.
+
+    ``phone_w`` and ``word_w`` weight the phone and word rows (see ``dc.mse``);
+    by default every row counts the same.
+    """
     for name, pred, tgt in (("phone", out.phone_scores, phone_t),
                             ("word", out.word_scores, word_t),
                             ("utterance", out.utterance_scores, utt_t)):
@@ -69,14 +73,14 @@ def apa_loss(out: GraphOutputs, phone_t, word_t, utt_t):
                 f"{name}-level arity mismatch: prediction {pred.data.shape} "
                 f"vs target {np.asarray(tgt).shape}"
             )
-    l_phn = dc.mse(out.phone_scores, phone_t)
-    l_word = dc.mse(out.word_scores, word_t)
+    l_phn = dc.mse(out.phone_scores, phone_t, phone_w)
+    l_word = dc.mse(out.word_scores, word_t, word_w)
     l_utt = dc.mse(out.utterance_scores, utt_t)
     return l_phn, l_word, l_utt, dc.add(dc.add(l_phn, l_word), l_utt)
 
 
-def mdd_loss(mdd_logits: dc.Tensor, realized_ids) -> dc.Tensor:
-    return dc.cross_entropy(mdd_logits, realized_ids)
+def mdd_loss(mdd_logits: dc.Tensor, realized_ids, phone_w=None) -> dc.Tensor:
+    return dc.cross_entropy(mdd_logits, realized_ids, phone_w)
 
 
 def total_loss(l_apa: dc.Tensor, l_mdd: dc.Tensor, alpha: float) -> dc.Tensor:
@@ -88,26 +92,38 @@ def total_loss(l_apa: dc.Tensor, l_mdd: dc.Tensor, alpha: float) -> dc.Tensor:
 def batch_loss(model, batch, alpha: float):
     """Averaged loss over a batch of utterance records.
 
+    The batch runs as one packed graph: a single ``model.forward`` call over
+    all utterances.  Each loss term is the mean over the batch of the
+    per-utterance mean, so every phone and word row is weighted by
+    1 / (B * its utterance's phone or word count) and utterance length does
+    not reweight the objective.
+
     Returns (graph total loss, LossBreakdown of the averaged terms).
     """
-    phn_terms, word_terms, utt_terms, mdd_terms = [], [], [], []
-    for rec in batch:
-        out = model.forward(rec.features, rec.canonical_ids(), rec.word_spans())
-        l_phn, l_word, l_utt, _ = apa_loss(
-            out, rec.phone_targets_norm(), rec.word_targets_norm(), rec.utt_targets_norm()
-        )
-        phn_terms.append(l_phn)
-        word_terms.append(l_word)
-        utt_terms.append(l_utt)
-        mdd_terms.append(mdd_loss(out.mdd_logits, rec.realized_ids()))
-    l_phn_b = dc.mean(dc.stack(phn_terms))
-    l_word_b = dc.mean(dc.stack(word_terms))
-    l_utt_b = dc.mean(dc.stack(utt_terms))
-    l_mdd_b = dc.mean(dc.stack(mdd_terms))
-    l_apa_b = dc.add(dc.add(l_phn_b, l_word_b), l_utt_b)
-    graph_total = total_loss(l_apa_b, l_mdd_b, alpha)
-    breakdown = LossBreakdown(float(l_phn_b.data), float(l_word_b.data),
-                              float(l_utt_b.data), float(l_mdd_b.data))
+    n_utts = len(batch)
+    n_phones = np.array([rec.n_phones for rec in batch])
+    n_words = np.array([len(rec.word_scores) for rec in batch])
+    spans = [(s + ofs, e + ofs)
+             for rec, ofs in zip(batch, np.cumsum(n_phones) - n_phones)
+             for s, e in rec.word_spans()]
+    out = model.forward(np.concatenate([rec.features for rec in batch]),
+                        np.concatenate([rec.canonical_ids() for rec in batch]),
+                        spans, n_phones)
+    phone_w = np.repeat(1.0 / (n_utts * n_phones), n_phones)
+    word_w = np.repeat(1.0 / (n_utts * n_words), n_words)
+    utt_t = np.stack([rec.utt_targets_norm() for rec in batch])
+    l_phn, l_word, l_utt, l_apa = apa_loss(
+        out,
+        np.concatenate([rec.phone_targets_norm() for rec in batch]),
+        np.concatenate([rec.word_targets_norm() for rec in batch]),
+        utt_t.reshape(out.utterance_scores.data.shape),  # (5,) for one utterance
+        phone_w, word_w,
+    )
+    l_mdd = mdd_loss(out.mdd_logits, np.concatenate([rec.realized_ids() for rec in batch]),
+                     phone_w)
+    graph_total = total_loss(l_apa, l_mdd, alpha)
+    breakdown = LossBreakdown(float(l_phn.data), float(l_word.data),
+                              float(l_utt.data), float(l_mdd.data))
     return graph_total, breakdown
 
 
@@ -183,7 +199,8 @@ def train(records, cfg: TrainConfig, model, log_path=None,
                     loss, bd = batch_loss(model, batch, cfg.alpha)
                     if not np.isfinite(loss.data):
                         raise NumericError(
-                            f"non-finite loss at epoch {epoch}, batch {n_batches}"
+                            f"non-finite loss at epoch {epoch}, batch {n_batches} "
+                            f"(utterances {', '.join(rec.id for rec in batch)})"
                         )
                     tape.backward(loss)
                 opt.step()

@@ -114,6 +114,23 @@ def test_load_dataset_errors(tmp_path):
     assert "line 1" in str(e.value)
 
 
+def test_load_dataset_rejects_non_finite_features(tmp_path):
+    records, _ = dm.synth_records(3, seed=2, ssl_dim=8)
+    records[1].features[2, 5] = np.nan
+    records[2].features[0, 0] = np.inf
+    dm.save_dataset(records, tmp_path)
+    with pytest.raises(DatasetError) as e:
+        dm.load_dataset(tmp_path)
+    msg = str(e.value)
+    assert records[1].id in msg and "features[2][5]" in msg and "nan" in msg
+    records[1].features[2, 5] = 0.0
+    dm.save_dataset(records, tmp_path)
+    with pytest.raises(DatasetError) as e:
+        dm.load_dataset(tmp_path)
+    msg = str(e.value)
+    assert records[2].id in msg and "features[0][0]" in msg and "inf" in msg
+
+
 # --- synthetic generator ----------------------------------------------------
 
 def test_synth_records_planted_rule_consistency():

@@ -218,3 +218,58 @@ def test_matmul_conv_losses_random_gradcheck():
 def test_cross_entropy_label_range():
     with pytest.raises(ContractError):
         dc.cross_entropy(dc.Tensor(np.zeros((2, 3))), [0, 3])
+
+
+# --- segment ops for batches packed along time ------------------------------
+
+def test_packed_ops_gradcheck():
+    rng = np.random.default_rng(12)
+    starts = np.array([0, 1, 4])  # segments of 1, 3 and 2 rows
+    x = dc.Tensor(rng.normal(size=6), requires_grad=True)
+    h = dc.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    w = rng.normal(size=(3, 3))
+
+    def pooled():
+        alpha = dc.segment_softmax(x, starts)
+        return dc.mean(dc.mul(dc.matmul(dc.segment_matrix(alpha, starts), h), dc.Tensor(w)))
+
+    assert dc.grad_check(pooled, [x, h]) < 1e-4
+    # rows 0 and 5 are read twice, row 3 never
+    index = np.array([5, 0, 2, 0, 1, 4, 5])
+    wg = rng.normal(size=(7, 3))
+    assert dc.grad_check(lambda: dc.mean(dc.mul(dc.gather_rows(h, index), dc.Tensor(wg))),
+                         [h]) < 1e-4
+    pos = np.array([0, 0, 1, 2, 0, 1])
+    kern = dc.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    assert dc.grad_check(lambda: dc.mean(dc.mul(dc.conv1d_causal(h, kern, pos=pos),
+                                                dc.Tensor(w[[0, 1, 2, 0, 1, 2]]))),
+                         [h, kern]) < 1e-4
+    row_w = rng.uniform(size=6)
+    tgt = rng.normal(size=(6, 3))
+    labels = rng.integers(0, 3, size=6)
+    assert dc.grad_check(lambda: dc.add(dc.mse(h, tgt, row_w),
+                                        dc.cross_entropy(h, labels, row_w)), [h]) < 1e-4
+
+
+def test_segment_ops_match_per_segment_ops():
+    rng = np.random.default_rng(13)
+    starts, stops = [0, 1, 4], [1, 4, 6]
+    x = rng.normal(size=6)
+    h = rng.normal(size=(6, 3))
+    alpha = dc.segment_softmax(dc.Tensor(x), starts).data
+    pooled = dc.matmul(dc.segment_matrix(dc.Tensor(alpha), starts), dc.Tensor(h)).data
+    pos = np.array([0, 0, 1, 2, 0, 1])
+    kern = rng.normal(size=(3, 3))
+    conv = dc.conv1d_causal(dc.Tensor(h), dc.Tensor(kern), pos=pos).data
+    for b, (s, e) in enumerate(zip(starts, stops)):
+        ref = dc.softmax(dc.Tensor(x[s:e])).data
+        np.testing.assert_allclose(alpha[s:e], ref, rtol=1e-14)
+        np.testing.assert_allclose(pooled[b], ref @ h[s:e], rtol=1e-14)
+        np.testing.assert_array_equal(
+            conv[s:e], dc.conv1d_causal(dc.Tensor(h[s:e]), dc.Tensor(kern)).data)
+    # weights 1/n give the plain means
+    tgt = rng.normal(size=(6, 3))
+    assert abs(float(dc.mse(dc.Tensor(h), tgt, np.full(6, 1 / 6)).data)
+               - ((h - tgt) ** 2).mean()) < 1e-15
+    with pytest.raises(ShapeError):
+        dc.mse(dc.Tensor(h), tgt, np.ones(5))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from capt import diffcore as dc
-from capt.encoder import (EncoderConfig, ParamStore, append_think_tokens,
+from capt.encoder import (EncoderConfig, Packing, ParamStore, append_think_tokens,
                           bimamba_encode, init_encoder_params, mamba_block)
 from capt.errors import ConfigError, ContractError
 from capt.scan import scan_sequential_values
@@ -85,7 +85,7 @@ def test_encoder_output_length_is_phone_count(k):
     n = 6
     x = dc.Tensor(np.random.default_rng(4).normal(size=(n, 4)))
     think = store["enc.think"] if k > 0 else None
-    h = bimamba_encode(append_think_tokens(x, think), n, store, cfg)
+    h = bimamba_encode(append_think_tokens(x, think), Packing([n], k), store, cfg)
     assert h.data.shape == (n, 4)
 
 
@@ -93,7 +93,7 @@ def test_encoder_rejects_empty_utterance():
     cfg = small_cfg()
     store = build(cfg)
     with pytest.raises(ContractError):
-        bimamba_encode(dc.Tensor(np.zeros((2, 4))), 0, store, cfg)
+        bimamba_encode(dc.Tensor(np.zeros((2, 4))), Packing([0], 2), store, cfg)
 
 
 def test_think_tokens_receive_gradient():
@@ -102,7 +102,8 @@ def test_think_tokens_receive_gradient():
     x = dc.Tensor(np.random.default_rng(5).normal(size=(5, 4)))
     store.zero_grad()
     with dc.Tape() as tape:
-        h = bimamba_encode(append_think_tokens(x, store["enc.think"]), 5, store, cfg)
+        h = bimamba_encode(append_think_tokens(x, store["enc.think"]), Packing([5], 4), store,
+                           cfg)
         tape.backward(dc.mean(h))
     g = store["enc.think"].grad
     assert g is not None and np.abs(g).max() > 0
@@ -135,6 +136,41 @@ def test_encoder_gradients_full_stack():
 
     def f():
         xt = append_think_tokens(dc.Tensor(x), store["enc.think"])
-        return dc.mean(bimamba_encode(xt, 4, store, cfg))
+        return dc.mean(bimamba_encode(xt, Packing([4], 2), store, cfg))
 
     assert dc.grad_check(f, store.tensors(), epsilon=1e-4) < 1e-4
+
+
+def test_packing_layout():
+    packing = Packing([2, 1, 3], 2)
+    assert packing.n_rows == 12
+    np.testing.assert_array_equal(packing.pos, [0, 1, 2, 3, 0, 1, 2, 0, 1, 2, 3, 4])
+    np.testing.assert_array_equal(packing.reset[:, 0, 0], packing.pos > 0)
+    np.testing.assert_array_equal(packing.phone_starts, [0, 2, 3])
+    # phone rows 0..5 then think rows 6, 7, as Model.forward hands them over
+    x_hat = dc.Tensor(np.arange(6.0)[:, None])
+    think = dc.Tensor(np.array([[6.0], [7.0]]))
+    packed = packing.place(x_hat, think)
+    np.testing.assert_array_equal(packed.data[:, 0], [0, 1, 6, 7, 2, 6, 7, 3, 4, 5, 6, 7])
+    np.testing.assert_array_equal(packing.reverse(packed).data[:, 0],
+                                  [7, 6, 1, 0, 7, 6, 2, 7, 6, 5, 4, 3])
+    np.testing.assert_array_equal(packing.phones(packed).data[:, 0], np.arange(6.0))
+    single = Packing([4], 2)
+    assert single.single and single.pos is None and single.reset is None
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_packed_encoder_matches_separate_utterances(k):
+    # lengths 1 and 2 are shorter than the conv, so taps reach across segments
+    cfg = small_cfg(n_think=k, n_layers=2, conv_width=3)
+    store = build(cfg, seed=8)
+    rng = np.random.default_rng(8)
+    lengths = [1, 2, 5]
+    xs = [rng.normal(size=(n, 4)) for n in lengths]
+    think = store["enc.think"] if k else None
+    packing = Packing(lengths, k)
+    packed = bimamba_encode(packing.place(dc.Tensor(np.concatenate(xs)), think),
+                            packing, store, cfg).data
+    separate = [bimamba_encode(append_think_tokens(dc.Tensor(x), think),
+                               Packing([len(x)], k), store, cfg).data for x in xs]
+    np.testing.assert_allclose(packed, np.concatenate(separate), rtol=1e-12, atol=1e-15)

@@ -126,16 +126,6 @@ def test_parallel_running_sum():
     np.testing.assert_allclose(y[:, 0], np.arange(1, t_len + 1), atol=1e-12)
 
 
-def test_differentiable_scan_parallel_impl_matches():
-    rng = np.random.default_rng(6)
-    inst = [dc.Tensor(v) for v in rand_instance(rng, 12)]
-    y1 = scan.selective_scan(*inst, impl="sequential")
-    y2 = scan.selective_scan(*inst, impl="parallel")
-    assert np.abs(y1.data - y2.data).max() < 1e-9
-    with pytest.raises(ContractError):
-        scan.selective_scan(*inst, impl="warp")
-
-
 # --- backend selection -----------------------------------------------------
 
 def test_numpy_and_numba_backends_agree(monkeypatch):

@@ -183,24 +183,56 @@ def test_load_rejects_garbage(tmp_path):
         load_model(path)
 
 
-def test_load_rejects_wrong_version(tmp_path):
+def _rewrite_meta(path, edit):
+    """Re-save a model file with its metadata changed by ``edit(meta)``."""
+    import io
     import json
     import zipfile
 
-    model = tiny_model()
-    path = tmp_path / "m.capt"
-    save_model(model, path)
     with np.load(path) as z:
         meta = json.loads(bytes(z["__meta__"]).decode())
         arrays = {k: z[k] for k in z.files if k != "__meta__"}
-    meta["format_version"] = 99
-    import io as _io
+    edit(meta)
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
         blob = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         for name, arr in {**arrays, "__meta__": blob}.items():
-            buf = _io.BytesIO()
+            buf = io.BytesIO()
             np.lib.format.write_array(buf, np.asanyarray(arr))
             zf.writestr(name + ".npy", buf.getvalue())
+
+
+def test_load_rejects_wrong_version(tmp_path):
+    model = tiny_model()
+    path = tmp_path / "m.capt"
+    save_model(model, path)
+    _rewrite_meta(path, lambda meta: meta.update(format_version=99))
     with pytest.raises(PersistenceError) as e:
         load_model(path)
     assert "version" in str(e.value)
+
+
+def test_load_drops_removed_scan_impl_key(tmp_path):
+    model = tiny_model(seed=5)
+    path = tmp_path / "m.capt"
+    save_model(model, path)
+    _rewrite_meta(path, lambda meta: meta["config"].update(scan_impl="parallel"))
+    loaded = load_model(path)
+    rows, ids = np.random.default_rng(11).normal(size=(3, 5)), np.array([4, 5, 6])
+    np.testing.assert_array_equal(model.predict(rows, ids, [(0, 3)]).mdd_logits,
+                                  loaded.predict(rows, ids, [(0, 3)]).mdd_logits)
+    _rewrite_meta(path, lambda meta: meta["config"].update(warp=1))
+    with pytest.raises(PersistenceError):
+        load_model(path)
+
+
+def test_load_rejects_truncated_file(tmp_path):
+    model = tiny_model()
+    full = tmp_path / "m.capt"
+    save_model(model, full)
+    blob = full.read_bytes()
+    for cut in (0, 1, 30, len(blob) // 4, len(blob) // 2, len(blob) - 23, len(blob) - 1):
+        path = tmp_path / f"cut{cut}.capt"
+        path.write_bytes(blob[:cut])
+        with pytest.raises(PersistenceError) as e:
+            load_model(path)
+        assert str(path) in str(e.value)

@@ -5,7 +5,8 @@ from capt import diffcore as dc
 from capt import training as tr
 from capt.data import synth_records
 from capt.encoder import EncoderConfig, ParamStore
-from capt.errors import ConfigError, DatasetError
+from capt.errors import ConfigError, DatasetError, NumericError
+from capt.gradsuite import TOLERANCE
 from capt.model import init_model
 from capt.scoring import GraphOutputs
 
@@ -93,6 +94,74 @@ def test_batch_loss_averages_per_utterance():
     singles = [tr.batch_loss(model, [r], alpha=0.3)[1] for r in records]
     assert abs(bd_all.l_phn - np.mean([b.l_phn for b in singles])) < 1e-12
     assert abs(bd_all.l_mdd - np.mean([b.l_mdd for b in singles])) < 1e-12
+
+
+def _loss_and_grads(model, batch):
+    model.params.zero_grad()
+    with dc.Tape() as tape:
+        total, bd = tr.batch_loss(model, batch, alpha=0.3)
+        tape.backward(total)
+    return bd, {n: np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+                for n, t in model.params.items()}
+
+
+@pytest.mark.parametrize("n_utts, cfg, ssl_dim", [
+    # a criterion-5 batch, then 3 utterances without and with think tokens
+    (16, EncoderConfig(d_model=48, d_state=8, n_layers=1, conv_width=3, n_think=4), 32),
+    (3, EncoderConfig(d_model=8, d_state=4, n_layers=2, conv_width=4, n_think=0), 8),
+    (3, EncoderConfig(d_model=8, d_state=4, n_layers=2, conv_width=4, n_think=4), 8),
+])
+def test_packed_batch_equals_mean_of_single_utterances(n_utts, cfg, ssl_dim):
+    records, _ = synth_records(n_utts, seed=11, ssl_dim=ssl_dim)
+    model = init_model(cfg, feat_dim=ssl_dim + 1, seed=5)
+    bd, grads = _loss_and_grads(model, records)
+    singles = [_loss_and_grads(model, [r]) for r in records]
+    for name in ("l_phn", "l_word", "l_utt", "l_mdd"):
+        ref = np.mean([getattr(b, name) for b, _ in singles])
+        assert abs(getattr(bd, name) - ref) <= 1e-12 * max(1.0, abs(ref)), name
+    for name, g in grads.items():
+        ref = np.mean([gs[name] for _, gs in singles], axis=0)
+        assert (np.abs(g - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))).all(), name
+
+
+def test_batch_loss_pinned_breakdown():
+    # recorded from the per-utterance implementation that batch packing replaced
+    records, _ = synth_records(5, seed=21, ssl_dim=8)
+    cfg = EncoderConfig(d_model=8, d_state=4, n_layers=2, conv_width=3, n_think=3)
+    model = init_model(cfg, feat_dim=9, seed=2)
+    total, bd = tr.batch_loss(model, records, alpha=0.3)
+    pinned = (0.06674388075737031, 0.030436993656519983, 0.009210728568896591,
+              3.705167149681414, 1.1860242669923748)
+    got = (bd.l_phn, bd.l_word, bd.l_utt, bd.l_mdd, float(total.data))
+    np.testing.assert_allclose(got, pinned, rtol=1e-12, atol=0)
+
+
+def test_packed_batch_loss_gradcheck():
+    # 1 phone, 2 phones (< conv_width 4) and 4 phones, each with K = 2
+    cfg = EncoderConfig(d_model=2, d_state=2, expand=2, n_layers=1, conv_width=4,
+                        n_think=2, d_attn=1)
+    records, _ = synth_records(6, seed=17, ssl_dim=3)
+    batch = []
+    for rec, n in zip(records, (1, 2, 4)):
+        rec.phones, rec.features = rec.phones[:n], rec.features[:n]
+        rec.word_scores = rec.word_scores[: rec.phones[-1].word_index + 1]
+        batch.append(rec)
+    model = init_model(cfg, feat_dim=4, seed=17)
+    # the per-row embedding and diagnosis head see no packing (full_model_tiny
+    # checks them); leaving them out keeps this check to about a second
+    params = [t for name, t in model.params.items()
+              if name != "embed.w" and not name.startswith("head.mdd")]
+    err = dc.grad_check(lambda: tr.batch_loss(model, batch, alpha=0.3)[0],
+                        params, epsilon=3e-4)
+    assert err <= TOLERANCE
+
+
+def test_train_non_finite_loss_names_utterances():
+    records, _ = synth_records(4, seed=10, ssl_dim=8)
+    records[2].features[1, 3] = np.nan  # bypasses load-time validation
+    with pytest.raises(NumericError) as e, np.errstate(invalid="ignore"):
+        tr.train(records, tr.TrainConfig(epochs=1, batch_size=4), tiny_model(feat_dim=9))
+    assert records[2].id in str(e.value)
 
 
 def test_adam_on_quadratic_converges():
