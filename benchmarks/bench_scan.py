@@ -1,18 +1,30 @@
 #!/usr/bin/env python3
-"""Benchmark the selective-scan kernels: numba JIT vs the pure-numpy fallback.
+"""Benchmark the selective-scan op at the shapes training runs.
 
-The backend is selected exactly the way the library selects it at runtime
-(the CAPT_SCAN_BACKEND environment variable), so the numbers reflect what
-training actually pays per scan call.
+For each (T, C, S) shape this times ``scan.selective_scan`` forward alone,
+forward plus ``Tape.backward`` (the cost one training step pays per scan
+call), and the associative ``scan_parallel_values`` formulation for
+comparison.  Each figure is the best of ``--repeats`` runs, in ms.
 
-Usage: python3 benchmarks/bench_scan.py [--repeats 5]
+The default shapes are the per-call scan shapes of perfbench's train_short
+(242, 96, 8) and train_long (756, 128, 16) workloads.
+
+BLAS runs on one thread, as in perfbench, unless the environment says
+otherwise.
+
+Usage: PYTHONPATH=src python3 benchmarks/bench_scan.py [--repeats 7]
 """
 
 import argparse
 import os
 import time
 
-import numpy as np
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")  # must precede the numpy import
+
+import numpy as np  # noqa: E402
+
+SHAPES = [(242, 96, 8), (756, 128, 16)]
 
 
 def make_instance(rng, t_len, n_ch, n_st):
@@ -25,52 +37,46 @@ def make_instance(rng, t_len, n_ch, n_st):
     )
 
 
-def bench(fn, inst, repeats):
-    fn(*inst)  # warm up (numba compiles here)
+def best_ms(fn, repeats):
+    fn()  # warm up
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        fn(*inst)
+        fn()
         times.append(time.perf_counter() - t0)
-    return min(times)
+    return min(times) * 1e3
 
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--repeats", type=int, default=7)
     args = ap.parse_args()
 
+    from capt import diffcore as dc
     from capt import scan
 
-    shapes = [(64, 32, 8), (256, 64, 16), (1024, 128, 16), (4096, 128, 16)]
     rng = np.random.default_rng(0)
-    instances = {s: make_instance(rng, *s) for s in shapes}
-
-    results = {}
-    for backend in ("numpy", "numba") if scan.HAVE_NUMBA else ("numpy",):
-        os.environ["CAPT_SCAN_BACKEND"] = backend
-        assert scan.backend() == backend
-        for s in shapes:
-            results[(backend, s)] = bench(scan.scan_sequential_values,
-                                          instances[s], args.repeats)
-    os.environ.pop("CAPT_SCAN_BACKEND", None)
-
-    # the parallel formulation is backend-independent vectorized numpy
-    for s in shapes:
-        results[("parallel", s)] = bench(scan.scan_parallel_values,
-                                         instances[s], args.repeats)
-
-    header = f"{'T x C x S':>18} {'numpy (ms)':>12} {'numba (ms)':>12} " \
-             f"{'speedup':>8} {'parallel (ms)':>14}"
+    header = (f"{'T x C x S':>16} {'forward (ms)':>13} {'fwd+bwd (ms)':>13} "
+              f"{'parallel (ms)':>14}")
     print(header)
     print("-" * len(header))
-    for s in shapes:
-        t_np = results[("numpy", s)] * 1e3
-        t_nb = results.get(("numba", s))
-        t_par = results[("parallel", s)] * 1e3
-        nb_txt = f"{t_nb * 1e3:12.3f}" if t_nb else f"{'n/a':>12}"
-        sp_txt = f"{results[('numpy', s)] / t_nb:8.1f}x" if t_nb else f"{'n/a':>9}"
-        print(f"{str(s):>18} {t_np:12.3f} {nb_txt} {sp_txt} {t_par:14.3f}")
+    for shape in SHAPES:
+        inst = make_instance(rng, *shape)
+        tensors = [dc.Tensor(v) for v in inst]
+
+        def forward():
+            scan.selective_scan(*tensors)
+
+        def forward_backward():
+            for t in tensors:
+                t.grad = None
+            with dc.Tape() as tape:
+                tape.backward(dc.total_sum(scan.selective_scan(*tensors)))
+
+        fwd = best_ms(forward, args.repeats)
+        both = best_ms(forward_backward, args.repeats)
+        par = best_ms(lambda: scan.scan_parallel_values(*inst), args.repeats)
+        print(f"{str(shape):>16} {fwd:13.3f} {both:13.3f} {par:14.3f}")
 
 
 if __name__ == "__main__":

@@ -244,6 +244,7 @@ def load_dataset(path) -> list[UtteranceRecord]:
         raise DatasetError(f"{corpus_path}: no such corpus file")
     features = read_feature_file(corpus_path.parent / FEATURE_FILE)
     records = []
+    first_line = {}  # utterance id -> corpus line it first appeared on
     with open(corpus_path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -254,6 +255,12 @@ def load_dataset(path) -> list[UtteranceRecord]:
             except json.JSONDecodeError as e:
                 raise DatasetError(f"corpus line {lineno}: invalid JSON: {e}") from e
             rec = _record_from_json(obj, lineno)
+            if rec.id in first_line:
+                raise DatasetError(
+                    f"{corpus_path}: line {lineno}: duplicate utterance id {rec.id!r} "
+                    f"(first on line {first_line[rec.id]})"
+                )
+            first_line[rec.id] = lineno
             key = obj.get("features", rec.id)
             if key not in features:
                 _fail(rec.id, "features", f"no feature matrix under key {key!r}")

@@ -18,9 +18,11 @@ from . import features as feat
 from . import phonology, scoring
 from .data import PHONE_SCORE_MAX, UTT_SCORE_MAX, WORD_SCORE_MAX
 from .encoder import EncoderConfig, Packing, ParamStore, bimamba_encode, init_encoder_params
-from .errors import ContractError, PersistenceError
+from .errors import ContractError, PersistenceError, ShapeError
 
 MODEL_FORMAT_VERSION = 1
+# metadata fields load_model reads, with the JSON type each must have
+_META_FIELDS = {"table_checksum": str, "config": dict, "feat_dim": int, "d_attn": int}
 
 
 @dataclass
@@ -43,6 +45,9 @@ class Model:
         hold their rows in the same order and utterance_scores is (B, 5)
         instead of (5,).
         """
+        if np.ndim(feature_rows) != 2 or np.shape(feature_rows)[1] != self.feat_dim:
+            raise ShapeError(f"forward: features have shape {np.shape(feature_rows)}, "
+                             f"model feat_dim is {self.feat_dim}")
         n_total = len(phone_ids)
         packing = Packing([n_total] if n_phones is None else n_phones, self.cfg.n_think)
         if int(packing.n_phones.sum()) != n_total:
@@ -117,11 +122,20 @@ def load_model(path) -> Model:
     except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as e:
         # a truncated file loses the zip's central directory: BadZipFile
         raise PersistenceError(f"{path}: cannot read model file: {e}") from e
+    if not isinstance(meta, dict):
+        raise PersistenceError(f"{path}: model metadata is not a JSON object")
     if meta.get("format_version") != MODEL_FORMAT_VERSION:
         raise PersistenceError(
             f"{path}: format version {meta.get('format_version')} "
             f"unsupported (expected {MODEL_FORMAT_VERSION})"
         )
+    for field, kind in _META_FIELDS.items():
+        if field not in meta:
+            raise PersistenceError(f"{path}: model metadata lacks field {field!r}")
+        if not isinstance(meta[field], kind):
+            raise PersistenceError(
+                f"{path}: model metadata field {field!r} is not a {kind.__name__}"
+            )
     current = phonology.table_checksum()
     if meta["table_checksum"] != current:
         raise PersistenceError(

@@ -178,6 +178,12 @@ def train(records, cfg: TrainConfig, model, log_path=None,
     cfg.validate()
     if not records:
         raise DatasetError("training on an empty dataset")
+    for rec in records:
+        if rec.features.shape[1] != model.feat_dim:
+            raise DatasetError(
+                f"record {rec.id!r}, field 'features': {rec.features.shape[1]} wide, "
+                f"model feat_dim is {model.feat_dim}"
+            )
     rng = np.random.default_rng(cfg.seed)
     opt = make_optimizer(cfg, model.params)
     history: list[LossBreakdown] = []

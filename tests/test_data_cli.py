@@ -114,6 +114,16 @@ def test_load_dataset_errors(tmp_path):
     assert "line 1" in str(e.value)
 
 
+def test_load_dataset_rejects_duplicate_ids(tmp_path):
+    records, _ = dm.synth_records(2, seed=2, ssl_dim=8)
+    dm.save_dataset([records[0], records[1], records[0]], tmp_path)
+    with pytest.raises(DatasetError) as e:
+        dm.load_dataset(tmp_path)
+    msg = str(e.value)
+    assert dm.CORPUS_FILE in msg and repr(records[0].id) in msg
+    assert "line 3" in msg and "line 1" in msg
+
+
 def test_load_dataset_rejects_non_finite_features(tmp_path):
     records, _ = dm.synth_records(3, seed=2, ssl_dim=8)
     records[1].features[2, 5] = np.nan

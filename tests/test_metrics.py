@@ -4,7 +4,7 @@ import pytest
 from capt import metrics as mx
 from capt.data import synth_records
 from capt.encoder import EncoderConfig
-from capt.errors import AlignmentError, ContractError
+from capt.errors import AlignmentError, CaptError, ContractError
 from capt.model import init_model
 from capt.phonology import DEL_ID
 
@@ -182,6 +182,17 @@ def test_evaluate_untrained_model_runs_and_reports():
     import json
     parsed = json.loads(text)
     assert parsed["n_utterances"] == 4
+
+
+def test_evaluate_rejects_wrong_feature_width():
+    records, _ = synth_records(3, seed=3, ssl_dim=8)
+    model = init_model(EncoderConfig(d_model=8, d_state=4, n_layers=1,
+                                     conv_width=3, n_think=2),
+                       feat_dim=12, seed=0)
+    with pytest.raises(CaptError) as e:
+        mx.evaluate(model, records)
+    msg = str(e.value)
+    assert records[0].id in msg and "features" in msg and "9" in msg and "12" in msg
 
 
 def test_evaluate_empty_dataset():

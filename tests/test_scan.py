@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -126,23 +124,91 @@ def test_parallel_running_sum():
     np.testing.assert_allclose(y[:, 0], np.arange(1, t_len + 1), atol=1e-12)
 
 
-# --- backend selection -----------------------------------------------------
+# --- kernels vs the per-step oracle ----------------------------------------
+# The per-step loops below are the kernels the vectorized ones replaced; they
+# stay here as the oracle the fast kernels must match.
 
-def test_numpy_and_numba_backends_agree(monkeypatch):
-    rng = np.random.default_rng(7)
-    inst = rand_instance(rng, 33)
-    monkeypatch.setenv("CAPT_SCAN_BACKEND", "numpy")
-    assert scan.backend() == "numpy"
-    y_np = scan.scan_sequential_values(*inst)
-    monkeypatch.delenv("CAPT_SCAN_BACKEND")
-    if scan.HAVE_NUMBA:
-        assert scan.backend() == "numba"
-    y_default = scan.scan_sequential_values(*inst)
-    np.testing.assert_allclose(y_np, y_default, atol=1e-12)
+def oracle_fwd(x, a_bar, b_bar, c, d):
+    t_len, n_ch = x.shape
+    n_st = c.shape[1]
+    h = np.empty((t_len, n_ch, n_st))
+    cur = np.zeros((n_ch, n_st))
+    for t in range(t_len):
+        cur = a_bar[t] * cur + b_bar[t] * x[t][:, None]
+        h[t] = cur
+    y = np.einsum("tcs,ts->tc", h, c) + d * x
+    return y, h
 
 
-def test_scan_gradients_on_numpy_backend(monkeypatch):
-    monkeypatch.setenv("CAPT_SCAN_BACKEND", "numpy")
+def oracle_bwd(x, a_bar, b_bar, c, d, h, dy):
+    t_len, n_ch = x.shape
+    n_st = c.shape[1]
+    dx = np.zeros_like(x)
+    da = np.zeros_like(a_bar)
+    db = np.zeros_like(b_bar)
+    dc_ = np.zeros_like(c)
+    dd = np.zeros(n_ch)
+    dh = np.zeros((n_ch, n_st))
+    for t in range(t_len - 1, -1, -1):
+        dh += dy[t][:, None] * c[t][None, :]
+        dc_[t] = (dy[t][:, None] * h[t]).sum(axis=0)
+        h_prev = h[t - 1] if t > 0 else np.zeros((n_ch, n_st))
+        da[t] = dh * h_prev
+        db[t] = dh * x[t][:, None]
+        dx[t] = (dh * b_bar[t]).sum(axis=1) + dy[t] * d
+        dd += dy[t] * x[t]
+        dh = dh * a_bar[t]
+    return dx, da, db, dc_, dd
+
+
+def assert_close(got, ref, name):
+    err = np.abs(got - ref).max(initial=0.0)
+    assert err <= 1e-12 * max(1.0, np.abs(ref).max(initial=0.0)), (name, err)
+
+
+def reset_rows(t_len, starts):
+    """0/1 factor that zeroes A_bar on each segment's first row, as packing does."""
+    factor = np.ones((t_len, 1, 1))
+    factor[starts] = 0.0
+    return factor
+
+
+KERNEL_CASES = {
+    "T1_C1_S1": ((1, 1, 1), None),
+    "train_short": ((242, 96, 8), None),
+    "train_long": ((756, 128, 16), None),
+    "packed_resets": ((40, 6, 4), [0, 1, 7, 8, 23, 39]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_kernels_match_per_step_oracle(case):
+    (t_len, n_ch, n_st), starts = KERNEL_CASES[case]
+    rng = np.random.default_rng(sum(map(ord, case)))
+    x, a_bar, b_bar, c, d = rand_instance(rng, t_len, n_ch, n_st)
+    if starts is not None:
+        a_bar = a_bar * reset_rows(t_len, starts)
+    dy = rng.normal(size=(t_len, n_ch))
+    y_ref, h_ref = oracle_fwd(x, a_bar, b_bar, c, d)
+    grads_ref = oracle_bwd(x, a_bar, b_bar, c, d, h_ref, dy)
+
+    y, h_pad = scan._scan_fwd(x, a_bar, b_bar, c, d)
+    np.testing.assert_array_equal(h_pad[0], 0.0)
+    np.testing.assert_array_equal(h_pad[1:], h_ref)
+    assert_close(y, y_ref, "y")
+
+    # through the differentiable op and the tape, as training runs it
+    ts = [dc.Tensor(v) for v in (x, a_bar, b_bar, c, d)]
+    with dc.Tape() as tape:
+        out = scan.selective_scan(*ts)
+        assert_close(out.data, y_ref, "op y")
+        tape.backward(dc.total_sum(dc.mul(out, dc.Tensor(dy))))
+    for name, t, ref in zip(("dx", "dA_bar", "dB_bar", "dC", "dD"), ts, grads_ref):
+        assert t.grad.shape == ref.shape
+        assert_close(t.grad, ref, name)
+
+
+def test_scan_gradients_on_numpy_backend():
     rng = np.random.default_rng(8)
     x, a_raw, b_bar, c, d = (dc.Tensor(v, requires_grad=True)
                              for v in rand_instance(rng, 5))

@@ -4,7 +4,7 @@ import pytest
 from capt import diffcore as dc
 from capt import scoring
 from capt.encoder import EncoderConfig, ParamStore
-from capt.errors import AlignmentError, ContractError, PersistenceError
+from capt.errors import AlignmentError, CaptError, ContractError, PersistenceError
 from capt.model import init_model, load_model, save_model
 
 
@@ -209,6 +209,25 @@ def test_load_rejects_wrong_version(tmp_path):
     with pytest.raises(PersistenceError) as e:
         load_model(path)
     assert "version" in str(e.value)
+
+
+@pytest.mark.parametrize("field", ["table_checksum", "config", "feat_dim", "d_attn"])
+def test_load_rejects_missing_meta_field(tmp_path, field):
+    path = tmp_path / "m.capt"
+    save_model(tiny_model(), path)
+    _rewrite_meta(path, lambda meta: meta.pop(field))
+    with pytest.raises(PersistenceError) as e:
+        load_model(path)
+    assert str(path) in str(e.value) and repr(field) in str(e.value)
+
+
+def test_predict_rejects_wrong_feature_width():
+    model = tiny_model()
+    rows = np.zeros((3, model.feat_dim + 1))
+    with pytest.raises(CaptError) as e:
+        model.predict(rows, np.array([4, 5, 6]), [(0, 3)])
+    msg = str(e.value)
+    assert "features" in msg and str(model.feat_dim) in msg and str(model.feat_dim + 1) in msg
 
 
 def test_load_drops_removed_scan_impl_key(tmp_path):
