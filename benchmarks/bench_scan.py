@@ -1,10 +1,15 @@
 #!/usr/bin/env python3
-"""Benchmark the selective-scan op at the shapes training runs.
+"""Benchmark the selective-scan and discretization ops at the shapes training runs.
 
-For each (T, C, S) shape this times ``scan.selective_scan`` forward alone,
-forward plus ``Tape.backward`` (the cost one training step pays per scan
-call), and the associative ``scan_parallel_values`` formulation for
-comparison.  Each figure is the best of ``--repeats`` runs, in ms.
+For each (T, C, S) shape this times ``scan.selective_scan`` and
+``encoder.discretize`` forward alone and forward plus ``Tape.backward`` (the
+cost one training step pays per call), and the associative
+``scan_parallel_values`` formulation for comparison.  Each time is the best
+of ``--repeats`` runs, in ms; next to it stand the minor page faults per
+call, averaged over the repeats, which read near 0 once freed heap memory
+is kept for reuse.  Discretization's backward starts from given gradients
+of A_bar and B_bar, copied into fresh buffers as the scan's backward hands
+over its own.
 
 The default shapes are the per-call scan shapes of perfbench's train_short
 (242, 96, 8) and train_long (756, 128, 16) workloads.
@@ -17,6 +22,7 @@ Usage: PYTHONPATH=src python3 benchmarks/bench_scan.py [--repeats 7]
 
 import argparse
 import os
+import resource
 import time
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -38,13 +44,16 @@ def make_instance(rng, t_len, n_ch, n_st):
 
 
 def best_ms(fn, repeats):
+    """(best time in ms, minor page faults per call) over ``repeats`` calls."""
     fn()  # warm up
     times = []
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(repeats):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return min(times) * 1e3
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return min(times) * 1e3, faults / repeats
 
 
 def main():
@@ -54,29 +63,52 @@ def main():
 
     from capt import diffcore as dc
     from capt import scan
+    from capt.encoder import discretize
 
     rng = np.random.default_rng(0)
-    header = (f"{'T x C x S':>16} {'forward (ms)':>13} {'fwd+bwd (ms)':>13} "
-              f"{'parallel (ms)':>14}")
+    header = (f"{'op':>14} {'T x C x S':>16} {'forward (ms)':>13} {'faults':>7} "
+              f"{'fwd+bwd (ms)':>13} {'faults':>7} {'parallel (ms)':>14}")
     print(header)
     print("-" * len(header))
     for shape in SHAPES:
+        t_len, n_ch, n_st = shape
         inst = make_instance(rng, *shape)
         tensors = [dc.Tensor(v) for v in inst]
 
-        def forward():
+        def scan_forward():
             scan.selective_scan(*tensors)
 
-        def forward_backward():
+        def scan_forward_backward():
             for t in tensors:
                 t.grad = None
             with dc.Tape() as tape:
                 tape.backward(dc.total_sum(scan.selective_scan(*tensors)))
 
-        fwd = best_ms(forward, args.repeats)
-        both = best_ms(forward_backward, args.repeats)
-        par = best_ms(lambda: scan.scan_parallel_values(*inst), args.repeats)
-        print(f"{str(shape):>16} {fwd:13.3f} {both:13.3f} {par:14.3f}")
+        disc = [dc.Tensor(rng.uniform(0.01, 3.0, size=(t_len, n_ch))),
+                dc.Tensor(-np.exp(rng.normal(size=(n_ch, n_st)))),
+                dc.Tensor(rng.normal(size=(t_len, n_st)))]
+        g_a, g_b = (rng.normal(size=(t_len, n_ch, n_st)) for _ in range(2))
+
+        def disc_forward():
+            discretize(*disc)
+
+        def disc_forward_backward():
+            for t in disc:
+                t.grad = None
+            with dc.Tape() as tape:
+                a_bar, b_bar = discretize(*disc)
+                a_bar.grad, b_bar.grad = g_a.copy(), g_b.copy()
+                tape.backward(dc.Tensor(0.0))
+
+        rows = [("selective_scan", scan_forward, scan_forward_backward,
+                 lambda: scan.scan_parallel_values(*inst)),
+                ("discretize", disc_forward, disc_forward_backward, None)]
+        for name, fwd_fn, both_fn, par_fn in rows:
+            fwd, fwd_faults = best_ms(fwd_fn, args.repeats)
+            both, both_faults = best_ms(both_fn, args.repeats)
+            par = f"{best_ms(par_fn, args.repeats)[0]:14.3f}" if par_fn else f"{'-':>14}"
+            print(f"{name:>14} {str(shape):>16} {fwd:13.3f} {fwd_faults:7.0f} "
+                  f"{both:13.3f} {both_faults:7.0f} {par}")
 
 
 if __name__ == "__main__":

@@ -10,11 +10,38 @@ finite-difference checker is meaningful at 1e-4 relative tolerance.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
 from .errors import ContractError, NumericError, ShapeError
 
 _TAPES: list["Tape"] = []
+
+
+def _retain_freed_memory():
+    """Keep freed heap memory in the process instead of returning it to the OS.
+
+    ``Tape.backward`` frees a step's activations, glibc trims that memory back
+    to the kernel, and the next step faults it all in again: ~1,950 minor
+    faults per criterion-5 training step and 4,900-5,800 per step of 16-
+    utterance records, at ~2 us per 4 KB page.  A 1 GiB trim threshold and
+    the largest mmap threshold (32 MiB) keep the pages, so a steady-state step
+    faults in almost none.  Both must be set: setting either one alone freezes
+    glibc's dynamic mmap threshold at 128 KiB, and every (T, C, S) array would
+    then be mapped and unmapped on each use.  Without glibc this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
+_retain_freed_memory()
 
 
 class Tensor:
@@ -152,13 +179,9 @@ def scale(a: Tensor, c: float) -> Tensor:
     return out
 
 
-def exp(a: Tensor, factor=None) -> Tensor:
-    """exp(a), times ``factor`` if given: a constant that broadcasts to a.
-
-    The factor costs no extra tensor, and d/da [c exp(a)] is still the output.
-    """
+def exp(a: Tensor) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.exp(a.data) if factor is None else np.exp(a.data) * factor)
+    out = Tensor(np.exp(a.data))
 
     def bwd():
         if out.grad is not None:
@@ -213,7 +236,8 @@ def silu(a: Tensor) -> Tensor:
 
 def softplus(a: Tensor) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.logaddexp(0.0, a.data))
+    # log(1 + e^x) as np.logaddexp(0, x) computes it, on SIMD ufuncs
+    out = Tensor(np.maximum(a.data, 0.0) + np.log1p(np.exp(-np.abs(a.data))))
 
     def bwd():
         if out.grad is not None:
@@ -485,49 +509,6 @@ def segment_matrix(a: Tensor, starts) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# broadcasting outer products used by the state-space discretization
-
-
-def outer_time_channel(delta: Tensor, a: Tensor) -> Tensor:
-    """(T,C) x (C,S) -> (T,C,S): out[t,c,s] = delta[t,c] * a[c,s]."""
-    delta, a = as_tensor(delta), as_tensor(a)
-    if delta.data.ndim != 2 or a.data.ndim != 2 or delta.data.shape[1] != a.data.shape[0]:
-        raise ShapeError(
-            f"outer_time_channel: incompatible {delta.data.shape} and {a.data.shape}"
-        )
-    out = Tensor(delta.data[:, :, None] * a.data[None, :, :])
-
-    def bwd():
-        if out.grad is None:
-            return
-        _acc(delta, np.einsum("tcs,cs->tc", out.grad, a.data))
-        _acc(a, np.einsum("tcs,tc->cs", out.grad, delta.data))
-
-    _record(bwd)
-    return out
-
-
-def outer_time_state(delta: Tensor, b: Tensor) -> Tensor:
-    """(T,C) x (T,S) -> (T,C,S): out[t,c,s] = delta[t,c] * b[t,s]."""
-    delta, b = as_tensor(delta), as_tensor(b)
-    if delta.data.ndim != 2 or b.data.ndim != 2 or delta.data.shape[0] != b.data.shape[0]:
-        raise ShapeError(
-            f"outer_time_state: incompatible {delta.data.shape} and {b.data.shape}"
-        )
-    out = Tensor(delta.data[:, :, None] * b.data[:, None, :])
-
-    def bwd():
-        if out.grad is None:
-            return
-        # batched matrix products over t: (C,S)@(S,1) and (1,C)@(C,S)
-        _acc(delta, np.matmul(out.grad, b.data[:, :, None])[:, :, 0])
-        _acc(b, np.matmul(delta.data[:, None, :], out.grad)[:, 0, :])
-
-    _record(bwd)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # depthwise causal convolution
 
 
@@ -646,28 +627,6 @@ def cross_entropy(logits: Tensor, labels, row_weights=None) -> Tensor:
 
     _record(bwd)
     return out
-
-
-# ---------------------------------------------------------------------------
-# name-based dispatch over the core primitives
-
-OPS = {
-    "matmul": matmul,
-    "add": add,
-    "mul": mul,
-    "tanh": tanh,
-    "silu": silu,
-    "softmax": softmax,
-    "exp": exp,
-    "mse": mse,
-    "cross_entropy": cross_entropy,
-}
-
-
-def forward_op(name: str, *inputs):
-    if name not in OPS:
-        raise ContractError(f"unknown primitive {name!r}")
-    return OPS[name](*inputs)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diffcore as dc
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, ShapeError
 from .scan import selective_scan
 
 
@@ -117,20 +117,46 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator, store: Par
         store.add(f"{prefix}.l{layer}.comb.b", np.zeros(dm))
 
 
-def discretize(delta: dc.Tensor, a: dc.Tensor, b_t: dc.Tensor, reset=None):
+def discretize(delta: dc.Tensor, a: dc.Tensor, b_t: dc.Tensor, starts=None):
     """Zero-order hold on the state path, Euler on the input path.
 
     delta (T, C) must be strictly positive; a (C, S) is the diagonal state
     matrix; b_t (T, S) the per-step input projection.  Returns
-    A_bar = exp(delta * a) and B_bar = delta * b_t, both (T, C, S).
-    ``reset`` (T, 1, 1), a constant 0/1 factor on A_bar, is 0 on the rows
-    where the scan state must start from zero (see ``Packing``).
+    A_bar = exp(delta * a) and B_bar = delta * b_t, both (T, C, S), as one
+    tape op that stores no (T, C, S) tensor besides the two outputs.
+    A_bar is 0 on the rows ``starts``, where the scan state must start from
+    zero (see ``Packing``).
     """
-    delta = dc.as_tensor(delta)
-    if np.any(delta.data <= 0.0):
+    delta, a, b_t = (dc.as_tensor(v) for v in (delta, a, b_t))
+    dd, ad, bd = delta.data, a.data, b_t.data
+    if not (dd.ndim == bd.ndim == 2 and bd.shape[0] == dd.shape[0]
+            and ad.shape == (dd.shape[1], bd.shape[1])):
+        raise ShapeError(
+            f"discretize: incompatible delta {dd.shape}, a {ad.shape}, b {bd.shape}"
+        )
+    if np.any(dd <= 0.0):
         raise ContractError("discretize: delta must be strictly positive")
-    a_bar = dc.exp(dc.outer_time_channel(delta, a), reset)
-    b_bar = dc.outer_time_state(delta, b_t)
+    a_bar = dc.Tensor(np.einsum("tc,cs->tcs", dd, ad))
+    np.exp(a_bar.data, out=a_bar.data)
+    if starts is not None:
+        a_bar.data[starts] = 0.0
+    b_bar = dc.Tensor(np.einsum("tc,ts->tcs", dd, bd))
+
+    def bwd():
+        d_delta = np.zeros_like(dd)
+        if a_bar.grad is not None:
+            # d(delta * a) = dA_bar * A_bar, in the gradient buffer this op owns
+            g = a_bar.grad
+            g *= a_bar.data
+            d_delta += np.einsum("tcs,cs->tc", g, ad)
+            dc._acc(a, np.einsum("tcs,tc->cs", g, dd), owned=True)
+        if b_bar.grad is not None:
+            # batched matrix products over t: (C,S)@(S,1) and (1,C)@(C,S)
+            d_delta += np.matmul(b_bar.grad, bd[:, :, None])[:, :, 0]
+            dc._acc(b_t, np.matmul(dd[:, None, :], b_bar.grad)[:, 0, :], owned=True)
+        dc._acc(delta, d_delta, owned=True)
+
+    dc._record(bwd)
     return a_bar, b_bar
 
 
@@ -156,18 +182,17 @@ class Packing:
         if self.single:
             self.n_rows = int(n[0]) + n_think
             self.phone_starts = (0,)
-            self.pos = self.reset = None
+            self.pos = self.starts = None
             return
         lengths = n + n_think
         self.n_rows = int(lengths.sum())
         #: first phone row of each utterance among the packed phone rows
         self.phone_starts = np.cumsum(n) - n
-        starts = np.cumsum(lengths) - lengths
+        #: first row of each segment, where A_bar is 0
+        self.starts = starts = np.cumsum(lengths) - lengths
         seg = np.repeat(np.arange(n.size), lengths)
         #: position of each row within its segment
         self.pos = np.arange(self.n_rows) - starts[seg]
-        #: 0/1 factor on A_bar that is 0 on each segment's first row
-        self.reset = (self.pos > 0).astype(np.float64)[:, None, None]
         self._reverse = starts[seg] + lengths[seg] - 1 - self.pos
         is_phone = self.pos < n[seg]
         self._phone_rows = np.flatnonzero(is_phone)
@@ -203,7 +228,7 @@ def mamba_block(x: dc.Tensor, params: ParamStore, prefix: str,
     """
     if x.data.shape[0] < 1:
         raise ContractError("mamba_block: empty sequence")
-    pos, reset = (None, None) if packing is None else (packing.pos, packing.reset)
+    pos, starts = (None, None) if packing is None else (packing.pos, packing.starts)
     di = cfg.d_inner
     xz = dc.linear(x, params[f"{prefix}.in_proj.w"], params[f"{prefix}.in_proj.b"])
     main = dc.slice_cols(xz, 0, di)
@@ -217,7 +242,7 @@ def mamba_block(x: dc.Tensor, params: ParamStore, prefix: str,
     c_t = dc.matmul(u, params[f"{prefix}.c_proj.w"])
     a = dc.scale(dc.exp(params[f"{prefix}.a_raw"]), -1.0)
     # the previous segment's last state must not reach a segment's first row
-    a_bar, b_bar = discretize(delta, a, b_t, reset)
+    a_bar, b_bar = discretize(delta, a, b_t, starts)
     y = selective_scan(u, a_bar, b_bar, c_t, params[f"{prefix}.d_skip"])
 
     gated = dc.mul(y, dc.silu(gate))

@@ -13,7 +13,7 @@ import numpy as np
 from . import diffcore as dc
 from . import model as model_mod
 from . import scoring
-from .encoder import EncoderConfig, ParamStore, init_encoder_params, mamba_block
+from .encoder import EncoderConfig, ParamStore, discretize, init_encoder_params, mamba_block
 from .scan import selective_scan
 from .training import TrainConfig, batch_loss
 
@@ -67,6 +67,22 @@ def _primitive_checks(rng):
         return dc.mean(selective_scan(xs, a_bar, bb, cc, dd))
 
     checks.append(("selective_scan", scan_loss, [xs, a_raw, bb, cc, dd]))
+
+    # an independent stream, so the checks after this one keep their data
+    drng = rng.spawn(1)[0]
+    t_len, ci, s = 7, 3, 2
+    delta = dc.Tensor(drng.uniform(0.5, 1.5, size=(t_len, ci)), requires_grad=True)
+    a_neg = dc.Tensor(-drng.uniform(0.5, 1.5, size=(ci, s)), requires_grad=True)
+    b_t = _p(drng, (t_len, s))
+    x_d, c_d = drng.normal(size=(t_len, ci)), drng.normal(size=(t_len, s))
+    d_d = drng.normal(size=ci)
+
+    def discretize_loss():
+        # two packed segments: A_bar is zeroed on rows 0 and 3
+        a_bar, b_bar = discretize(delta, a_neg, b_t, starts=np.array([0, 3]))
+        return dc.mean(selective_scan(x_d, a_bar, b_bar, c_d, d_d))
+
+    checks.append(("discretize", discretize_loss, [delta, a_neg, b_t]))
     return checks
 
 

@@ -156,11 +156,13 @@ class Adam:
         for name, t in self.params.items():
             if t.grad is None:
                 continue
-            g = t.grad
-            self.m[name] = self.b1 * self.m[name] + (1 - self.b1) * g
-            self.v[name] = self.b2 * self.v[name] + (1 - self.b2) * g * g
-            m_hat = self.m[name] / (1 - self.b1**self.t)
-            v_hat = self.v[name] / (1 - self.b2**self.t)
+            g, m, v = t.grad, self.m[name], self.v[name]
+            m *= self.b1
+            m += (1 - self.b1) * g
+            v *= self.b2
+            v += (1 - self.b2) * g * g
+            m_hat = m / (1 - self.b1**self.t)
+            v_hat = v / (1 - self.b2**self.t)
             t.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
@@ -209,6 +211,13 @@ def train(records, cfg: TrainConfig, model, log_path=None,
                             f"(utterances {', '.join(rec.id for rec in batch)})"
                         )
                     tape.backward(loss)
+                bad = next((name for name, t in model.params.items()
+                            if t.grad is not None and not np.isfinite(t.grad).all()), None)
+                if bad is not None:
+                    raise NumericError(
+                        f"non-finite gradient of {bad!r} at epoch {epoch}, batch {n_batches} "
+                        f"(utterances {', '.join(rec.id for rec in batch)})"
+                    )
                 opt.step()
                 sums += [bd.l_phn, bd.l_word, bd.l_utt, bd.l_mdd]
                 n_batches += 1

@@ -145,7 +145,7 @@ def test_packing_layout():
     packing = Packing([2, 1, 3], 2)
     assert packing.n_rows == 12
     np.testing.assert_array_equal(packing.pos, [0, 1, 2, 3, 0, 1, 2, 0, 1, 2, 3, 4])
-    np.testing.assert_array_equal(packing.reset[:, 0, 0], packing.pos > 0)
+    np.testing.assert_array_equal(packing.starts, np.flatnonzero(packing.pos == 0))
     np.testing.assert_array_equal(packing.phone_starts, [0, 2, 3])
     # phone rows 0..5 then think rows 6, 7, as Model.forward hands them over
     x_hat = dc.Tensor(np.arange(6.0)[:, None])
@@ -156,7 +156,7 @@ def test_packing_layout():
                                   [7, 6, 1, 0, 7, 6, 2, 7, 6, 5, 4, 3])
     np.testing.assert_array_equal(packing.phones(packed).data[:, 0], np.arange(6.0))
     single = Packing([4], 2)
-    assert single.single and single.pos is None and single.reset is None
+    assert single.single and single.pos is None and single.starts is None
 
 
 @pytest.mark.parametrize("k", [0, 2])

@@ -4,7 +4,7 @@ import pytest
 from capt import diffcore as dc
 from capt import scan
 from capt.encoder import discretize
-from capt.errors import ContractError
+from capt.errors import ContractError, ShapeError
 
 
 def rand_instance(rng, t_len, n_ch=3, n_st=2, a_max=1.0):
@@ -217,3 +217,90 @@ def test_scan_gradients_on_numpy_backend():
         return dc.mean(scan.selective_scan(x, dc.sigmoid(a_raw), b_bar, c, d))
 
     assert dc.grad_check(f, [x, a_raw, b_bar, c, d], epsilon=1e-4) < 1e-4
+
+
+# --- fused discretization vs the op chain it replaced ----------------------
+# Copies of the three tape ops discretize used to record: exp(delta (x) a)
+# times a (T, 1, 1) 0/1 reset factor, and delta (x) b.
+
+def oracle_outer_time_channel(delta, a):
+    out = dc.Tensor(delta.data[:, :, None] * a.data[None, :, :])
+
+    def bwd():
+        if out.grad is None:
+            return
+        dc._acc(delta, np.einsum("tcs,cs->tc", out.grad, a.data))
+        dc._acc(a, np.einsum("tcs,tc->cs", out.grad, delta.data))
+
+    dc._record(bwd)
+    return out
+
+
+def oracle_exp(x, factor=None):
+    out = dc.Tensor(np.exp(x.data) if factor is None else np.exp(x.data) * factor)
+
+    def bwd():
+        if out.grad is not None:
+            dc._acc(x, out.grad * out.data, owned=True)
+
+    dc._record(bwd)
+    return out
+
+
+def oracle_outer_time_state(delta, b):
+    out = dc.Tensor(delta.data[:, :, None] * b.data[:, None, :])
+
+    def bwd():
+        if out.grad is None:
+            return
+        dc._acc(delta, np.matmul(out.grad, b.data[:, :, None])[:, :, 0])
+        dc._acc(b, np.matmul(delta.data[:, None, :], out.grad)[:, 0, :])
+
+    dc._record(bwd)
+    return out
+
+
+def oracle_discretize(delta, a, b_t, starts=None):
+    reset = None if starts is None else reset_rows(delta.data.shape[0], starts)
+    return (oracle_exp(oracle_outer_time_channel(delta, a), reset),
+            oracle_outer_time_state(delta, b_t))
+
+
+DISCRETIZE_CASES = {
+    "train_short": ((242, 96, 8), None),
+    "train_long": ((756, 128, 16), None),
+    "packed_starts": ((40, 6, 4), [0, 1, 7, 8, 23, 39]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DISCRETIZE_CASES))
+def test_discretize_matches_op_chain(case):
+    (t_len, n_ch, n_st), starts = DISCRETIZE_CASES[case]
+    rng = np.random.default_rng(sum(map(ord, case)))
+    values = (rng.uniform(0.01, 3.0, size=(t_len, n_ch)),
+              -np.exp(rng.normal(size=(n_ch, n_st))),
+              rng.normal(size=(t_len, n_st)))
+    # upstream gradients of A_bar and B_bar
+    g_a, g_b = (dc.Tensor(rng.normal(size=(t_len, n_ch, n_st))) for _ in range(2))
+    results = []
+    for fn in (discretize, oracle_discretize):
+        ins = [dc.Tensor(v) for v in values]
+        with dc.Tape() as tape:
+            a_bar, b_bar = fn(*ins, starts=starts)
+            tape.backward(dc.add(dc.total_sum(dc.mul(a_bar, g_a)),
+                                 dc.total_sum(dc.mul(b_bar, g_b))))
+        results.append((a_bar.data, b_bar.data, [t.grad for t in ins]))
+    (a_bar, b_bar, grads), (a_ref, b_ref, grads_ref) = results
+    np.testing.assert_array_equal(a_bar, a_ref)
+    np.testing.assert_array_equal(b_bar, b_ref)
+    if starts is not None:
+        np.testing.assert_array_equal(a_bar[starts], 0.0)
+    for name, g, ref in zip(("d_delta", "d_a", "d_b"), grads, grads_ref):
+        assert g.shape == ref.shape
+        assert_close(g, ref, name)
+
+
+def test_discretize_rejects_mismatched_shapes():
+    with pytest.raises(ShapeError):
+        discretize(dc.Tensor(np.ones((3, 2))), dc.Tensor(-np.ones((2, 4))),
+                   dc.Tensor(np.ones((3, 5))))

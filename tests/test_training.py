@@ -1,3 +1,6 @@
+import platform
+import resource
+
 import numpy as np
 import pytest
 
@@ -251,3 +254,74 @@ def test_overfit_sanity_rejects_bad_sizes():
     from capt.errors import ContractError
     with pytest.raises(ContractError):
         tr.overfit_sanity(65, cfg, tr.TrainConfig())
+
+
+def test_adam_updates_moments_in_place_bit_identically():
+    rng = np.random.default_rng(6)
+    store = ParamStore()
+    store.add("w", rng.normal(size=(3, 4)))
+    store.add("b", rng.normal(size=4))
+    opt = tr.Adam(store, lr=0.01)
+    moments = {n: (opt.m[n], opt.v[n]) for n in store.names()}
+    ref = {n: t.data.copy() for n, t in store.items()}
+    m = {n: np.zeros_like(t.data) for n, t in store.items()}
+    v = {n: np.zeros_like(t.data) for n, t in store.items()}
+    b1, b2, lr, eps = opt.b1, opt.b2, opt.lr, opt.eps
+    for step in range(1, 4):
+        for n, t in store.items():
+            t.grad = g = rng.normal(size=t.data.shape)
+            # the allocating formula the in-place update replaced
+            m[n] = b1 * m[n] + (1 - b1) * g
+            v[n] = b2 * v[n] + (1 - b2) * g * g
+            m_hat = m[n] / (1 - b1**step)
+            v_hat = v[n] / (1 - b2**step)
+            ref[n] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        opt.step()
+        for n, t in store.items():
+            np.testing.assert_array_equal(t.data, ref[n])
+            np.testing.assert_array_equal(opt.m[n], m[n])
+            np.testing.assert_array_equal(opt.v[n], v[n])
+    for n in store.names():
+        assert opt.m[n] is moments[n][0] and opt.v[n] is moments[n][1]
+
+
+def test_train_non_finite_gradient_names_parameter(monkeypatch):
+    records, _ = synth_records(4, seed=10, ssl_dim=8)
+    model = tiny_model(feat_dim=9)
+    backward = dc.Tape.backward
+
+    def poisoned(self, loss):
+        backward(self, loss)
+        model.params["enc.l0.fwd.a_raw"].grad[0, 0] = np.nan
+        model.params["enc.l0.bwd.a_raw"].grad[0, 0] = np.inf
+
+    monkeypatch.setattr(dc.Tape, "backward", poisoned)
+    before = {n: t.data.copy() for n, t in model.params.items()}
+    with pytest.raises(NumericError) as e:
+        tr.train(records, tr.TrainConfig(epochs=1, batch_size=4), model)
+    msg = str(e.value)
+    assert "'enc.l0.fwd.a_raw'" in msg and "bwd" not in msg
+    assert "epoch 0" in msg and "batch 0" in msg
+    assert all(rec.id in msg for rec in records)
+    for n, t in model.params.items():  # the optimizer never ran
+        np.testing.assert_array_equal(t.data, before[n])
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="heap retention is set through glibc's mallopt")
+def test_training_step_reuses_heap_pages():
+    # one criterion-5 step: 16 utterances, d_model 48, d_state 8, K = 4
+    records, _ = synth_records(16, seed=11, rule_seed=0, ssl_dim=32)
+    cfg = EncoderConfig(d_model=48, d_state=8, n_layers=1, conv_width=3, n_think=4)
+    model = init_model(cfg, feat_dim=records[0].features.shape[1], seed=5)
+    opt = tr.Adam(model.params, lr=2e-3)
+    faults = []
+    for _ in range(6):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        model.params.zero_grad()
+        with dc.Tape() as tape:
+            tape.backward(tr.batch_loss(model, records, alpha=0.3)[0])
+        opt.step()
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    # without retention every step faults in its ~8 MB of activations again
+    assert max(faults[2:]) < 100, faults
