@@ -87,16 +87,6 @@ class UtteranceRecord:
         return np.array([self.utterance_scores[a] for a in ASPECTS]) / UTT_SCORE_MAX
 
 
-def normalize_score(raw: float, level: str) -> float:
-    return raw / {"phone": PHONE_SCORE_MAX, "word": WORD_SCORE_MAX,
-                  "utterance": UTT_SCORE_MAX}[level]
-
-
-def denormalize_score(norm: float, level: str):
-    return norm * {"phone": PHONE_SCORE_MAX, "word": WORD_SCORE_MAX,
-                   "utterance": UTT_SCORE_MAX}[level]
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -110,9 +100,11 @@ def validate_record(rec: UtteranceRecord) -> None:
         _fail(rec.id, "phones", "empty phone list")
     prev = -1
     for i, p in enumerate(rec.phones):
-        if p.canonical not in PHONE_TO_ID or p.canonical in (DEL, UNK):
+        # a symbol that is not a string may not even be hashable
+        if (not isinstance(p.canonical, str) or p.canonical not in PHONE_TO_ID
+                or p.canonical in (DEL, UNK)):
             _fail(rec.id, f"phones[{i}].canonical", f"not a canonical phone: {p.canonical!r}")
-        if p.realized not in PHONE_TO_ID:
+        if not isinstance(p.realized, str) or p.realized not in PHONE_TO_ID:
             _fail(rec.id, f"phones[{i}].realized", f"not in inventory: {p.realized!r}")
         if not (0.0 <= p.score <= PHONE_SCORE_MAX):
             _fail(rec.id, f"phones[{i}].score", f"{p.score} outside [0, {PHONE_SCORE_MAX}]")
@@ -180,6 +172,8 @@ def read_feature_file(path) -> dict[str, np.ndarray]:
             (id_len,) = struct.unpack_from("<I", blob, pos)
             pos += 4
             uid = blob[pos : pos + id_len].decode()
+            if uid in out:
+                raise DatasetError(f"{path}: record {uid!r} is indexed twice")
             pos += id_len
             (ofs,) = struct.unpack_from("<Q", blob, pos)
             pos += 8
@@ -189,7 +183,9 @@ def read_feature_file(path) -> dict[str, np.ndarray]:
                 raise DatasetError(f"{path}: truncated payload for record {uid!r}")
             out[uid] = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(np.float64)
         return out
-    except (struct.error, UnicodeDecodeError, IndexError) as e:
+    except OSError as e:
+        raise DatasetError(f"{path}: cannot read feature container: {e}") from e
+    except (struct.error, UnicodeDecodeError, IndexError, OverflowError) as e:
         raise DatasetError(f"{path}: corrupt feature container: {e}") from e
 
 
@@ -211,20 +207,36 @@ def _record_to_json(rec: UtteranceRecord) -> dict:
     }
 
 
-def _record_from_json(obj: dict, lineno: int) -> UtteranceRecord:
+def _record_from_line(line: bytes, features: dict) -> UtteranceRecord:
+    """One corpus line -> a validated record holding its feature matrix."""
+    try:
+        obj = json.loads(line.decode("utf-8"))
+    except ValueError as e:  # UnicodeDecodeError or JSONDecodeError
+        raise DatasetError(f"not a UTF-8 JSON line: {e}") from e
     try:
         phones = [
             PhoneEntry(p["canonical"], p["realized"], float(p["score"]), int(p["word"]))
             for p in obj["phones"]
         ]
-        return UtteranceRecord(
-            id=str(obj["id"]),
+        if not isinstance(obj["id"], str):
+            raise TypeError(f"id {obj['id']!r} is not a string")
+        utt_scores = obj["utterance_scores"]
+        if not isinstance(utt_scores, dict):
+            raise TypeError(f"utterance_scores {utt_scores!r} is not an object")
+        rec = UtteranceRecord(
+            id=obj["id"],
             phones=phones,
             word_scores=[tuple(float(s) for s in t) for t in obj["word_scores"]],
-            utterance_scores={a: float(v) for a, v in obj["utterance_scores"].items()},
+            utterance_scores={a: float(v) for a, v in utt_scores.items()},
         )
-    except (KeyError, TypeError, ValueError) as e:
-        raise DatasetError(f"corpus line {lineno}: malformed record: {e}") from e
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise DatasetError(f"malformed record: {e}") from e
+    key = obj.get("features", rec.id)
+    if not isinstance(key, str) or key not in features:
+        _fail(rec.id, "features", f"no feature matrix under key {key!r}")
+    rec.features = features[key]
+    validate_record(rec)
+    return rec
 
 
 def save_dataset(records: list[UtteranceRecord], out_dir) -> None:
@@ -245,27 +257,20 @@ def load_dataset(path) -> list[UtteranceRecord]:
     features = read_feature_file(corpus_path.parent / FEATURE_FILE)
     records = []
     first_line = {}  # utterance id -> corpus line it first appeared on
-    with open(corpus_path) as f:
+    with open(corpus_path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DatasetError(f"corpus line {lineno}: invalid JSON: {e}") from e
-            rec = _record_from_json(obj, lineno)
+                rec = _record_from_line(line, features)
+            except DatasetError as e:
+                raise DatasetError(f"{corpus_path}: line {lineno}: {e}") from e
             if rec.id in first_line:
                 raise DatasetError(
                     f"{corpus_path}: line {lineno}: duplicate utterance id {rec.id!r} "
                     f"(first on line {first_line[rec.id]})"
                 )
             first_line[rec.id] = lineno
-            key = obj.get("features", rec.id)
-            if key not in features:
-                _fail(rec.id, "features", f"no feature matrix under key {key!r}")
-            rec.features = features[key]
-            validate_record(rec)
             records.append(rec)
     if not records:
         raise DatasetError(f"{corpus_path}: empty corpus")
@@ -389,43 +394,46 @@ def synth_corpus(n: int, seed: int, out_dir, rule_seed: int = 0, ssl_dim: int = 
 class RunConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     training: TrainConfig = field(default_factory=TrainConfig)
-    train_data: str = ""
-    test_data: str = ""
+
+
+# INI section -> (RunConfig attribute, {INI key: attribute of that config});
+# each value is parsed as the type of the attribute's default
+_INI_KEYS = {
+    "model": ("encoder", {"d_model": "d_model", "d_state": "d_state", "expand": "expand",
+                          "n_layers": "n_layers", "conv_width": "conv_width",
+                          "think_tokens": "n_think", "d_attn": "d_attn"}),
+    "training": ("training", {k: k for k in ("alpha", "lr", "epochs", "batch_size",
+                                             "seed", "optimizer")}),
+}
 
 
 def load_run_config(path) -> RunConfig:
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        read = cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as e:
+        raise ConfigError(f"{path}: malformed config file: {e}") from e
     if not read:
         raise ConfigError(f"{path}: cannot read config file")
     cfg = RunConfig()
+    for section in cp.sections():
+        if section not in _INI_KEYS:
+            raise ConfigError(f"{path}: unknown section [{section}]")
+        attr, keys = _INI_KEYS[section]
+        target = getattr(cfg, attr)
+        for key, value in cp[section].items():
+            if key not in keys:
+                raise ConfigError(f"{path}: section [{section}]: unknown key {key!r}")
+            kind = type(getattr(target, keys[key]))
+            try:
+                setattr(target, keys[key], kind(value))
+            except ValueError as e:
+                raise ConfigError(f"{path}: section [{section}]: bad {key}: {e}") from e
     try:
-        if cp.has_section("model"):
-            m = cp["model"]
-            e = cfg.encoder
-            e.d_model = m.getint("d_model", e.d_model)
-            e.d_state = m.getint("d_state", e.d_state)
-            e.expand = m.getint("expand", e.expand)
-            e.n_layers = m.getint("n_layers", e.n_layers)
-            e.conv_width = m.getint("conv_width", e.conv_width)
-            e.n_think = m.getint("think_tokens", e.n_think)
-            e.d_attn = m.getint("d_attn", e.d_attn)
-        if cp.has_section("training"):
-            t = cp["training"]
-            tc = cfg.training
-            tc.alpha = t.getfloat("alpha", tc.alpha)
-            tc.lr = t.getfloat("lr", tc.lr)
-            tc.epochs = t.getint("epochs", tc.epochs)
-            tc.batch_size = t.getint("batch_size", tc.batch_size)
-            tc.seed = t.getint("seed", tc.seed)
-            tc.optimizer = t.get("optimizer", tc.optimizer)
-        if cp.has_section("data"):
-            cfg.train_data = cp["data"].get("train", "")
-            cfg.test_data = cp["data"].get("test", "")
-    except ValueError as e:
-        raise ConfigError(f"{path}: bad value in config: {e}") from e
-    cfg.encoder.validate()
-    cfg.training.validate()
+        cfg.encoder.validate()
+        cfg.training.validate()
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from e
     return cfg
 
 

@@ -1,11 +1,13 @@
 """Reverse-mode differentiable primitives over float64 numpy arrays.
 
-A ``Tensor`` wraps an ndarray plus an optional gradient buffer.  Operations
-executed while a ``Tape`` is active append a backward closure to it; calling
-``Tape.backward(loss)`` replays the closures in exact reverse recording order,
-accumulating gradients by summation, and releases each closure once it has
-run, so a tape is replayed once.  Everything runs in float64 so the
-finite-difference checker is meaningful at 1e-4 relative tolerance.
+A ``Tensor`` wraps an ndarray plus an optional gradient buffer.  An operation
+executed while a ``Tape`` is active records a backward closure with its
+outputs, ``_record(bwd, *outs)``.  ``Tape.backward(loss)`` replays the records
+in exact reverse recording order, calls ``bwd(*grads)`` with the outputs'
+gradients only when at least one of them is not None, and drops each record
+once it has run, so a tape is replayed once.  A closure adds into its inputs'
+gradients with ``_acc``.  Everything runs in float64 so the finite-difference
+checker is meaningful at 1e-4 relative tolerance.
 """
 
 from __future__ import annotations
@@ -45,13 +47,11 @@ _retain_freed_memory()
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "name")
+    __slots__ = ("data", "grad")
 
-    def __init__(self, data, requires_grad=False, name=None):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.requires_grad = requires_grad
-        self.name = name
 
     @property
     def shape(self):
@@ -61,8 +61,7 @@ class Tensor:
         self.grad = None
 
     def __repr__(self):
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}{tag})"
+        return f"Tensor(shape={self.data.shape})"
 
 
 class Tape:
@@ -80,8 +79,8 @@ class Tape:
         assert popped is self
         return False
 
-    def record(self, backward_fn):
-        self._ops.append(backward_fn)
+    def record(self, backward_fn, outs):
+        self._ops.append((backward_fn, outs))
 
     def __len__(self):
         return len(self._ops)
@@ -97,19 +96,27 @@ class Tape:
         # drop each closure once it has run, so the activations and gradients
         # it holds are freed as the pass goes rather than with the tape
         while self._ops:
-            self._ops.pop()()
+            bwd, outs = self._ops.pop()
+            grads = [t.grad for t in outs]
+            if any(g is not None for g in grads):
+                bwd(*grads)
 
 
-def _record(fn):
+def _record(fn, *outs):
     if _TAPES:
-        _TAPES[-1].record(fn)
+        _TAPES[-1].record(fn, outs)
 
 
-def _acc(t: Tensor, g: np.ndarray, owned: bool = False):
+def _acc(t: Tensor, g: np.ndarray, owned: bool = False, at=None):
     """Add g to t.grad.  ``owned``: g is a fresh array no one else holds, so
     it can become t.grad itself instead of a copy (saves time and memory on
-    the large (T, C, S) tensors)."""
-    if t.grad is None:
+    the large (T, C, S) tensors).  ``at``: g is the gradient of t.data[at]
+    alone (``at`` selects no element twice) and is added into t.grad[at]."""
+    if at is not None:
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
+        t.grad[at] += g
+    elif t.grad is None:
         g = g.reshape(t.data.shape)
         t.grad = g if owned else g.copy()
     else:
@@ -135,10 +142,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}")
     out = Tensor(a.data + b.data)
 
-    def bwd():
-        if out.grad is None:
-            return
-        g = out.grad
+    def bwd(g):
         _acc(a, g)
         if b.data.shape == a.data.shape:
             _acc(b, g)
@@ -147,7 +151,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         else:
             _acc(b, g.reshape(-1, b.data.shape[0]).sum(axis=0))
 
-    _record(bwd)
+    _record(bwd, out)
     return out
 
 
@@ -157,13 +161,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mul: shapes differ {a.data.shape} vs {b.data.shape}")
     out = Tensor(a.data * b.data)
 
-    def bwd():
-        if out.grad is None:
-            return
-        _acc(a, out.grad * b.data)
-        _acc(b, out.grad * a.data)
+    def bwd(g):
+        _acc(a, g * b.data)
+        _acc(b, g * a.data)
 
-    _record(bwd)
+    _record(bwd, out)
     return out
 
 
@@ -171,11 +173,10 @@ def scale(a: Tensor, c: float) -> Tensor:
     a = as_tensor(a)
     out = Tensor(a.data * c)
 
-    def bwd():
-        if out.grad is not None:
-            _acc(a, out.grad * c)
+    def bwd(g):
+        _acc(a, g * c)
 
-    _record(bwd)
+    _record(bwd, out)
     return out
 
 
@@ -183,11 +184,10 @@ def exp(a: Tensor) -> Tensor:
     a = as_tensor(a)
     out = Tensor(np.exp(a.data))
 
-    def bwd():
-        if out.grad is not None:
-            _acc(a, out.grad * out.data, owned=True)
+    def bwd(g):
+        _acc(a, g * out.data, owned=True)
 
-    _record(bwd)
+    _record(bwd, out)
     return out
 
 
@@ -195,11 +195,10 @@ def tanh(a: Tensor) -> Tensor:
     a = as_tensor(a)
     out = Tensor(np.tanh(a.data))
 
-    def bwd():
-        if out.grad is not None:
-            _acc(a, out.grad * (1.0 - out.data**2))
+    def bwd(g):
+        _acc(a, g * (1.0 - out.data**2))
 
-    _record(bwd)
+    _record(bwd, out)
     return out
 
 
@@ -213,11 +212,10 @@ def sigmoid(a: Tensor) -> Tensor:
     s = _sigmoid(a.data)
     out = Tensor(s)
 
-    def bwd():
-        if out.grad is not None:
-            _acc(a, out.grad * s * (1.0 - s))
+    def bwd(g):
+        _acc(a, g * s * (1.0 - s))
 
-    _record(bwd)
+    _record(bwd, out)
     return out
 
 
@@ -226,11 +224,10 @@ def silu(a: Tensor) -> Tensor:
     s = _sigmoid(a.data)
     out = Tensor(a.data * s)
 
-    def bwd():
-        if out.grad is not None:
-            _acc(a, out.grad * (s + a.data * s * (1.0 - s)))
+    def bwd(g):
+        _acc(a, g * (s + a.data * s * (1.0 - s)))
 
-    _record(bwd)
+    _record(bwd, out)
     return out
 
 
@@ -239,11 +236,10 @@ def softplus(a: Tensor) -> Tensor:
     # log(1 + e^x) as np.logaddexp(0, x) computes it, on SIMD ufuncs
     out = Tensor(np.maximum(a.data, 0.0) + np.log1p(np.exp(-np.abs(a.data))))
 
-    def bwd():
-        if out.grad is not None:
-            _acc(a, out.grad * _sigmoid(a.data))
+    def bwd(g):
+        _acc(a, g * _sigmoid(a.data))
 
-    _record(bwd)
+    _record(bwd, out)
     return out
 
 
@@ -255,13 +251,10 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     s = e / e.sum(axis=axis, keepdims=True)
     out = Tensor(s)
 
-    def bwd():
-        if out.grad is None:
-            return
-        g = out.grad
+    def bwd(g):
         _acc(a, s * (g - (g * s).sum(axis=axis, keepdims=True)))
 
-    _record(bwd)
+    _record(bwd, out)
     return out
 
 
@@ -280,10 +273,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: inner dims differ {ad.shape} @ {bd.shape}")
     out = Tensor(ad @ bd)
 
-    def bwd():
-        if out.grad is None:
-            return
-        g = out.grad
+    def bwd(g):
         if ad.ndim == 2 and bd.ndim == 2:
             _acc(a, g @ bd.T)
             _acc(b, ad.T @ g)
@@ -297,7 +287,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _acc(a, g * bd)
             _acc(b, g * ad)
 
-    _record(bwd)
+    _record(bwd, out)
     return out
 
 
@@ -314,14 +304,10 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     a = as_tensor(a)
     out = Tensor(a.data[start:stop])
 
-    def bwd():
-        if out.grad is None:
-            return
-        g = np.zeros_like(a.data)
-        g[start:stop] = out.grad
-        _acc(a, g)
+    def bwd(g):
+        _acc(a, g, at=slice(start, stop))
 
-    _record(bwd)
+    _record(bwd, out)
     return out
 
 
@@ -331,14 +317,10 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
         raise ShapeError(f"slice_cols: expected 2-D, got {a.data.shape}")
     out = Tensor(a.data[:, start:stop])
 
-    def bwd():
-        if out.grad is None:
-            return
-        g = np.zeros_like(a.data)
-        g[:, start:stop] = out.grad
-        _acc(a, g)
+    def bwd(g):
+        _acc(a, g, at=(slice(None), slice(start, stop)))
 
-    _record(bwd)
+    _record(bwd, out)
     return out
 
 
@@ -346,11 +328,10 @@ def reverse_rows(a: Tensor) -> Tensor:
     a = as_tensor(a)
     out = Tensor(a.data[::-1])
 
-    def bwd():
-        if out.grad is not None:
-            _acc(a, out.grad[::-1])
+    def bwd(g):
+        _acc(a, g[::-1])
 
-    _record(bwd)
+    _record(bwd, out)
     return out
 
 
@@ -359,15 +340,13 @@ def concat_rows(parts) -> Tensor:
     out = Tensor(np.concatenate([p.data for p in parts], axis=0))
     sizes = [p.data.shape[0] for p in parts]
 
-    def bwd():
-        if out.grad is None:
-            return
+    def bwd(g):
         ofs = 0
         for p, n in zip(parts, sizes):
-            _acc(p, out.grad[ofs : ofs + n])
+            _acc(p, g[ofs : ofs + n])
             ofs += n
 
-    _record(bwd)
+    _record(bwd, out)
     return out
 
 
@@ -378,13 +357,11 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     na = a.data.shape[1]
     out = Tensor(np.concatenate([a.data, b.data], axis=1))
 
-    def bwd():
-        if out.grad is None:
-            return
-        _acc(a, out.grad[:, :na])
-        _acc(b, out.grad[:, na:])
+    def bwd(g):
+        _acc(a, g[:, :na])
+        _acc(b, g[:, na:])
 
-    _record(bwd)
+    _record(bwd, out)
     return out
 
 
@@ -393,14 +370,12 @@ def stack(parts, axis: int = 0) -> Tensor:
     parts = [as_tensor(p) for p in parts]
     out = Tensor(np.stack([p.data for p in parts], axis=axis))
 
-    def bwd():
-        if out.grad is None:
-            return
-        g = np.moveaxis(out.grad, axis, 0)
+    def bwd(g):
+        g = np.moveaxis(g, axis, 0)
         for i, p in enumerate(parts):
             _acc(p, g[i])
 
-    _record(bwd)
+    _record(bwd, out)
     return out
 
 
@@ -413,20 +388,18 @@ def gather_rows(a: Tensor, index) -> Tensor:
     a = as_tensor(a)
     index = np.asarray(index, dtype=np.int64)
     out = Tensor(a.data[index])
-    # without repeats the scatter is a plain assignment, far faster than add.at
+    # without repeats the scatter is one indexed add, far faster than add.at
     repeats = np.unique(index).size < index.size
 
-    def bwd():
-        if out.grad is None:
+    def bwd(g):
+        if not repeats:
+            _acc(a, g, at=index)
             return
-        g = np.zeros_like(a.data)
-        if repeats:
-            np.add.at(g, index, out.grad)
-        else:
-            g[index] = out.grad
-        _acc(a, g)
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        np.add.at(a.grad, index, g)
 
-    _record(bwd)
+    _record(bwd, out)
     return out
 
 
@@ -434,11 +407,10 @@ def total_sum(a: Tensor) -> Tensor:
     a = as_tensor(a)
     out = Tensor(np.asarray(a.data.sum()))
 
-    def bwd():
-        if out.grad is not None:
-            _acc(a, np.broadcast_to(out.grad, a.data.shape).copy())
+    def bwd(g):
+        _acc(a, np.broadcast_to(g, a.data.shape).copy())
 
-    _record(bwd)
+    _record(bwd, out)
     return out
 
 
@@ -447,11 +419,10 @@ def mean(a: Tensor) -> Tensor:
     n = a.data.size
     out = Tensor(np.asarray(a.data.mean()))
 
-    def bwd():
-        if out.grad is not None:
-            _acc(a, np.broadcast_to(out.grad / n, a.data.shape).copy())
+    def bwd(g):
+        _acc(a, np.broadcast_to(g / n, a.data.shape).copy())
 
-    _record(bwd)
+    _record(bwd, out)
     return out
 
 
@@ -475,13 +446,10 @@ def segment_softmax(a: Tensor, starts) -> Tensor:
     s = e / np.add.reduceat(e, starts)[seg]
     out = Tensor(s)
 
-    def bwd():
-        if out.grad is None:
-            return
-        g = out.grad
+    def bwd(g):
         _acc(a, s * (g - np.add.reduceat(g * s, starts)[seg]))
 
-    _record(bwd)
+    _record(bwd, out)
     return out
 
 
@@ -500,11 +468,10 @@ def segment_matrix(a: Tensor, starts) -> Tensor:
     m[seg, cols] = a.data
     out = Tensor(m)
 
-    def bwd():
-        if out.grad is not None:
-            _acc(a, out.grad[seg, cols])
+    def bwd(g):
+        _acc(a, g[seg, cols])
 
-    _record(bwd)
+    _record(bwd, out)
     return out
 
 
@@ -537,10 +504,7 @@ def conv1d_causal(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
         y += kernel.data[j] * taps[j]
     out = Tensor(y)
 
-    def bwd():
-        if out.grad is None:
-            return
-        g = out.grad
+    def bwd(g):
         dk = np.empty_like(kernel.data)
         dxpad = np.zeros_like(xpad)
         for j in range(w):
@@ -550,7 +514,7 @@ def conv1d_causal(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
         _acc(kernel, dk)
         _acc(x, dxpad[w - 1 :])
 
-    _record(bwd)
+    _record(bwd, out)
     res = out
     if bias is not None:
         res = add(res, bias)
@@ -589,14 +553,12 @@ def mse(pred: Tensor, target, row_weights=None) -> Tensor:
     w = w.reshape((-1,) + (1,) * (diff.ndim - 1)) if diff.ndim else w[0]
     out = Tensor(np.asarray((w * diff**2).sum()))
 
-    def bwd():
-        if out.grad is None:
-            return
-        g = out.grad * 2.0 * w * diff
+    def bwd(g):
+        g = g * 2.0 * w * diff
         _acc(pred, g)
         _acc(target, -g)
 
-    _record(bwd)
+    _record(bwd, out)
     return out
 
 
@@ -618,14 +580,12 @@ def cross_entropy(logits: Tensor, labels, row_weights=None) -> Tensor:
     out = Tensor(np.asarray((w * nll).sum()))
     probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
 
-    def bwd():
-        if out.grad is None:
-            return
-        g = probs.copy()
-        g[np.arange(n), labels] -= 1.0
-        _acc(logits, out.grad * g * w[:, None])
+    def bwd(g):
+        d = probs.copy()
+        d[np.arange(n), labels] -= 1.0
+        _acc(logits, g * d * w[:, None])
 
-    _record(bwd)
+    _record(bwd, out)
     return out
 
 

@@ -51,7 +51,7 @@ class ParamStore:
     def add(self, name: str, value: np.ndarray) -> dc.Tensor:
         if name in self._params:
             raise ContractError(f"duplicate parameter {name!r}")
-        t = dc.Tensor(np.asarray(value, dtype=np.float64), requires_grad=True, name=name)
+        t = dc.Tensor(value)
         self._params[name] = t
         return t
 
@@ -73,9 +73,6 @@ class ParamStore:
     def zero_grad(self):
         for t in self._params.values():
             t.zero_grad()
-
-    def n_scalars(self) -> int:
-        return sum(t.data.size for t in self._params.values())
 
 
 def he_uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -142,21 +139,20 @@ def discretize(delta: dc.Tensor, a: dc.Tensor, b_t: dc.Tensor, starts=None):
         a_bar.data[starts] = 0.0
     b_bar = dc.Tensor(np.einsum("tc,ts->tcs", dd, bd))
 
-    def bwd():
+    def bwd(g_a, g_b):
         d_delta = np.zeros_like(dd)
-        if a_bar.grad is not None:
+        if g_a is not None:
             # d(delta * a) = dA_bar * A_bar, in the gradient buffer this op owns
-            g = a_bar.grad
-            g *= a_bar.data
-            d_delta += np.einsum("tcs,cs->tc", g, ad)
-            dc._acc(a, np.einsum("tcs,tc->cs", g, dd), owned=True)
-        if b_bar.grad is not None:
+            g_a *= a_bar.data
+            d_delta += np.einsum("tcs,cs->tc", g_a, ad)
+            dc._acc(a, np.einsum("tcs,tc->cs", g_a, dd), owned=True)
+        if g_b is not None:
             # batched matrix products over t: (C,S)@(S,1) and (1,C)@(C,S)
-            d_delta += np.matmul(b_bar.grad, bd[:, :, None])[:, :, 0]
-            dc._acc(b_t, np.matmul(dd[:, None, :], b_bar.grad)[:, 0, :], owned=True)
+            d_delta += np.matmul(g_b, bd[:, :, None])[:, :, 0]
+            dc._acc(b_t, np.matmul(dd[:, None, :], g_b)[:, 0, :], owned=True)
         dc._acc(delta, d_delta, owned=True)
 
-    dc._record(bwd)
+    dc._record(bwd, a_bar, b_bar)
     return a_bar, b_bar
 
 

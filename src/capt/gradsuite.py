@@ -24,7 +24,7 @@ TINY_CFG = EncoderConfig(d_model=8, d_state=4, expand=2, n_layers=1,
 
 
 def _p(rng, shape):
-    return dc.Tensor(rng.normal(0.0, 0.7, size=shape), requires_grad=True)
+    return dc.Tensor(rng.normal(0.0, 0.7, size=shape))
 
 
 def _primitive_checks(rng):
@@ -71,8 +71,8 @@ def _primitive_checks(rng):
     # an independent stream, so the checks after this one keep their data
     drng = rng.spawn(1)[0]
     t_len, ci, s = 7, 3, 2
-    delta = dc.Tensor(drng.uniform(0.5, 1.5, size=(t_len, ci)), requires_grad=True)
-    a_neg = dc.Tensor(-drng.uniform(0.5, 1.5, size=(ci, s)), requires_grad=True)
+    delta = dc.Tensor(drng.uniform(0.5, 1.5, size=(t_len, ci)))
+    a_neg = dc.Tensor(-drng.uniform(0.5, 1.5, size=(ci, s)))
     b_t = _p(drng, (t_len, s))
     x_d, c_d = drng.normal(size=(t_len, ci)), drng.normal(size=(t_len, s))
     d_d = drng.normal(size=ci)

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import io
 import json
+import lzma
 import zipfile
+import zlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -18,7 +20,7 @@ from . import features as feat
 from . import phonology, scoring
 from .data import PHONE_SCORE_MAX, UTT_SCORE_MAX, WORD_SCORE_MAX
 from .encoder import EncoderConfig, Packing, ParamStore, bimamba_encode, init_encoder_params
-from .errors import ContractError, PersistenceError, ShapeError
+from .errors import ConfigError, ContractError, PersistenceError, ShapeError
 
 MODEL_FORMAT_VERSION = 1
 # metadata fields load_model reads, with the JSON type each must have
@@ -119,8 +121,12 @@ def load_model(path) -> Model:
                 raise PersistenceError(f"{path}: not a model file (missing metadata)")
             meta = json.loads(bytes(z["__meta__"]).decode())
             arrays = {k[len("param/"):]: z[k] for k in z.files if k.startswith("param/")}
-    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as e:
-        # a truncated file loses the zip's central directory: BadZipFile
+    except (OSError, EOFError, ValueError, KeyError, RuntimeError, zipfile.BadZipFile,
+            zlib.error, lzma.LZMAError) as e:
+        # a truncated file loses the zip's central directory: BadZipFile; a
+        # damaged header can name an unknown zip version or compression method
+        # or set the encryption flag (RuntimeError), or send stored bytes to a
+        # decompressor (zlib, bz2's OSError, lzma)
         raise PersistenceError(f"{path}: cannot read model file: {e}") from e
     if not isinstance(meta, dict):
         raise PersistenceError(f"{path}: model metadata is not a JSON object")
@@ -145,17 +151,29 @@ def load_model(path) -> Model:
         )
     config = dict(meta["config"])
     config.pop("scan_impl", None)  # an option that older model files still record
+    defaults = asdict(EncoderConfig())
+    for key, value in config.items():
+        if key not in defaults:
+            raise PersistenceError(f"{path}: unknown model config field {key!r}")
+        if type(value) is not type(defaults[key]):
+            raise PersistenceError(f"{path}: model config field {key!r} is {value!r}, "
+                                   f"not a {type(defaults[key]).__name__}")
     try:
-        cfg = EncoderConfig(**config)
-    except TypeError as e:
+        model = init_model(EncoderConfig(**config), meta["feat_dim"], seed=0,
+                           d_attn=meta["d_attn"])
+    except (ConfigError, ValueError) as e:
         raise PersistenceError(f"{path}: bad model configuration: {e}") from e
-    model = init_model(cfg, meta["feat_dim"], seed=0, d_attn=meta["d_attn"])
     names = set(model.params.names())
     if names != set(arrays):
         raise PersistenceError(f"{path}: parameter set does not match configuration")
     for name in names:
-        stored = np.asarray(arrays[name], dtype=np.float64)
+        stored = arrays[name]
+        if stored.dtype != np.float64:
+            raise PersistenceError(f"{path}: parameter {name} has dtype {stored.dtype}, "
+                                   "not float64")
         if stored.shape != model.params[name].data.shape:
             raise PersistenceError(f"{path}: shape mismatch for parameter {name}")
+        if not np.isfinite(stored).all():
+            raise PersistenceError(f"{path}: parameter {name} holds non-finite values")
         model.params[name].data = stored
     return model

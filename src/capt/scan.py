@@ -129,14 +129,12 @@ def selective_scan(x, a_bar, b_bar, c, d):
     y, h_pad = _scan_fwd(x.data, a_bar.data, b_bar.data, c.data, d.data)
     out = dc.Tensor(y)
 
-    def bwd():
-        if out.grad is None:
-            return
+    def bwd(dy):
         dx, da, db, dcs, dd = _scan_bwd(
-            x.data, a_bar.data, b_bar.data, c.data, d.data, h_pad, out.grad
+            x.data, a_bar.data, b_bar.data, c.data, d.data, h_pad, dy
         )
         for t, g in ((x, dx), (a_bar, da), (b_bar, db), (c, dcs), (d, dd)):
             dc._acc(t, g, owned=True)
 
-    dc._record(bwd)
+    dc._record(bwd, out)
     return out

@@ -32,8 +32,8 @@ class TrainConfig:
     def validate(self):
         if not (0.0 <= self.alpha <= 1.0):
             raise ConfigError(f"alpha {self.alpha} outside [0, 1]")
-        if self.lr < 0 or self.epochs < 0 or self.batch_size < 1:
-            raise ConfigError("lr/epochs must be >= 0, batch_size >= 1")
+        if not 0.0 <= self.lr < np.inf or self.epochs < 0 or self.batch_size < 1:
+            raise ConfigError("lr must be finite, lr/epochs >= 0, batch_size >= 1")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 

@@ -37,13 +37,6 @@ def test_record_derived_views():
     np.testing.assert_allclose(rec.utt_targets_norm(), 0.5)
 
 
-def test_normalize_denormalize_round_trip():
-    for level, top in (("phone", 2.0), ("word", 10.0), ("utterance", 10.0)):
-        assert dm.normalize_score(top, level) == 1.0
-        assert dm.denormalize_score(1.0, level) == top
-        assert abs(dm.denormalize_score(dm.normalize_score(0.7, level), level) - 0.7) < 1e-15
-
-
 @pytest.mark.parametrize("mutate,field", [
     (lambda r: r.phones.clear(), "phones"),
     (lambda r: setattr(r.phones[0], "canonical", "<del>"), "canonical"),
@@ -82,6 +75,16 @@ def test_feature_file_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOTAFEATUREFILE!")
     with pytest.raises(DatasetError):
         dm.read_feature_file(path)
+
+
+def test_feature_file_rejects_duplicate_id(tmp_path):
+    path = tmp_path / "features.bin"
+    dm.write_feature_file(path, {"a": np.ones((2, 3)), "b": np.zeros((2, 3))})
+    blob = path.read_bytes()
+    path.write_bytes(blob.replace(b"\x01\x00\x00\x00b", b"\x01\x00\x00\x00a"))
+    with pytest.raises(DatasetError) as e:
+        dm.read_feature_file(path)
+    assert str(path) in str(e.value) and "'a'" in str(e.value)
 
 
 def test_dataset_round_trip(tmp_path):
@@ -141,6 +144,30 @@ def test_load_dataset_rejects_non_finite_features(tmp_path):
     assert records[2].id in msg and "features[0][0]" in msg and "inf" in msg
 
 
+@pytest.mark.parametrize("field,value", [
+    (None, None),  # a byte that is not UTF-8
+    ("utterance_scores", [1, 2]),
+    ("features", ["x"]),
+    ("id", None),
+    ("phones", [{"canonical": ["B"], "realized": "B", "score": 1.0, "word": 0}]),
+])
+def test_load_dataset_rejects_malformed_line(tmp_path, field, value):
+    records, _ = dm.synth_records(2, seed=2, ssl_dim=8)
+    dm.save_dataset(records, tmp_path)
+    corpus = tmp_path / dm.CORPUS_FILE
+    lines = corpus.read_bytes().splitlines(keepends=True)
+    if field is None:
+        lines[1] = lines[1].replace(b"synth", b"\xffsynth", 1)
+    else:
+        obj = json.loads(lines[1])
+        obj[field] = value
+        lines[1] = (json.dumps(obj) + "\n").encode()
+    corpus.write_bytes(b"".join(lines))
+    with pytest.raises(DatasetError) as e:
+        dm.load_dataset(tmp_path)
+    assert str(corpus) in str(e.value) and "line 2" in str(e.value)
+
+
 # --- synthetic generator ----------------------------------------------------
 
 def test_synth_records_planted_rule_consistency():
@@ -181,7 +208,6 @@ def test_load_run_config(tmp_path):
     path.write_text(
         "[model]\nd_model = 24\nn_layers = 3\nthink_tokens = 6\n"
         "[training]\nlr = 0.005\nepochs = 12\noptimizer = sgd\n"
-        "[data]\ntrain = /tmp/train\ntest = /tmp/test\n"
     )
     cfg = dm.load_run_config(path)
     assert cfg.encoder.d_model == 24
@@ -190,7 +216,6 @@ def test_load_run_config(tmp_path):
     assert cfg.training.lr == 0.005
     assert cfg.training.epochs == 12
     assert cfg.training.optimizer == "sgd"
-    assert cfg.train_data == "/tmp/train"
 
 
 def test_load_run_config_errors(tmp_path):
@@ -203,6 +228,37 @@ def test_load_run_config_errors(tmp_path):
     bad.write_text("[training]\nalpha = 7\n")
     with pytest.raises(ConfigError):
         dm.load_run_config(bad)
+
+
+@pytest.mark.parametrize("text", [
+    b"d_model = 8\n[model]\n",  # a key before any section
+    b"[model]\nd_model = 8\nd_model = 9\n",  # a repeated key
+    b"[model]\nd_model\n",  # a line without '='
+    b"[model]\nd_model = 8\xff\n",  # not UTF-8
+    b"[model]\nd_model = 8\n[model]\n",  # a repeated section
+    b"[training]\noptimizer = 50%\n",  # no interpolation syntax
+    b"[training]\nlr = nan\n",
+])
+def test_load_run_config_malformed_files(tmp_path, text):
+    path = tmp_path / "run.ini"
+    path.write_bytes(text)
+    with pytest.raises(ConfigError) as e:
+        dm.load_run_config(path)
+    assert str(path) in str(e.value)
+
+
+@pytest.mark.parametrize("text,names", [
+    ("[model]\nthink_token = 9\n", ["[model]", "'think_token'"]),
+    ("[trianing]\nepochs = 3\n", ["[trianing]"]),
+    ("[data]\ntrain = /tmp/train\n", ["[data]"]),
+])
+def test_load_run_config_rejects_unknown_names(tmp_path, text, names):
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as e:
+        dm.load_run_config(path)
+    for name in [str(path)] + names:
+        assert name in str(e.value)
 
 
 # --- speechocean importer ---------------------------------------------------

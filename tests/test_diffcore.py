@@ -29,7 +29,7 @@ def test_softmax_positive_sums_to_one():
 
 
 def test_backward_identity():
-    x = dc.Tensor(3.0, requires_grad=True)
+    x = dc.Tensor(3.0)
     with dc.Tape() as tape:
         loss = dc.scale(x, 1.0)
         tape.backward(loss)
@@ -37,7 +37,7 @@ def test_backward_identity():
 
 
 def test_backward_mse_at_minimum():
-    x = dc.Tensor([1.0, 2.0], requires_grad=True)
+    x = dc.Tensor([1.0, 2.0])
     with dc.Tape() as tape:
         loss = dc.mse(x, np.array([1.0, 2.0]))
         tape.backward(loss)
@@ -48,7 +48,7 @@ def test_backward_linear_map_column_sums():
     # loss = sum(A @ x) -> dloss/dx = column sums of A
     rng = np.random.default_rng(1)
     a = rng.normal(size=(4, 3))
-    x = dc.Tensor(rng.normal(size=3), requires_grad=True)
+    x = dc.Tensor(rng.normal(size=3))
     with dc.Tape() as tape:
         loss = dc.total_sum(dc.matmul(dc.Tensor(a), x))
         tape.backward(loss)
@@ -56,7 +56,7 @@ def test_backward_linear_map_column_sums():
 
 
 def test_gradient_accumulates_across_uses():
-    x = dc.Tensor([2.0], requires_grad=True)
+    x = dc.Tensor([2.0])
     with dc.Tape() as tape:
         loss = dc.total_sum(dc.add(x, x))
         tape.backward(loss)
@@ -68,14 +68,14 @@ def test_backward_linearity_of_sum():
     xv = rng.normal(size=5)
     t1, t2 = rng.normal(size=5), rng.normal(size=5)
 
-    x = dc.Tensor(xv, requires_grad=True)
+    x = dc.Tensor(xv)
     with dc.Tape() as tape:
         tape.backward(dc.add(dc.mse(x, t1), dc.mse(x, t2)))
     g_sum = x.grad.copy()
 
     parts = []
     for t in (t1, t2):
-        x = dc.Tensor(xv, requires_grad=True)
+        x = dc.Tensor(xv)
         with dc.Tape() as tape:
             tape.backward(dc.mse(x, t))
         parts.append(x.grad.copy())
@@ -83,7 +83,7 @@ def test_backward_linearity_of_sum():
 
 
 def test_backward_rejects_nonscalar_loss():
-    x = dc.Tensor([1.0, 2.0], requires_grad=True)
+    x = dc.Tensor([1.0, 2.0])
     with dc.Tape() as tape:
         y = dc.tanh(x)
         with pytest.raises(ContractError):
@@ -110,22 +110,22 @@ def test_shape_errors_name_primitive(op, args):
 
 
 def test_grad_check_quadratic():
-    x = dc.Tensor(3.0, requires_grad=True)
+    x = dc.Tensor(3.0)
     err = dc.grad_check(lambda: dc.mul(x, x), [x], epsilon=1e-4)
     assert err < 1e-6
 
 
 def test_grad_check_epsilon_range():
-    x = dc.Tensor(1.0, requires_grad=True)
+    x = dc.Tensor(1.0)
     with pytest.raises(ContractError):
         dc.grad_check(lambda: dc.mul(x, x), [x], epsilon=1e-2)
 
 
 def test_grad_check_three_layer_composition():
     rng = np.random.default_rng(3)
-    w1 = dc.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-    w2 = dc.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-    w3 = dc.Tensor(rng.normal(size=(3,)), requires_grad=True)
+    w1 = dc.Tensor(rng.normal(size=(4, 5)))
+    w2 = dc.Tensor(rng.normal(size=(5, 3)))
+    w3 = dc.Tensor(rng.normal(size=(3,)))
     xin = rng.normal(size=(2, 4))
 
     def f():
@@ -141,20 +141,19 @@ def test_grad_check_catches_wrong_backward():
     def bad_square(t):
         out = dc.Tensor(t.data**2)
 
-        def bwd():
-            if out.grad is not None:
-                dc._acc(t, out.grad * 3.0 * t.data)  # wrong factor
+        def bwd(g):
+            dc._acc(t, g * 3.0 * t.data)  # wrong factor
 
-        dc._record(bwd)
+        dc._record(bwd, out)
         return out
 
-    x = dc.Tensor(1.5, requires_grad=True)
+    x = dc.Tensor(1.5)
     err = dc.grad_check(lambda: bad_square(x), [x], epsilon=1e-4)
     assert err > 1e-2
 
 
 def test_grad_check_nonfinite_probe():
-    x = dc.Tensor(0.0, requires_grad=True)
+    x = dc.Tensor(0.0)
 
     def f():
         # log at 0 blows up under probing below zero
@@ -162,7 +161,7 @@ def test_grad_check_nonfinite_probe():
 
     def _diverge(t):
         out = dc.Tensor(np.asarray(1.0 / t.data if t.data != 0 else np.inf))
-        dc._record(lambda: None)
+        dc._record(lambda g: None, out)
         return out
 
     with pytest.raises(NumericError):
@@ -190,7 +189,7 @@ def test_elementwise_primitives_random_shapes_gradcheck():
     for _ in range(20):
         for name in PRIMS:
             shape = tuple(rng.integers(1, 5, size=rng.integers(1, 3)))
-            x = dc.Tensor(rng.normal(0, 1.5, size=shape), requires_grad=True)
+            x = dc.Tensor(rng.normal(0, 1.5, size=shape))
             w = rng.normal(size=shape)
 
             def f(x=x, w=w, fn=fns[name]):
@@ -205,16 +204,16 @@ def test_matmul_conv_losses_random_gradcheck():
     rng = np.random.default_rng(5)
     for _ in range(20):
         n, k, m = rng.integers(1, 5, size=3)
-        a = dc.Tensor(rng.normal(size=(n, k)), requires_grad=True)
-        b = dc.Tensor(rng.normal(size=(k, m)), requires_grad=True)
+        a = dc.Tensor(rng.normal(size=(n, k)))
+        b = dc.Tensor(rng.normal(size=(k, m)))
         assert dc.grad_check(lambda: dc.mean(dc.matmul(a, b)), [a, b]) < 1e-4
 
         t, c, w = int(rng.integers(2, 7)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        x = dc.Tensor(rng.normal(size=(t, c)), requires_grad=True)
-        kern = dc.Tensor(rng.normal(size=(w, c)), requires_grad=True)
+        x = dc.Tensor(rng.normal(size=(t, c)))
+        kern = dc.Tensor(rng.normal(size=(w, c)))
         assert dc.grad_check(lambda: dc.mean(dc.conv1d_causal(x, kern)), [x, kern]) < 1e-4
 
-        logits = dc.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+        logits = dc.Tensor(rng.normal(size=(3, 5)))
         labels = rng.integers(0, 5, size=3)
         assert dc.grad_check(lambda: dc.cross_entropy(logits, labels), [logits]) < 1e-4
 
@@ -229,8 +228,8 @@ def test_cross_entropy_label_range():
 def test_packed_ops_gradcheck():
     rng = np.random.default_rng(12)
     starts = np.array([0, 1, 4])  # segments of 1, 3 and 2 rows
-    x = dc.Tensor(rng.normal(size=6), requires_grad=True)
-    h = dc.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    x = dc.Tensor(rng.normal(size=6))
+    h = dc.Tensor(rng.normal(size=(6, 3)))
     w = rng.normal(size=(3, 3))
 
     def pooled():
@@ -244,7 +243,7 @@ def test_packed_ops_gradcheck():
     assert dc.grad_check(lambda: dc.mean(dc.mul(dc.gather_rows(h, index), dc.Tensor(wg))),
                          [h]) < 1e-4
     pos = np.array([0, 0, 1, 2, 0, 1])
-    kern = dc.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    kern = dc.Tensor(rng.normal(size=(3, 3)))
     assert dc.grad_check(lambda: dc.mean(dc.mul(dc.conv1d_causal(h, kern, pos=pos),
                                                 dc.Tensor(w[[0, 1, 2, 0, 1, 2]]))),
                          [h, kern]) < 1e-4
@@ -277,3 +276,55 @@ def test_segment_ops_match_per_segment_ops():
                - ((h - tgt) ** 2).mean()) < 1e-15
     with pytest.raises(ShapeError):
         dc.mse(dc.Tensor(h), tgt, np.ones(5))
+
+
+# --- gradient routing: the tape and _acc ------------------------------------
+
+def test_tape_skips_closure_of_output_without_gradient():
+    def never(g):
+        raise AssertionError("backward ran for an output that got no gradient")
+
+    x = dc.Tensor([1.0, 2.0])
+    with dc.Tape() as tape:
+        unused = dc.Tensor(2.0 * x.data)
+        dc._record(never, unused)
+        dc.tanh(x)  # a primitive whose output is never used
+        tape.backward(dc.total_sum(x))
+    assert len(tape) == 0
+    np.testing.assert_array_equal(x.grad, [1.0, 1.0])
+
+
+PARTIAL_OPS = {
+    # name: (op, the part of the input its output reads, whether it repeats)
+    "slice_rows": (lambda a: dc.slice_rows(a, 2, 5), np.s_[2:5], False),
+    "slice_cols": (lambda a: dc.slice_cols(a, 1, 4), np.s_[:, 1:4], False),
+    "gather_rows": (lambda a: dc.gather_rows(a, [4, 0, 6, 2]), np.array([4, 0, 6, 2]), False),
+    "gather_rows_repeats": (lambda a: dc.gather_rows(a, [4, 0, 4, 2, 0, 0]),
+                            np.array([4, 0, 4, 2, 0, 0]), True),
+}
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["fresh", "existing"])
+@pytest.mark.parametrize("name", sorted(PARTIAL_OPS))
+def test_partial_gradient_matches_zero_fill(name, existing):
+    op, at, repeats = PARTIAL_OPS[name]
+    rng = np.random.default_rng(14)
+    a = dc.Tensor(rng.normal(size=(7, 5)))
+    prior = rng.normal(size=(7, 5))
+    if existing:
+        a.grad = prior.copy()
+    with dc.Tape() as tape:
+        out = op(a)
+        g = rng.normal(size=out.shape)
+        tape.backward(dc.total_sum(dc.mul(out, dc.Tensor(g))))
+    # the formula it replaces: a zero array of the input's size, written and added
+    full = np.zeros_like(a.data)
+    if repeats:
+        np.add.at(full, at, g)
+    else:
+        full[at] = g
+    ref = prior + full if existing else full
+    if repeats and existing:  # one sum per row instead of two: the order differs
+        assert np.all(np.abs(a.grad - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
+    else:
+        np.testing.assert_array_equal(a.grad, ref)

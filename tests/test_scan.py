@@ -210,8 +210,7 @@ def test_kernels_match_per_step_oracle(case):
 
 def test_scan_gradients_on_numpy_backend():
     rng = np.random.default_rng(8)
-    x, a_raw, b_bar, c, d = (dc.Tensor(v, requires_grad=True)
-                             for v in rand_instance(rng, 5))
+    x, a_raw, b_bar, c, d = (dc.Tensor(v) for v in rand_instance(rng, 5))
 
     def f():
         return dc.mean(scan.selective_scan(x, dc.sigmoid(a_raw), b_bar, c, d))
@@ -226,37 +225,32 @@ def test_scan_gradients_on_numpy_backend():
 def oracle_outer_time_channel(delta, a):
     out = dc.Tensor(delta.data[:, :, None] * a.data[None, :, :])
 
-    def bwd():
-        if out.grad is None:
-            return
-        dc._acc(delta, np.einsum("tcs,cs->tc", out.grad, a.data))
-        dc._acc(a, np.einsum("tcs,tc->cs", out.grad, delta.data))
+    def bwd(g):
+        dc._acc(delta, np.einsum("tcs,cs->tc", g, a.data))
+        dc._acc(a, np.einsum("tcs,tc->cs", g, delta.data))
 
-    dc._record(bwd)
+    dc._record(bwd, out)
     return out
 
 
 def oracle_exp(x, factor=None):
     out = dc.Tensor(np.exp(x.data) if factor is None else np.exp(x.data) * factor)
 
-    def bwd():
-        if out.grad is not None:
-            dc._acc(x, out.grad * out.data, owned=True)
+    def bwd(g):
+        dc._acc(x, g * out.data, owned=True)
 
-    dc._record(bwd)
+    dc._record(bwd, out)
     return out
 
 
 def oracle_outer_time_state(delta, b):
     out = dc.Tensor(delta.data[:, :, None] * b.data[:, None, :])
 
-    def bwd():
-        if out.grad is None:
-            return
-        dc._acc(delta, np.matmul(out.grad, b.data[:, :, None])[:, :, 0])
-        dc._acc(b, np.matmul(delta.data[:, None, :], out.grad)[:, 0, :])
+    def bwd(g):
+        dc._acc(delta, np.matmul(g, b.data[:, :, None])[:, :, 0])
+        dc._acc(b, np.matmul(delta.data[:, None, :], g)[:, 0, :])
 
-    dc._record(bwd)
+    dc._record(bwd, out)
     return out
 
 
@@ -264,6 +258,19 @@ def oracle_discretize(delta, a, b_t, starts=None):
     reset = None if starts is None else reset_rows(delta.data.shape[0], starts)
     return (oracle_exp(oracle_outer_time_channel(delta, a), reset),
             oracle_outer_time_state(delta, b_t))
+
+
+def run_discretize(fn, values, starts, g_a, g_b=None):
+    """A_bar, B_bar and the input gradients of sum(A_bar * g_a) + sum(B_bar * g_b);
+    without g_b, B_bar gets no gradient."""
+    ins = [dc.Tensor(v) for v in values]
+    with dc.Tape() as tape:
+        a_bar, b_bar = fn(*ins, starts=starts)
+        loss = dc.total_sum(dc.mul(a_bar, g_a))
+        if g_b is not None:
+            loss = dc.add(loss, dc.total_sum(dc.mul(b_bar, g_b)))
+        tape.backward(loss)
+    return a_bar.data, b_bar.data, [t.grad for t in ins]
 
 
 DISCRETIZE_CASES = {
@@ -282,15 +289,8 @@ def test_discretize_matches_op_chain(case):
               rng.normal(size=(t_len, n_st)))
     # upstream gradients of A_bar and B_bar
     g_a, g_b = (dc.Tensor(rng.normal(size=(t_len, n_ch, n_st))) for _ in range(2))
-    results = []
-    for fn in (discretize, oracle_discretize):
-        ins = [dc.Tensor(v) for v in values]
-        with dc.Tape() as tape:
-            a_bar, b_bar = fn(*ins, starts=starts)
-            tape.backward(dc.add(dc.total_sum(dc.mul(a_bar, g_a)),
-                                 dc.total_sum(dc.mul(b_bar, g_b))))
-        results.append((a_bar.data, b_bar.data, [t.grad for t in ins]))
-    (a_bar, b_bar, grads), (a_ref, b_ref, grads_ref) = results
+    (a_bar, b_bar, grads), (a_ref, b_ref, grads_ref) = (
+        run_discretize(fn, values, starts, g_a, g_b) for fn in (discretize, oracle_discretize))
     np.testing.assert_array_equal(a_bar, a_ref)
     np.testing.assert_array_equal(b_bar, b_ref)
     if starts is not None:
@@ -304,3 +304,17 @@ def test_discretize_rejects_mismatched_shapes():
     with pytest.raises(ShapeError):
         discretize(dc.Tensor(np.ones((3, 2))), dc.Tensor(-np.ones((2, 4))),
                    dc.Tensor(np.ones((3, 5))))
+
+
+def test_discretize_gradient_on_a_bar_only():
+    (t_len, n_ch, n_st), starts = DISCRETIZE_CASES["packed_starts"]
+    rng = np.random.default_rng(15)
+    values = (rng.uniform(0.01, 3.0, size=(t_len, n_ch)),
+              -np.exp(rng.normal(size=(n_ch, n_st))),
+              rng.normal(size=(t_len, n_st)))
+    g_a = dc.Tensor(rng.normal(size=(t_len, n_ch, n_st)))
+    _, _, grads = run_discretize(discretize, values, starts, g_a)
+    _, _, grads_ref = run_discretize(oracle_discretize, values, starts, g_a)
+    assert grads[2] is None and grads_ref[2] is None  # b_t reaches only B_bar
+    for name, g, ref in zip(("d_delta", "d_a"), grads, grads_ref):
+        assert_close(g, ref, name)

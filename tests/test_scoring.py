@@ -183,8 +183,9 @@ def test_load_rejects_garbage(tmp_path):
         load_model(path)
 
 
-def _rewrite_meta(path, edit):
-    """Re-save a model file with its metadata changed by ``edit(meta)``."""
+def _rewrite_meta(path, edit, params=None):
+    """Re-save a model file with its metadata changed by ``edit(meta)`` and
+    the parameters named in ``params`` replaced by the given arrays."""
     import io
     import json
     import zipfile
@@ -193,6 +194,7 @@ def _rewrite_meta(path, edit):
         meta = json.loads(bytes(z["__meta__"]).decode())
         arrays = {k: z[k] for k in z.files if k != "__meta__"}
     edit(meta)
+    arrays.update({f"param/{name}": value for name, value in (params or {}).items()})
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
         blob = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         for name, arr in {**arrays, "__meta__": blob}.items():
@@ -219,6 +221,25 @@ def test_load_rejects_missing_meta_field(tmp_path, field):
     with pytest.raises(PersistenceError) as e:
         load_model(path)
     assert str(path) in str(e.value) and repr(field) in str(e.value)
+
+
+@pytest.mark.parametrize("case", ["string_param", "nan_param", "config_type"])
+def test_load_rejects_bad_values(tmp_path, case):
+    model = tiny_model()
+    path = tmp_path / "m.capt"
+    save_model(model, path)
+    name = "enc.l0.fwd.a_raw"
+    bad = model.params[name].data.copy()
+    bad[0, 0] = np.nan
+    edit, params, named = {
+        "string_param": (lambda meta: None, {name: bad.astype(str)}, name),
+        "nan_param": (lambda meta: None, {name: bad}, name),
+        "config_type": (lambda meta: meta["config"].update(d_model="big"), None, "'d_model'"),
+    }[case]
+    _rewrite_meta(path, edit, params)
+    with pytest.raises(PersistenceError) as e:
+        load_model(path)
+    assert str(path) in str(e.value) and named in str(e.value)
 
 
 def test_predict_rejects_wrong_feature_width():
