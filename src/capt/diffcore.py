@@ -292,8 +292,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    y = matmul(x, w)
-    return add(y, b) if b is not None else y
+    """x @ w + b as one op: x (N, k), w (k, m), b (m,).  Without b it is ``matmul``."""
+    if b is None:
+        return matmul(x, w)
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    xd, wd = x.data, w.data
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] or b.data.shape != wd.shape[1:]:
+        raise ShapeError(f"linear: incompatible {xd.shape} @ {wd.shape} + {b.data.shape}")
+    y = xd @ wd
+    y += b.data
+    out = Tensor(y)
+
+    def bwd(g):
+        _acc(b, g.sum(axis=0), owned=True)
+        _acc(x, g @ wd.T, owned=True)
+        _acc(w, xd.T @ g, owned=True)
+
+    _record(bwd, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -360,20 +376,6 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         _acc(a, g[:, :na])
         _acc(b, g[:, na:])
-
-    _record(bwd, out)
-    return out
-
-
-def stack(parts, axis: int = 0) -> Tensor:
-    """Stack equal-shaped tensors along a new axis (leading by default)."""
-    parts = [as_tensor(p) for p in parts]
-    out = Tensor(np.stack([p.data for p in parts], axis=axis))
-
-    def bwd(g):
-        g = np.moveaxis(g, axis, 0)
-        for i, p in enumerate(parts):
-            _acc(p, g[i])
 
     _record(bwd, out)
     return out
@@ -479,46 +481,74 @@ def segment_matrix(a: Tensor, starts) -> Tensor:
 # depthwise causal convolution
 
 
-def conv1d_causal(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
-                  pos=None) -> Tensor:
-    """Depthwise causal conv: x (T,C), kernel (w,C), zero padding on the left.
+def conv1d_causal_silu(x: Tensor, kernel: Tensor, bias: Tensor, pos=None) -> Tensor:
+    """silu(conv(x) + bias) for a depthwise causal conv: x (T, C), kernel (w, C), bias (C,).
 
+    Tap j of row t reads x[t - (w - 1 - j)], and zero before the first row.
     ``pos`` (T,) gives each row's position within its segment when x packs
-    several sequences; a tap reaching back past a segment's first row then
-    reads zero, as the left padding does for a single sequence.
+    several sequences; a tap reaching back past its segment's first row then
+    reads zero too, as ``seq_idx`` does in Mamba's ``causal_conv1d_fn``.  The
+    conv runs unmasked over all of x; only the rows with pos < w - 1, at most
+    w - 1 per segment, are computed again from their in-segment taps.  Those
+    rows sum their taps in the same order as the unmasked ones, so a packed
+    call equals one call per segment bit for bit.
     """
-    x, kernel = as_tensor(x), as_tensor(kernel)
-    if x.data.ndim != 2 or kernel.data.ndim != 2 or x.data.shape[1] != kernel.data.shape[1]:
-        raise ShapeError(
-            f"conv1d_causal: incompatible {x.data.shape} and kernel {kernel.data.shape}"
-        )
-    t_len, _ = x.data.shape
-    w = kernel.data.shape[0]
-    xpad = np.concatenate([np.zeros((w - 1, x.data.shape[1])), x.data], axis=0)
-    # tap j reads x[t - (w - 1 - j)]; with pos, a 0/1 mask keeps it inside the segment
-    keep = [None] * w if pos is None else [(pos >= w - 1 - j)[:, None] for j in range(w)]
-    taps = [xpad[j : j + t_len] if m is None else xpad[j : j + t_len] * m
-            for j, m in enumerate(keep)]
-    y = np.zeros_like(x.data)
-    for j in range(w):
-        y += kernel.data[j] * taps[j]
+    x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
+    xd, kd = x.data, kernel.data
+    if (xd.ndim != 2 or kd.ndim != 2 or xd.shape[1] != kd.shape[1]
+            or bias.data.shape != xd.shape[1:]):
+        raise ShapeError(f"conv1d_causal_silu: incompatible {xd.shape}, kernel {kd.shape} "
+                         f"and bias {bias.data.shape}")
+    t_len, w = xd.shape[0], kd.shape[0]
+    shifts = w - 1 - np.arange(w)  # tap j reads shifts[j] rows back
+    y = np.zeros(xd.shape)
+    tmp = np.empty(xd.shape)
+    for j, sh in enumerate(shifts):
+        n = t_len - sh
+        if n > 0:
+            np.multiply(xd[:n], kd[j], out=tmp[:n])
+            y[sh:] += tmp[:n]
+    if pos is not None:
+        rows = np.flatnonzero(pos < w - 1)
+        src = rows[:, None] - shifts  # (R, w): the row each tap reads
+        inside = pos[rows][:, None] >= shifts
+        taps = np.where(inside[:, :, None], xd[np.maximum(src, 0)], 0.0)
+        y_rows = np.zeros((rows.size, xd.shape[1]))
+        for j in range(w):
+            y_rows += kd[j] * taps[:, j]
+        y[rows] = y_rows
+        # the (row, tap) pairs the unmasked conv summed but must not have
+        r_out, j_out = np.nonzero(~inside & (src >= 0))
+        r_out, s_out = rows[r_out], src[r_out, j_out]
+    y += bias.data
+    s = _sigmoid(y)
+    y *= s
     out = Tensor(y)
 
     def bwd(g):
-        dk = np.empty_like(kernel.data)
-        dxpad = np.zeros_like(xpad)
-        for j in range(w):
-            dk[j] = (g * taps[j]).sum(axis=0)
-            gk = g * kernel.data[j]
-            dxpad[j : j + t_len] += gk if keep[j] is None else gk * keep[j]
-        _acc(kernel, dk)
-        _acc(x, dxpad[w - 1 :])
+        # d silu(z)/dz = s + z*s*(1 - s), and z*s is the output
+        gz = 1.0 - s
+        gz *= out.data
+        gz += s
+        gz *= g
+        _acc(bias, gz.sum(axis=0), owned=True)
+        dk = np.zeros(kd.shape)
+        dx = np.zeros(xd.shape)
+        buf = np.empty(xd.shape)
+        for j, sh in enumerate(shifts):
+            n = t_len - sh
+            if n > 0:
+                dk[j] = np.einsum("tc,tc->c", gz[sh:], xd[:n])
+                np.multiply(gz[sh:], kd[j], out=buf[:n])
+                dx[:n] += buf[:n]
+        if pos is not None:
+            np.subtract.at(dk, j_out, gz[r_out] * xd[s_out])
+            np.subtract.at(dx, s_out, gz[r_out] * kd[j_out])
+        _acc(kernel, dk, owned=True)
+        _acc(x, dx, owned=True)
 
     _record(bwd, out)
-    res = out
-    if bias is not None:
-        res = add(res, bias)
-    return res
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -575,10 +605,11 @@ def cross_entropy(logits: Tensor, labels, row_weights=None) -> Tensor:
         raise ContractError(f"cross_entropy: label out of range for {c} classes")
     w = _row_weights(row_weights, n, "cross_entropy")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(z).sum(axis=1))
-    nll = logsumexp - z[np.arange(n), labels]
+    probs = np.exp(z)
+    sums = probs.sum(axis=1, keepdims=True)
+    nll = np.log(sums[:, 0]) - z[np.arange(n), labels]
     out = Tensor(np.asarray((w * nll).sum()))
-    probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+    probs /= sums
 
     def bwd(g):
         d = probs.copy()

@@ -21,6 +21,12 @@ from .errors import ConfigError, ContractError, ShapeError
 from .scan import selective_scan
 
 
+#: The most parameters a model may have: 400 MB of float64, and Adam keeps
+#: two more buffers of that size.  ``EncoderConfig.validate`` checks it before
+#: anything is allocated.
+MAX_PARAMS = 50_000_000
+
+
 @dataclass
 class EncoderConfig:
     d_model: int = 64
@@ -35,11 +41,37 @@ class EncoderConfig:
     def d_inner(self) -> int:
         return self.d_model * self.expand
 
-    def validate(self):
+    @property
+    def attn_dim(self) -> int:
+        """The attention pooler width: d_attn, or d_model // 2 when that is 0."""
+        return self.d_attn if self.d_attn > 0 else max(self.d_model // 2, 1)
+
+    def n_params(self, feat_dim: int = 0, d_attn: int = 0) -> int:
+        """Parameters of every array whose size a width sets: the encoder, the
+        projection from feat_dim input features and the five aspect poolers of
+        width d_attn (0: ``attn_dim``).  The fixed-size embedding and heads,
+        small beside these, are left out."""
+        dm, di, ds, w = self.d_model, self.d_inner, self.d_state, self.conv_width
+        block = di * (3 * dm + di + w + 3 * ds + 5) + dm  # one direction of one layer
+        layer = 2 * block + 2 * dm * dm + dm  # plus the direction combiner
+        pools = 5 * dm * (d_attn or self.attn_dim)  # one projection per aspect
+        return self.n_layers * layer + self.n_think * dm + feat_dim * dm + pools
+
+    def validate(self, feat_dim: int = 0, d_attn: int = 0):
+        """Check the fields; a model built with ``feat_dim`` input features and
+        pooler width ``d_attn`` (0: ``attn_dim``) must fit in MAX_PARAMS."""
         if min(self.d_model, self.d_state, self.expand, self.n_layers, self.conv_width) < 1:
             raise ConfigError("encoder dimensions must all be >= 1")
         if self.n_think < 0:
             raise ConfigError("think token count must be >= 0")
+        if self.d_attn < 0:
+            raise ConfigError(f"d_attn {self.d_attn} must be >= 0 (0: d_model // 2)")
+        n = self.n_params(feat_dim, d_attn)
+        if n > MAX_PARAMS:
+            sizes = ", ".join(f"{k} {getattr(self, k)}" for k in (
+                "d_model", "d_state", "expand", "n_layers", "conv_width", "n_think"))
+            raise ConfigError(f"{sizes}, d_attn {d_attn or self.attn_dim}, feat_dim {feat_dim}: "
+                              f"{n:,} parameters, more than MAX_PARAMS ({MAX_PARAMS:,})")
 
 
 class ParamStore:
@@ -230,8 +262,7 @@ def mamba_block(x: dc.Tensor, params: ParamStore, prefix: str,
     main = dc.slice_cols(xz, 0, di)
     gate = dc.slice_cols(xz, di, 2 * di)
 
-    u = dc.silu(dc.conv1d_causal(main, params[f"{prefix}.conv.k"], params[f"{prefix}.conv.b"],
-                                 pos))
+    u = dc.conv1d_causal_silu(main, params[f"{prefix}.conv.k"], params[f"{prefix}.conv.b"], pos)
     delta = dc.softplus(dc.linear(u, params[f"{prefix}.delta_proj.w"],
                                   params[f"{prefix}.delta_proj.b"]))
     b_t = dc.matmul(u, params[f"{prefix}.b_proj.w"])

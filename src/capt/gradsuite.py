@@ -52,8 +52,8 @@ def _primitive_checks(rng):
     checks.append(("cross_entropy", lambda: dc.cross_entropy(logits, labels), [logits]))
 
     xc, k, bias = _p(rng, (6, 3)), _p(rng, (4, 3)), _p(rng, (3,))
-    checks.append(("conv1d_causal",
-                   lambda: dc.mean(dc.conv1d_causal(xc, k, bias)), [xc, k, bias]))
+    checks.append(("conv1d_causal_silu",
+                   lambda: dc.mean(dc.conv1d_causal_silu(xc, k, bias)), [xc, k, bias]))
 
     t_len, ci, s = 5, 3, 2
     xs = _p(rng, (t_len, ci))
@@ -83,6 +83,10 @@ def _primitive_checks(rng):
         return dc.mean(selective_scan(x_d, a_bar, b_bar, c_d, d_d))
 
     checks.append(("discretize", discretize_loss, [delta, a_neg, b_t]))
+
+    lrng = rng.spawn(1)[0]
+    xl, wl, bl = _p(lrng, (4, 3)), _p(lrng, (3, 2)), _p(lrng, (2,))
+    checks.append(("linear", lambda: dc.mean(dc.tanh(dc.linear(xl, wl, bl))), [xl, wl, bl]))
     return checks
 
 

@@ -74,9 +74,9 @@ class Model:
 
 def init_model(cfg: EncoderConfig, feat_dim: int, seed: int,
                d_attn: int | None = None) -> Model:
-    cfg.validate()
     if d_attn is None:
-        d_attn = cfg.d_attn if cfg.d_attn > 0 else max(cfg.d_model // 2, 1)
+        d_attn = cfg.attn_dim
+    cfg.validate(feat_dim, d_attn)
     rng = np.random.default_rng(seed)
     store = ParamStore()
     feat.init_feature_params(feat_dim, cfg.d_model, rng, store)

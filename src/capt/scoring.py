@@ -3,8 +3,10 @@
 Phone-level: a regression head (one score per phone) and a 41-way
 classifier over realized phones.  Word-level: mean-pool the phone
 representations inside each word span, then one affine map to
-(accuracy, stress, total).  Utterance-level: one attention pooler and one
-regressor per aspect.
+(accuracy, stress, total).  Utterance-level: an attention pooler and a
+regressor for each of the five aspects, all computed together as one tape
+op (``utterance_level_outputs``); ``attention_weights`` and ``pool`` are the
+one-aspect reference it agrees with.
 """
 
 from __future__ import annotations
@@ -148,11 +150,59 @@ def word_level_outputs(h: dc.Tensor, word_spans, params: ParamStore,
 
 
 def utterance_level_outputs(h: dc.Tensor, params: ParamStore, starts=(0,)) -> dc.Tensor:
-    """Five aspect scores: (5,) for one utterance, (B, 5) for B utterance ``starts``."""
-    scores = []
-    for a in ASPECTS:
-        alpha = attention_weights(h, params, a, starts)
-        h_u = pool(h, alpha, starts)
-        scores.append(dc.add(dc.matmul(h_u, params[f"head.utt.{a}.w"]),
-                             params[f"head.utt.{a}.b"]))
-    return dc.stack(scores, axis=-1)
+    """Five aspect scores: (5,) for one utterance, (B, 5) for B utterance ``starts``.
+
+    Per aspect a this is ``attention_weights``, ``pool`` and the head
+    (w_a . pooled + b_a), for all five aspects in one op: the five (d, d_attn)
+    projections side by side as one (d, 5 d_attn) matrix, one tanh, an (N, 5)
+    score matrix with a softmax per utterance and column, the (B, 5, d)
+    pooled rows and one head contraction.
+    """
+    hd = h.data
+    n = hd.shape[0]
+    if n < 1:
+        raise ContractError("utterance_level_outputs: empty sequence")
+    proj = [params[f"pool.{a}.w_proj"] for a in ASPECTS]
+    score_w = [params[f"pool.{a}.w_score"] for a in ASPECTS]
+    head_w = [params[f"head.utt.{a}.w"] for a in ASPECTS]
+    head_b = [params[f"head.utt.{a}.b"] for a in ASPECTS]
+    n_asp, d_attn = len(ASPECTS), proj[0].data.shape[1]
+    w_proj = np.concatenate([p.data for p in proj], axis=1)
+    w_score = np.stack([p.data for p in score_w])  # (5, d_attn)
+    w_head = np.stack([p.data for p in head_w])  # (5, d)
+    starts = np.asarray(starts)
+    seg = dc._segment_of(starts, n)
+    t = np.tanh(hd @ w_proj).reshape(n, n_asp, d_attn)
+    alpha = np.einsum("nak,ak->na", t, w_score)
+    alpha -= np.maximum.reduceat(alpha, starts, axis=0)[seg]
+    np.exp(alpha, out=alpha)
+    alpha /= np.add.reduceat(alpha, starts, axis=0)[seg]
+    pooled = np.add.reduceat(alpha[:, :, None] * hd[:, None, :], starts, axis=0)
+    y = np.einsum("bad,ad->ba", pooled, w_head)
+    y += [p.data for p in head_b]
+    out = dc.Tensor(y[0] if starts.size == 1 else y)
+
+    def bwd(g):
+        g = g.reshape(-1, n_asp)  # (B, 5)
+        g_pooled = (g[:, :, None] * w_head)[seg]  # (N, 5, d), each row's utterance
+        g_alpha = np.einsum("nad,nd->na", g_pooled, hd)
+        # softmax adjoint within each utterance and aspect
+        g_alpha -= np.add.reduceat(g_alpha * alpha, starts, axis=0)[seg]
+        g_alpha *= alpha
+        g_t = g_alpha[:, :, None] * w_score
+        g_t *= 1.0 - t**2
+        g_t = g_t.reshape(n, n_asp * d_attn)
+        g_proj = hd.T @ g_t
+        g_h = g_t @ w_proj.T
+        g_h += np.einsum("na,nad->nd", alpha, g_pooled)
+        dc._acc(h, g_h, owned=True)
+        g_score = np.einsum("na,nak->ak", g_alpha, t)
+        g_head = np.einsum("ba,bad->ad", g, pooled)
+        for i in range(n_asp):
+            dc._acc(proj[i], g_proj[:, i * d_attn : (i + 1) * d_attn])
+            dc._acc(score_w[i], g_score[i], owned=True)
+            dc._acc(head_w[i], g_head[i], owned=True)
+            dc._acc(head_b[i], np.asarray(g[:, i].sum()), owned=True)
+
+    dc._record(bwd, out)
+    return out

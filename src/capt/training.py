@@ -143,27 +143,56 @@ class Sgd:
 
 
 class Adam:
+    """Adam with every moment in two flat buffers.
+
+    ``m`` and ``v`` map each parameter name to its view into the buffers, and
+    a step gathers the gradients into a third one, so each update term is one
+    ufunc over all parameters.  A parameter with no gradient keeps its value
+    and its moments.
+    """
+
     def __init__(self, params: ParamStore, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
         self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m = {n: np.zeros_like(t.data) for n, t in params.items()}
-        self.v = {n: np.zeros_like(t.data) for n, t in params.items()}
+        sizes = [t.data.size for t in params.tensors()]
+        self._m, self._v, self._g, self._upd = (np.zeros(sum(sizes)) for _ in range(4))
+        ends = np.cumsum(sizes)
+
+        def views(buf):
+            return {n: buf[e - k : e].reshape(t.data.shape)
+                    for (n, t), k, e in zip(params.items(), sizes, ends)}
+
+        self.m, self.v, self._upd_of = views(self._m), views(self._v), views(self._upd)
 
     def step(self):
         self.t += 1
-        for name, t in self.params.items():
-            if t.grad is None:
-                continue
-            g, m, v = t.grad, self.m[name], self.v[name]
-            m *= self.b1
-            m += (1 - self.b1) * g
-            v *= self.b2
-            v += (1 - self.b2) * g * g
-            m_hat = m / (1 - self.b1**self.t)
-            v_hat = v / (1 - self.b2**self.t)
-            t.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        items = list(self.params.items())
+        np.concatenate([np.zeros(t.data.size) if t.grad is None else t.grad.ravel()
+                        for _, t in items], out=self._g)
+        frozen = [(n, self.m[n].copy(), self.v[n].copy()) for n, t in items if t.grad is None]
+        g, m, v, upd = self._g, self._m, self._v, self._upd
+        m *= self.b1
+        np.multiply(g, 1 - self.b1, out=upd)
+        m += upd
+        v *= self.b2
+        np.multiply(g, 1 - self.b2, out=upd)
+        upd *= g
+        v += upd
+        # upd = lr * m_hat / (sqrt(v_hat) + eps), with v_hat in the gradient buffer
+        np.divide(v, 1 - self.b2**self.t, out=g)
+        np.sqrt(g, out=g)
+        g += self.eps
+        np.divide(m, 1 - self.b1**self.t, out=upd)
+        upd *= self.lr
+        upd /= g
+        for name, t in items:
+            if t.grad is not None:
+                t.data -= self._upd_of[name]
+        for name, m_old, v_old in frozen:
+            self.m[name][...] = m_old
+            self.v[name][...] = v_old
 
 
 def make_optimizer(cfg: TrainConfig, params: ParamStore):

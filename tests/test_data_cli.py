@@ -261,6 +261,20 @@ def test_load_run_config_rejects_unknown_names(tmp_path, text, names):
         assert name in str(e.value)
 
 
+@pytest.mark.parametrize("line,named", [
+    # init_model would ask for ~47 billion GB; the limit is checked first
+    ("d_model = 1000000000", ["d_model 1000000000", "MAX_PARAMS"]),
+    ("d_attn = -5", ["d_attn -5"]),  # was read as d_model // 2
+])
+def test_load_run_config_rejects_bad_model_size(tmp_path, line, named):
+    path = tmp_path / "run.ini"
+    path.write_text(f"[model]\n{line}\n")
+    with pytest.raises(ConfigError) as e:
+        dm.load_run_config(path)
+    for name in [str(path)] + named:
+        assert name in str(e.value)
+
+
 # --- speechocean importer ---------------------------------------------------
 
 def test_import_speechocean(tmp_path):

@@ -211,16 +211,117 @@ def test_matmul_conv_losses_random_gradcheck():
         t, c, w = int(rng.integers(2, 7)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
         x = dc.Tensor(rng.normal(size=(t, c)))
         kern = dc.Tensor(rng.normal(size=(w, c)))
-        assert dc.grad_check(lambda: dc.mean(dc.conv1d_causal(x, kern)), [x, kern]) < 1e-4
+        no_bias = dc.Tensor(np.zeros(c))
+        assert dc.grad_check(lambda: dc.mean(dc.conv1d_causal_silu(x, kern, no_bias)),
+                             [x, kern]) < 1e-4
 
         logits = dc.Tensor(rng.normal(size=(3, 5)))
         labels = rng.integers(0, 5, size=3)
         assert dc.grad_check(lambda: dc.cross_entropy(logits, labels), [logits]) < 1e-4
 
 
+def test_cross_entropy_matches_three_exp_formula():
+    # the formula before the logits were exponentiated once: value and
+    # gradient must stay bit-identical
+    rng = np.random.default_rng(14)
+    logits = dc.Tensor(rng.normal(0.0, 3.0, size=(9, 41)))
+    labels = rng.integers(0, 41, size=9)
+    w = rng.uniform(size=9)
+    with dc.Tape() as tape:
+        loss = dc.cross_entropy(logits, labels, w)
+        tape.backward(loss)
+    z = logits.data - logits.data.max(axis=1, keepdims=True)
+    nll = np.log(np.exp(z).sum(axis=1)) - z[np.arange(9), labels]
+    probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+    probs[np.arange(9), labels] -= 1.0
+    assert loss.data == (w * nll).sum()
+    np.testing.assert_array_equal(logits.grad, probs * w[:, None])
+
+
 def test_cross_entropy_label_range():
     with pytest.raises(ContractError):
         dc.cross_entropy(dc.Tensor(np.zeros((2, 3))), [0, 3])
+
+
+# --- fused ops against the op chains they replace ---------------------------
+
+def oracle_conv1d_causal(x, kernel, pos=None):
+    """The masked-tap depthwise causal conv the fused op replaced."""
+    t_len, w = x.data.shape[0], kernel.data.shape[0]
+    xpad = np.concatenate([np.zeros((w - 1, x.data.shape[1])), x.data], axis=0)
+    keep = [None] * w if pos is None else [(pos >= w - 1 - j)[:, None] for j in range(w)]
+    taps = [xpad[j : j + t_len] if m is None else xpad[j : j + t_len] * m
+            for j, m in enumerate(keep)]
+    y = np.zeros_like(x.data)
+    for j in range(w):
+        y += kernel.data[j] * taps[j]
+    out = dc.Tensor(y)
+
+    def bwd(g):
+        dk = np.empty_like(kernel.data)
+        dxpad = np.zeros_like(xpad)
+        for j in range(w):
+            dk[j] = (g * taps[j]).sum(axis=0)
+            gk = g * kernel.data[j]
+            dxpad[j : j + t_len] += gk if keep[j] is None else gk * keep[j]
+        dc._acc(kernel, dk)
+        dc._acc(x, dxpad[w - 1 :])
+
+    dc._record(bwd, out)
+    return out
+
+
+def _values_and_grads(f, tensors, seed):
+    """f(*tensors), then the gradients of a random weighting of it."""
+    for t in tensors:
+        t.zero_grad()
+    with dc.Tape() as tape:
+        out = f(*tensors)
+        w = np.random.default_rng(seed).normal(size=out.data.shape)
+        tape.backward(dc.total_sum(dc.mul(out, dc.Tensor(w))))
+    return [out.data] + [t.grad for t in tensors]
+
+
+def _assert_same(fused, chain):
+    assert len(fused) == len(chain)
+    for got, ref in zip(fused, chain):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
+CONV_CASES = {
+    # (T, C, w, segment lengths); None is one unpacked stream
+    "single": (10, 3, 4, None),
+    "single_shorter_than_kernel": (2, 3, 4, None),
+    "packed": (12, 3, 4, [3, 5, 4]),
+    "packed_short_segments": (12, 3, 4, [1, 2, 5, 4]),
+    "packed_width_3": (9, 2, 3, [1, 1, 1, 6]),
+    "packed_width_1": (6, 2, 1, [2, 4]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONV_CASES))
+def test_conv1d_causal_silu_matches_op_chain(case):
+    t_len, n_ch, w, lengths = CONV_CASES[case]
+    rng = np.random.default_rng(15)
+    tensors = [dc.Tensor(rng.normal(size=shape)) for shape in ((t_len, n_ch), (w, n_ch), n_ch)]
+    pos = None if lengths is None else np.concatenate([np.arange(n) for n in lengths])
+    fused = _values_and_grads(lambda x, k, b: dc.conv1d_causal_silu(x, k, b, pos), tensors, 1)
+    chain = _values_and_grads(
+        lambda x, k, b: dc.silu(dc.add(oracle_conv1d_causal(x, k, pos), b)), tensors, 1)
+    _assert_same(fused, chain)
+    # the forward values are the same sums in the same order
+    np.testing.assert_array_equal(fused[0], chain[0])
+
+
+def test_linear_matches_op_chain():
+    rng = np.random.default_rng(16)
+    tensors = [dc.Tensor(rng.normal(size=shape)) for shape in ((7, 4), (4, 3), 3)]
+    fused = _values_and_grads(dc.linear, tensors, 2)
+    chain = _values_and_grads(lambda x, w, b: dc.add(dc.matmul(x, w), b), tensors, 2)
+    _assert_same(fused, chain)
+    np.testing.assert_array_equal(dc.linear(*tensors[:2]).data, dc.matmul(*tensors[:2]).data)
+    with pytest.raises(ShapeError):
+        dc.linear(tensors[0], tensors[1], dc.Tensor(np.zeros(4)))
 
 
 # --- segment ops for batches packed along time ------------------------------
@@ -244,7 +345,8 @@ def test_packed_ops_gradcheck():
                          [h]) < 1e-4
     pos = np.array([0, 0, 1, 2, 0, 1])
     kern = dc.Tensor(rng.normal(size=(3, 3)))
-    assert dc.grad_check(lambda: dc.mean(dc.mul(dc.conv1d_causal(h, kern, pos=pos),
+    no_bias = dc.Tensor(np.zeros(3))
+    assert dc.grad_check(lambda: dc.mean(dc.mul(dc.conv1d_causal_silu(h, kern, no_bias, pos),
                                                 dc.Tensor(w[[0, 1, 2, 0, 1, 2]]))),
                          [h, kern]) < 1e-4
     row_w = rng.uniform(size=6)
@@ -263,13 +365,14 @@ def test_segment_ops_match_per_segment_ops():
     pooled = dc.matmul(dc.segment_matrix(dc.Tensor(alpha), starts), dc.Tensor(h)).data
     pos = np.array([0, 0, 1, 2, 0, 1])
     kern = rng.normal(size=(3, 3))
-    conv = dc.conv1d_causal(dc.Tensor(h), dc.Tensor(kern), pos=pos).data
+    no_bias = dc.Tensor(np.zeros(3))
+    conv = dc.conv1d_causal_silu(dc.Tensor(h), dc.Tensor(kern), no_bias, pos).data
     for b, (s, e) in enumerate(zip(starts, stops)):
         ref = dc.softmax(dc.Tensor(x[s:e])).data
         np.testing.assert_allclose(alpha[s:e], ref, rtol=1e-14)
         np.testing.assert_allclose(pooled[b], ref @ h[s:e], rtol=1e-14)
         np.testing.assert_array_equal(
-            conv[s:e], dc.conv1d_causal(dc.Tensor(h[s:e]), dc.Tensor(kern)).data)
+            conv[s:e], dc.conv1d_causal_silu(dc.Tensor(h[s:e]), dc.Tensor(kern), no_bias).data)
     # weights 1/n give the plain means
     tgt = rng.normal(size=(6, 3))
     assert abs(float(dc.mse(dc.Tensor(h), tgt, np.full(6, 1 / 6)).data)

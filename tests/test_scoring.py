@@ -100,6 +100,57 @@ def test_utterance_level_five_scores():
     assert out.data.shape == (5,)
 
 
+def oracle_aspect_scores(h, params, starts=(0,)):
+    """The per-aspect op chain the multi-aspect pooler replaced: a list of
+    five () or (B,) score tensors."""
+    scores = []
+    for a in scoring.ASPECTS:
+        alpha = scoring.attention_weights(h, params, a, starts)
+        h_u = scoring.pool(h, alpha, starts)
+        scores.append(dc.add(dc.matmul(h_u, params[f"head.utt.{a}.w"]),
+                             params[f"head.utt.{a}.b"]))
+    return scores
+
+
+@pytest.mark.parametrize("n_rows,starts", [
+    (7, (0,)),  # one utterance
+    (1, (0,)),  # one utterance of one phone
+    (12, np.array([0, 1, 5, 9])),  # a packed batch, one utterance of one phone
+])
+def test_utterance_pooler_matches_per_aspect_chain(n_rows, starts):
+    store = make_store(seed=9)
+    h = dc.Tensor(np.random.default_rng(9).normal(size=(n_rows, 6)))
+    tensors = [h] + store.tensors()
+    w = np.random.default_rng(10).normal(size=(5,) if len(starts) == 1 else (len(starts), 5))
+
+    def fused():
+        out = scoring.utterance_level_outputs(h, store, starts)
+        return out.data, dc.total_sum(dc.mul(out, dc.Tensor(w)))
+
+    def chain():
+        scores = oracle_aspect_scores(h, store, starts)
+        loss = dc.total_sum(dc.mul(scores[0], dc.Tensor(w[..., 0])))
+        for i in range(1, 5):
+            loss = dc.add(loss, dc.total_sum(dc.mul(scores[i], dc.Tensor(w[..., i]))))
+        return np.stack([s.data for s in scores], axis=-1), loss
+
+    results = []
+    for f in (fused, chain):
+        for t in tensors:
+            t.zero_grad()
+        with dc.Tape() as tape:
+            value, loss = f()
+            tape.backward(loss)
+        results.append([value] + [t.grad for t in tensors])
+    got, ref = results
+    assert got[0].shape == w.shape
+    # the pooler parameters get gradients; the other heads' stay None
+    assert [g is None for g in got] == [g is None for g in ref]
+    for a, b in zip(got, ref):
+        if b is not None:
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
 def test_heads_gradients():
     store = make_store(seed=8)
     rng = np.random.default_rng(8)
@@ -221,6 +272,17 @@ def test_load_rejects_missing_meta_field(tmp_path, field):
     with pytest.raises(PersistenceError) as e:
         load_model(path)
     assert str(path) in str(e.value) and repr(field) in str(e.value)
+
+
+@pytest.mark.parametrize("field,value", [("d_model", 10**9), ("n_think", 10**9)])
+def test_load_rejects_model_too_large_to_allocate(tmp_path, field, value):
+    path = tmp_path / "m.capt"
+    save_model(tiny_model(), path)
+    _rewrite_meta(path, lambda meta: meta["config"].update({field: value}))
+    with pytest.raises(PersistenceError) as e:
+        load_model(path)
+    assert str(path) in str(e.value) and f"{field} {value}" in str(e.value)
+    assert "MAX_PARAMS" in str(e.value)
 
 
 @pytest.mark.parametrize("case", ["string_param", "nan_param", "config_type"])

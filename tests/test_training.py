@@ -285,6 +285,28 @@ def test_adam_updates_moments_in_place_bit_identically():
         assert opt.m[n] is moments[n][0] and opt.v[n] is moments[n][1]
 
 
+def test_adam_keeps_parameter_without_gradient():
+    rng = np.random.default_rng(7)
+    store = ParamStore()
+    for name in ("a", "b", "c"):
+        store.add(name, rng.normal(size=(2, 3)))
+    opt = tr.Adam(store, lr=0.01)
+    for t in store.tensors():
+        t.grad = rng.normal(size=t.data.shape)
+    opt.step()
+    before = {n: (t.data.copy(), opt.m[n].copy(), opt.v[n].copy()) for n, t in store.items()}
+    store.zero_grad()
+    store["a"].grad = rng.normal(size=(2, 3))
+    store["c"].grad = rng.normal(size=(2, 3))
+    opt.step()
+    data, m, v = before["b"]
+    np.testing.assert_array_equal(store["b"].data, data)
+    np.testing.assert_array_equal(opt.m["b"], m)
+    np.testing.assert_array_equal(opt.v["b"], v)
+    for n in ("a", "c"):
+        assert not np.array_equal(store[n].data, before[n][0])
+
+
 def test_train_non_finite_gradient_names_parameter(monkeypatch):
     records, _ = synth_records(4, seed=10, ssl_dim=8)
     model = tiny_model(feat_dim=9)
