@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Benchmark the selective-scan and discretization ops at the shapes training runs.
 
-For each (T, C, S) shape this times ``scan.selective_scan`` and
-``encoder.discretize`` forward alone and forward plus ``Tape.backward`` (the
-cost one training step pays per call), and the associative
-``scan_parallel_values`` formulation for comparison.  Each time is the best
-of ``--repeats`` runs, in ms; next to it stand the minor page faults per
-call, averaged over the repeats, which read near 0 once freed heap memory
-is kept for reuse.  Discretization's backward starts from given gradients
-of A_bar and B_bar, copied into fresh buffers as the scan's backward hands
-over its own.
+For each (T, C, S) shape this times forward alone and forward plus
+``Tape.backward`` (the cost one training step pays per call) of three ops:
+``scan.selective_scan`` in its B_bar form, which takes a (T, C, S) B_bar;
+``selective_scan(..., delta=)``, which takes delta and the (T, S) B and is
+the form training runs; and ``encoder.discretize``, which builds A_bar.  The
+associative ``scan_parallel_values`` formulation is timed for comparison.
+Each time is the best of ``--repeats`` runs, in ms; next to it stand the
+minor page faults per call, averaged over the repeats, which read near 0
+once freed heap memory is kept for reuse.  Discretization's backward starts
+from a given gradient of A_bar, copied into a fresh buffer as the scan's
+backward hands over its own.
 
 The default shapes are the per-call scan shapes of perfbench's train_short
 (242, 96, 8) and train_long (756, 128, 16) workloads.
@@ -65,8 +67,20 @@ def main():
     from capt import scan
     from capt.encoder import discretize
 
+    def scan_fns(ins, **delta):
+        """Forward and forward-plus-backward of selective_scan on ``ins``."""
+        def forward():
+            scan.selective_scan(*ins, **delta)
+
+        def forward_backward():
+            for t in (*ins, *delta.values()):
+                t.grad = None
+            with dc.Tape() as tape:
+                tape.backward(dc.total_sum(scan.selective_scan(*ins, **delta)))
+        return forward, forward_backward
+
     rng = np.random.default_rng(0)
-    header = (f"{'op':>14} {'T x C x S':>16} {'forward (ms)':>13} {'faults':>7} "
+    header = (f"{'op':>21} {'T x C x S':>16} {'forward (ms)':>13} {'faults':>7} "
               f"{'fwd+bwd (ms)':>13} {'faults':>7} {'parallel (ms)':>14}")
     print(header)
     print("-" * len(header))
@@ -74,40 +88,28 @@ def main():
         t_len, n_ch, n_st = shape
         inst = make_instance(rng, *shape)
         tensors = [dc.Tensor(v) for v in inst]
-
-        def scan_forward():
-            scan.selective_scan(*tensors)
-
-        def scan_forward_backward():
-            for t in tensors:
-                t.grad = None
-            with dc.Tape() as tape:
-                tape.backward(dc.total_sum(scan.selective_scan(*tensors)))
-
-        disc = [dc.Tensor(rng.uniform(0.01, 3.0, size=(t_len, n_ch))),
-                dc.Tensor(-np.exp(rng.normal(size=(n_ch, n_st)))),
-                dc.Tensor(rng.normal(size=(t_len, n_st)))]
-        g_a, g_b = (rng.normal(size=(t_len, n_ch, n_st)) for _ in range(2))
-
-        def disc_forward():
-            discretize(*disc)
+        # the delta form: the (T, S) B takes B_bar's place
+        delta = dc.Tensor(rng.uniform(0.01, 3.0, size=(t_len, n_ch)))
+        delta_form = tensors[:2] + [dc.Tensor(rng.normal(size=(t_len, n_st)))] + tensors[3:]
+        a_neg = dc.Tensor(-np.exp(rng.normal(size=(n_ch, n_st))))
+        g_a = rng.normal(size=(t_len, n_ch, n_st))
 
         def disc_forward_backward():
-            for t in disc:
+            for t in (delta, a_neg):
                 t.grad = None
             with dc.Tape() as tape:
-                a_bar, b_bar = discretize(*disc)
-                a_bar.grad, b_bar.grad = g_a.copy(), g_b.copy()
+                discretize(delta, a_neg).grad = g_a.copy()
                 tape.backward(dc.Tensor(0.0))
 
-        rows = [("selective_scan", scan_forward, scan_forward_backward,
+        rows = [("selective_scan B_bar", *scan_fns(tensors),
                  lambda: scan.scan_parallel_values(*inst)),
-                ("discretize", disc_forward, disc_forward_backward, None)]
+                ("selective_scan delta", *scan_fns(delta_form, delta=delta), None),
+                ("discretize", lambda: discretize(delta, a_neg), disc_forward_backward, None)]
         for name, fwd_fn, both_fn, par_fn in rows:
             fwd, fwd_faults = best_ms(fwd_fn, args.repeats)
             both, both_faults = best_ms(both_fn, args.repeats)
             par = f"{best_ms(par_fn, args.repeats)[0]:14.3f}" if par_fn else f"{'-':>14}"
-            print(f"{name:>14} {str(shape):>16} {fwd:13.3f} {fwd_faults:7.0f} "
+            print(f"{name:>21} {str(shape):>16} {fwd:13.3f} {fwd_faults:7.0f} "
                   f"{both:13.3f} {both_faults:7.0f} {par}")
 
 

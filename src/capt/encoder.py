@@ -146,46 +146,35 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator, store: Par
         store.add(f"{prefix}.l{layer}.comb.b", np.zeros(dm))
 
 
-def discretize(delta: dc.Tensor, a: dc.Tensor, b_t: dc.Tensor, starts=None):
-    """Zero-order hold on the state path, Euler on the input path.
+def discretize(delta: dc.Tensor, a: dc.Tensor, starts=None) -> dc.Tensor:
+    """Zero-order hold on the state path: A_bar = exp(delta (x) a), (T, C, S).
 
     delta (T, C) must be strictly positive; a (C, S) is the diagonal state
-    matrix; b_t (T, S) the per-step input projection.  Returns
-    A_bar = exp(delta * a) and B_bar = delta * b_t, both (T, C, S), as one
-    tape op that stores no (T, C, S) tensor besides the two outputs.
-    A_bar is 0 on the rows ``starts``, where the scan state must start from
-    zero (see ``Packing``).
+    matrix.  A_bar is 0 on the rows ``starts``, where the scan state must
+    start from zero (see ``Packing``).  The input path (Euler,
+    B_bar = delta (x) B) is never built: ``selective_scan(..., delta=delta)``
+    starts its states from (delta * x) (x) B.  One tape op that stores no
+    (T, C, S) tensor besides its output.
     """
-    delta, a, b_t = (dc.as_tensor(v) for v in (delta, a, b_t))
-    dd, ad, bd = delta.data, a.data, b_t.data
-    if not (dd.ndim == bd.ndim == 2 and bd.shape[0] == dd.shape[0]
-            and ad.shape == (dd.shape[1], bd.shape[1])):
-        raise ShapeError(
-            f"discretize: incompatible delta {dd.shape}, a {ad.shape}, b {bd.shape}"
-        )
+    delta, a = dc.as_tensor(delta), dc.as_tensor(a)
+    dd, ad = delta.data, a.data
+    if not (dd.ndim == ad.ndim == 2 and ad.shape[0] == dd.shape[1]):
+        raise ShapeError(f"discretize: incompatible delta {dd.shape}, a {ad.shape}")
     if np.any(dd <= 0.0):
         raise ContractError("discretize: delta must be strictly positive")
     a_bar = dc.Tensor(np.einsum("tc,cs->tcs", dd, ad))
     np.exp(a_bar.data, out=a_bar.data)
     if starts is not None:
         a_bar.data[starts] = 0.0
-    b_bar = dc.Tensor(np.einsum("tc,ts->tcs", dd, bd))
 
-    def bwd(g_a, g_b):
-        d_delta = np.zeros_like(dd)
-        if g_a is not None:
-            # d(delta * a) = dA_bar * A_bar, in the gradient buffer this op owns
-            g_a *= a_bar.data
-            d_delta += np.einsum("tcs,cs->tc", g_a, ad)
-            dc._acc(a, np.einsum("tcs,tc->cs", g_a, dd), owned=True)
-        if g_b is not None:
-            # batched matrix products over t: (C,S)@(S,1) and (1,C)@(C,S)
-            d_delta += np.matmul(g_b, bd[:, :, None])[:, :, 0]
-            dc._acc(b_t, np.matmul(dd[:, None, :], g_b)[:, 0, :], owned=True)
-        dc._acc(delta, d_delta, owned=True)
+    def bwd(g_a):
+        # d(delta * a) = dA_bar * A_bar, in the gradient buffer this op owns
+        g_a *= a_bar.data
+        dc._acc(delta, np.einsum("tcs,cs->tc", g_a, ad), owned=True)
+        dc._acc(a, np.einsum("tcs,tc->cs", g_a, dd), owned=True)
 
-    dc._record(bwd, a_bar, b_bar)
-    return a_bar, b_bar
+    dc._record(bwd, a_bar)
+    return a_bar
 
 
 class Packing:
@@ -269,8 +258,8 @@ def mamba_block(x: dc.Tensor, params: ParamStore, prefix: str,
     c_t = dc.matmul(u, params[f"{prefix}.c_proj.w"])
     a = dc.scale(dc.exp(params[f"{prefix}.a_raw"]), -1.0)
     # the previous segment's last state must not reach a segment's first row
-    a_bar, b_bar = discretize(delta, a, b_t, starts)
-    y = selective_scan(u, a_bar, b_bar, c_t, params[f"{prefix}.d_skip"])
+    a_bar = discretize(delta, a, starts)
+    y = selective_scan(u, a_bar, b_t, c_t, params[f"{prefix}.d_skip"], delta=delta)
 
     gated = dc.mul(y, dc.silu(gate))
     out = dc.linear(gated, params[f"{prefix}.out_proj.w"], params[f"{prefix}.out_proj.b"])

@@ -79,8 +79,8 @@ def _primitive_checks(rng):
 
     def discretize_loss():
         # two packed segments: A_bar is zeroed on rows 0 and 3
-        a_bar, b_bar = discretize(delta, a_neg, b_t, starts=np.array([0, 3]))
-        return dc.mean(selective_scan(x_d, a_bar, b_bar, c_d, d_d))
+        a_bar = discretize(delta, a_neg, starts=np.array([0, 3]))
+        return dc.mean(selective_scan(x_d, a_bar, b_t, c_d, d_d, delta=delta))
 
     checks.append(("discretize", discretize_loss, [delta, a_neg, b_t]))
 

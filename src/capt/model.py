@@ -20,7 +20,7 @@ from . import features as feat
 from . import phonology, scoring
 from .data import PHONE_SCORE_MAX, UTT_SCORE_MAX, WORD_SCORE_MAX
 from .encoder import EncoderConfig, Packing, ParamStore, bimamba_encode, init_encoder_params
-from .errors import ConfigError, ContractError, PersistenceError, ShapeError
+from .errors import ConfigError, ContractError, NumericError, PersistenceError, ShapeError
 
 MODEL_FORMAT_VERSION = 1
 # metadata fields load_model reads, with the JSON type each must have
@@ -45,7 +45,8 @@ class Model:
         word spans then index the concatenated phone rows.  All utterances
         go through one packed graph (see ``encoder.Packing``); the outputs
         hold their rows in the same order and utterance_scores is (B, 5)
-        instead of (5,).
+        instead of (5,).  A non-finite feature raises ``NumericError``
+        naming its row within its utterance and its column.
         """
         if np.ndim(feature_rows) != 2 or np.shape(feature_rows)[1] != self.feat_dim:
             raise ShapeError(f"forward: features have shape {np.shape(feature_rows)}, "
@@ -57,6 +58,15 @@ class Model:
                 f"forward: phone counts sum to {int(packing.n_phones.sum())}, "
                 f"{n_total} phone ids given"
             )
+        if not np.isfinite(feature_rows).all():
+            bad = np.argwhere(~np.isfinite(feature_rows))
+            row, col = bad[0]
+            utt = np.searchsorted(packing.phone_starts, row, side="right") - 1
+            where = "" if packing.single else f"utterance {utt} of {packing.n_phones.size}, "
+            raise NumericError(
+                f"forward: {where}features[{row - packing.phone_starts[utt]}][{col}]: "
+                f"non-finite value {np.asarray(feature_rows)[row, col]} "
+                f"({len(bad)} in these rows)")
         x_hat = feat.assemble_utterance_features(
             feature_rows, phone_ids, self.onehot_attr, self.params
         )

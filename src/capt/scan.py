@@ -6,6 +6,13 @@ exactly one Python loop for its recurrence, one (C, S) row update per step
 through a preallocated temp; every other term (the readout y, dx, dA, dB,
 dC, dD) is one vectorized numpy expression over the whole (T, C, S) stream.
 
+The encoder calls the delta form, ``selective_scan(x, A_bar, B, C, D,
+delta=delta)`` with the (T, S) projection B, as Mamba's ``selective_scan_fn``
+(Gu & Dao 2023, section 3.3.2) takes delta and B: the states start from
+(delta * x) (x) B, so the (T, C, S) B_bar = delta (x) B is never built.  The
+B_bar form, with a (T, C, S) b and no delta, stays for perfbench's kernel
+replay and the value-level functions below.
+
 A parallel formulation via the associative composition
 (a2, b2) o (a1, b1) = (a2*a1, a2*b1 + b2) is provided as
 ``scan_parallel_values``, the reference the sequential kernel must agree
@@ -29,14 +36,22 @@ def backend() -> str:
 # kernels
 
 
-def _scan_fwd(x, a_bar, b_bar, c, d):
+def _scan_fwd(x, a_bar, b, c, d, delta=None):
     """Returns y (T, C) and the states in a (T + 1, C, S) buffer whose row 0
-    is the zero initial state and row t + 1 is h_t."""
+    is the zero initial state and row t + 1 is h_t.
+
+    Without ``delta``, b is B_bar (T, C, S) and the states start from
+    B_bar * x; with it, b is the (T, S) projection B and they start from
+    (delta * x) (x) B, so B_bar is never built.
+    """
     t_len, n_ch = x.shape
     h_pad = np.empty((t_len + 1, n_ch, c.shape[1]))
     h_pad[0] = 0.0
     h = h_pad[1:]
-    np.einsum("tcs,tc->tcs", b_bar, x, out=h)  # B_bar * x, faster than broadcasting
+    if delta is None:
+        np.einsum("tcs,tc->tcs", b, x, out=h)  # B_bar * x, faster than broadcasting
+    else:
+        np.einsum("tc,ts->tcs", delta * x, b, out=h)  # also faster than broadcasting
     tmp = np.empty(h.shape[1:])
     for a_t, h_prev, h_t in zip(a_bar[1:], h[:-1], h[1:]):
         np.multiply(a_t, h_prev, out=tmp)
@@ -45,11 +60,13 @@ def _scan_fwd(x, a_bar, b_bar, c, d):
     return y, h_pad
 
 
-def _scan_bwd(x, a_bar, b_bar, c, d, h_pad, dy):
-    """Gradients (dx, dA_bar, dB_bar, dC, dD) of sum(y * dy).
+def _scan_bwd(x, a_bar, b, c, d, h_pad, dy, delta=None):
+    """Gradients (dx, dA_bar, db, dC, dD, d_delta) of sum(y * dy); d_delta is
+    None without ``delta``, and db is then dB_bar (T, C, S).
 
-    Consumes ``h_pad`` from ``_scan_fwd``: dA_bar is written over it, and
-    dB_bar over the adjoint buffer, the one (T, C, S) array this allocates.
+    Consumes ``h_pad`` from ``_scan_fwd``: dA_bar is written over it.  The
+    adjoint buffer is the one (T, C, S) array this allocates; without
+    ``delta`` dB_bar is written over it.
     """
     h = h_pad[1:]
     g = np.einsum("tc,ts->tcs", dy, c)  # dy (x) C
@@ -59,31 +76,38 @@ def _scan_bwd(x, a_bar, b_bar, c, d, h_pad, dy):
         np.multiply(a_next, g_next, out=tmp)
         g_t += tmp
     dc_ = np.matmul(dy[:, None, :], h)[:, 0]
-    dx = np.einsum("tcs,tcs->tc", g, b_bar) + dy * d
     dd = np.einsum("tc,tc->c", dy, x)
     da = h_pad[:-1]  # row t holds h_{t-1}, so this is elementwise in place
     np.multiply(g, da, out=da)
-    np.multiply(g, x[:, :, None], out=g)
-    return dx, da, g, dc_, dd
+    if delta is None:
+        dx = np.einsum("tcs,tcs->tc", g, b) + dy * d
+        np.multiply(g, x[:, :, None], out=g)
+        return dx, da, g, dc_, dd, None
+    # batched matrix products over t: (C,S)@(S,1) and (1,C)@(C,S)
+    dxb = np.matmul(g, b[:, :, None])[:, :, 0]  # gradient of delta * x
+    db = np.matmul((delta * x)[:, None, :], g)[:, 0, :]
+    return dxb * delta + dy * d, da, db, dc_, dd, dxb * x
 
 
 # ---------------------------------------------------------------------------
 # value-level entry points (plain ndarrays)
 
 
-def _check_streams(x, a_bar, b_bar, c, d):
+def _check_streams(x, a_bar, b, c, d, delta=None):
     t_len, n_ch = x.shape
     n_st = c.shape[1] if c.ndim == 2 else -1
     ok = (
         a_bar.shape == (t_len, n_ch, n_st)
-        and b_bar.shape == (t_len, n_ch, n_st)
+        and b.shape == ((t_len, n_ch, n_st) if delta is None else (t_len, n_st))
         and c.shape == (t_len, n_st)
         and d.shape == (n_ch,)
+        and (delta is None or delta.shape == (t_len, n_ch))
     )
     if not ok:
+        streams = (f"A_bar {a_bar.shape}, B_bar {b.shape}" if delta is None
+                   else f"delta {delta.shape}, A_bar {a_bar.shape}, B {b.shape}")
         raise ContractError(
-            "selective_scan: stream shapes disagree: "
-            f"x {x.shape}, A_bar {a_bar.shape}, B_bar {b_bar.shape}, "
+            f"selective_scan: stream shapes disagree: x {x.shape}, {streams}, "
             f"C {c.shape}, D {d.shape}"
         )
 
@@ -117,23 +141,29 @@ def scan_parallel_values(x, a_bar, b_bar, c, d):
 # differentiable op
 
 
-def selective_scan(x, a_bar, b_bar, c, d):
+def selective_scan(x, a_bar, b, c, d, delta=None):
     """Differentiable selective scan over Tensors (sequential kernels).
+
+    Without ``delta``, b is B_bar (T, C, S).  With ``delta`` (T, C), b is the
+    (T, S) input projection B and the op computes the same y as with
+    B_bar = delta (x) B, the form training runs: B_bar is never built, and
+    the backward hands gradients to x, delta and B directly.
 
     The backward closure hands the kernel's state buffer and adjoint buffer
     to ``_acc`` as gradients; this is safe because a tape runs each closure
     once and then drops it.
     """
-    x, a_bar, b_bar, c, d = (dc.as_tensor(v) for v in (x, a_bar, b_bar, c, d))
-    _check_streams(x.data, a_bar.data, b_bar.data, c.data, d.data)
-    y, h_pad = _scan_fwd(x.data, a_bar.data, b_bar.data, c.data, d.data)
+    ins = [dc.as_tensor(v) for v in (x, a_bar, b, c, d)]
+    if delta is not None:
+        ins.append(dc.as_tensor(delta))
+    arrays = [t.data for t in ins]
+    _check_streams(*arrays)
+    y, h_pad = _scan_fwd(*arrays)
     out = dc.Tensor(y)
 
     def bwd(dy):
-        dx, da, db, dcs, dd = _scan_bwd(
-            x.data, a_bar.data, b_bar.data, c.data, d.data, h_pad, dy
-        )
-        for t, g in ((x, dx), (a_bar, da), (b_bar, db), (c, dcs), (d, dd)):
+        grads = _scan_bwd(*arrays[:5], h_pad, dy, *arrays[5:])
+        for t, g in zip(ins, grads):
             dc._acc(t, g, owned=True)
 
     dc._record(bwd, out)

@@ -233,12 +233,15 @@ def train(records, cfg: TrainConfig, model, log_path=None,
                 batch = [records[i] for i in perm[start : start + cfg.batch_size]]
                 model.params.zero_grad()
                 with dc.Tape() as tape:
-                    loss, bd = batch_loss(model, batch, cfg.alpha)
-                    if not np.isfinite(loss.data):
+                    try:
+                        loss, bd = batch_loss(model, batch, cfg.alpha)
+                        if not np.isfinite(loss.data):
+                            raise NumericError("non-finite loss")
+                    except NumericError as e:
                         raise NumericError(
-                            f"non-finite loss at epoch {epoch}, batch {n_batches} "
+                            f"{e} at epoch {epoch}, batch {n_batches} "
                             f"(utterances {', '.join(rec.id for rec in batch)})"
-                        )
+                        ) from e
                     tape.backward(loss)
                 bad = next((name for name, t in model.params.items()
                             if t.grad is not None and not np.isfinite(t.grad).all()), None)

@@ -115,6 +115,19 @@ def test_grad_check_quadratic():
     assert err < 1e-6
 
 
+def test_grad_check_probes_run_without_a_tape():
+    x = dc.Tensor(np.array([0.5, -1.5, 2.0]))
+    seen = []
+
+    def f():
+        seen.append(bool(dc._TAPES))
+        return dc.total_sum(dc.mul(x, x))
+
+    assert dc.grad_check(f, [x], epsilon=1e-4) < 1e-8
+    # one analytic pass with its tape, then two probes per element with none
+    assert seen == [True] + [False] * (2 * x.data.size)
+
+
 def test_grad_check_epsilon_range():
     x = dc.Tensor(1.0)
     with pytest.raises(ContractError):

@@ -4,7 +4,7 @@ import pytest
 from capt import metrics as mx
 from capt.data import synth_records
 from capt.encoder import EncoderConfig
-from capt.errors import AlignmentError, CaptError, ContractError
+from capt.errors import AlignmentError, CaptError, ContractError, NumericError
 from capt.model import init_model
 from capt.phonology import DEL_ID
 
@@ -193,6 +193,25 @@ def test_evaluate_rejects_wrong_feature_width():
         mx.evaluate(model, records)
     msg = str(e.value)
     assert records[0].id in msg and "features" in msg and "9" in msg and "12" in msg
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_raise(value):
+    records, _ = synth_records(3, seed=3, ssl_dim=8)
+    model = init_model(EncoderConfig(d_model=8, d_state=4, n_layers=1,
+                                     conv_width=3, n_think=2),
+                       feat_dim=9, seed=0)
+    rec = records[1]
+    rec.features = rec.features.copy()
+    rec.features[1][2] = value
+    with pytest.raises(NumericError) as e:
+        model.predict(rec.features, rec.canonical_ids(), rec.word_spans())
+    assert f"features[1][2]: non-finite value {value} (1 in" in str(e.value)
+    with pytest.raises(NumericError):
+        model.forward(rec.features, rec.canonical_ids(), rec.word_spans())
+    with pytest.raises(CaptError) as e:
+        mx.evaluate(model, records)
+    assert rec.id in str(e.value) and "features[1][2]" in str(e.value)
 
 
 def test_evaluate_empty_dataset():

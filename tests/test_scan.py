@@ -21,37 +21,37 @@ def rand_instance(rng, t_len, n_ch=3, n_st=2, a_max=1.0):
 def test_discretize_small_delta_freezes_state():
     delta = dc.Tensor(np.full((2, 3), 1e-12))
     a = dc.Tensor(np.full((3, 2), -1.0))
-    b_t = dc.Tensor(np.ones((2, 2)))
-    a_bar, b_bar = discretize(delta, a, b_t)
+    a_bar = discretize(delta, a)
     np.testing.assert_allclose(a_bar.data, 1.0, atol=1e-11)
-    np.testing.assert_allclose(b_bar.data, 0.0, atol=1e-11)
+    # B_bar = delta (x) B is never built; the scan's delta form starts its
+    # states from (delta * x) (x) B, so with D = 0 nothing reaches y
+    x, b_t, c = np.ones((2, 3)), np.ones((2, 2)), np.ones((2, 2))
+    y = scan.selective_scan(x, a_bar, b_t, c, np.zeros(3), delta=delta)
+    np.testing.assert_allclose(y.data, 0.0, atol=1e-11)
 
 
 def test_discretize_zero_a():
     delta = dc.Tensor(np.full((2, 3), 2.5))
     a = dc.Tensor(np.zeros((3, 2)))
-    a_bar, _ = discretize(delta, a, dc.Tensor(np.ones((2, 2))))
-    np.testing.assert_array_equal(a_bar.data, np.ones((2, 3, 2)))
+    np.testing.assert_array_equal(discretize(delta, a).data, np.ones((2, 3, 2)))
 
 
 def test_discretize_closed_form():
     delta = dc.Tensor(np.ones((1, 1)))
     a = dc.Tensor(np.array([[-1.0]]))
-    a_bar, _ = discretize(delta, a, dc.Tensor(np.ones((1, 1))))
-    assert abs(a_bar.data[0, 0, 0] - 0.3679) < 1e-4
+    assert abs(discretize(delta, a).data[0, 0, 0] - 0.3679) < 1e-4
 
 
 def test_discretize_rejects_nonpositive_delta():
     with pytest.raises(ContractError):
-        discretize(dc.Tensor(np.zeros((1, 1))), dc.Tensor(np.array([[-1.0]])),
-                   dc.Tensor(np.ones((1, 1))))
+        discretize(dc.Tensor(np.zeros((1, 1))), dc.Tensor(np.array([[-1.0]])))
 
 
 def test_a_bar_in_unit_interval_for_stable_params():
     rng = np.random.default_rng(0)
     delta = dc.Tensor(rng.uniform(1e-3, 5.0, size=(10, 4)))
     a = dc.Tensor(-np.exp(rng.normal(size=(4, 3))))
-    a_bar, _ = discretize(delta, a, dc.Tensor(rng.normal(size=(10, 3))))
+    a_bar = discretize(delta, a)
     assert (a_bar.data > 0).all() and (a_bar.data < 1).all()
 
 
@@ -93,6 +93,19 @@ def test_scan_stream_length_mismatch():
     x, a_bar, b_bar, c, d = rand_instance(rng, 5)
     with pytest.raises(ContractError):
         scan.scan_sequential_values(x, a_bar[:4], b_bar, c, d)
+
+
+def test_delta_form_shape_mismatch_names_every_stream():
+    rng = np.random.default_rng(3)
+    x, a_bar, _, c, d = rand_instance(rng, 5)
+    b_t, delta = rng.normal(size=(5, 2)), rng.uniform(0.5, 1.5, size=(5, 3))
+    with pytest.raises(ContractError) as e:
+        scan.selective_scan(x, a_bar, b_t, c, d, delta=delta[:4])
+    for name, shape in (("x", x.shape), ("delta", (4, 3)), ("A_bar", a_bar.shape),
+                        ("B", b_t.shape), ("C", c.shape), ("D", d.shape)):
+        assert f"{name} {shape}" in str(e.value)
+    with pytest.raises(ContractError):  # a B_bar where B belongs
+        scan.selective_scan(x, a_bar, a_bar, c, d, delta=delta)
 
 
 # --- parallel scan ---------------------------------------------------------
@@ -219,8 +232,8 @@ def test_scan_gradients_on_numpy_backend():
 
 
 # --- fused discretization vs the op chain it replaced ----------------------
-# Copies of the three tape ops discretize used to record: exp(delta (x) a)
-# times a (T, 1, 1) 0/1 reset factor, and delta (x) b.
+# Copies of the two tape ops that made A_bar before discretize was one op:
+# exp(delta (x) a) times a (T, 1, 1) 0/1 reset factor.
 
 def oracle_outer_time_channel(delta, a):
     out = dc.Tensor(delta.data[:, :, None] * a.data[None, :, :])
@@ -243,34 +256,18 @@ def oracle_exp(x, factor=None):
     return out
 
 
-def oracle_outer_time_state(delta, b):
-    out = dc.Tensor(delta.data[:, :, None] * b.data[:, None, :])
-
-    def bwd(g):
-        dc._acc(delta, np.matmul(g, b.data[:, :, None])[:, :, 0])
-        dc._acc(b, np.matmul(delta.data[:, None, :], g)[:, 0, :])
-
-    dc._record(bwd, out)
-    return out
-
-
-def oracle_discretize(delta, a, b_t, starts=None):
-    reset = None if starts is None else reset_rows(delta.data.shape[0], starts)
-    return (oracle_exp(oracle_outer_time_channel(delta, a), reset),
-            oracle_outer_time_state(delta, b_t))
-
-
-def run_discretize(fn, values, starts, g_a, g_b=None):
-    """A_bar, B_bar and the input gradients of sum(A_bar * g_a) + sum(B_bar * g_b);
-    without g_b, B_bar gets no gradient."""
+def run_discretize(fn, values, starts, g_a):
+    """A_bar and the input gradients of sum(A_bar * g_a)."""
     ins = [dc.Tensor(v) for v in values]
     with dc.Tape() as tape:
-        a_bar, b_bar = fn(*ins, starts=starts)
-        loss = dc.total_sum(dc.mul(a_bar, g_a))
-        if g_b is not None:
-            loss = dc.add(loss, dc.total_sum(dc.mul(b_bar, g_b)))
-        tape.backward(loss)
-    return a_bar.data, b_bar.data, [t.grad for t in ins]
+        a_bar = fn(*ins, starts=starts)
+        tape.backward(dc.total_sum(dc.mul(a_bar, g_a)))
+    return a_bar.data, [t.grad for t in ins]
+
+
+def oracle_a_bar(delta, a, starts=None):
+    reset = None if starts is None else reset_rows(delta.data.shape[0], starts)
+    return oracle_exp(oracle_outer_time_channel(delta, a), reset)
 
 
 DISCRETIZE_CASES = {
@@ -280,41 +277,90 @@ DISCRETIZE_CASES = {
 }
 
 
+def discretize_values(rng, t_len, n_ch, n_st):
+    """delta, a and b_t as the encoder makes them."""
+    return (rng.uniform(0.01, 3.0, size=(t_len, n_ch)),
+            -np.exp(rng.normal(size=(n_ch, n_st))),
+            rng.normal(size=(t_len, n_st)))
+
+
 @pytest.mark.parametrize("case", sorted(DISCRETIZE_CASES))
 def test_discretize_matches_op_chain(case):
     (t_len, n_ch, n_st), starts = DISCRETIZE_CASES[case]
     rng = np.random.default_rng(sum(map(ord, case)))
-    values = (rng.uniform(0.01, 3.0, size=(t_len, n_ch)),
-              -np.exp(rng.normal(size=(n_ch, n_st))),
-              rng.normal(size=(t_len, n_st)))
-    # upstream gradients of A_bar and B_bar
-    g_a, g_b = (dc.Tensor(rng.normal(size=(t_len, n_ch, n_st))) for _ in range(2))
-    (a_bar, b_bar, grads), (a_ref, b_ref, grads_ref) = (
-        run_discretize(fn, values, starts, g_a, g_b) for fn in (discretize, oracle_discretize))
+    values = discretize_values(rng, t_len, n_ch, n_st)[:2]
+    g_a = dc.Tensor(rng.normal(size=(t_len, n_ch, n_st)))  # upstream gradient of A_bar
+    (a_bar, grads), (a_ref, grads_ref) = (
+        run_discretize(fn, values, starts, g_a) for fn in (discretize, oracle_a_bar))
     np.testing.assert_array_equal(a_bar, a_ref)
-    np.testing.assert_array_equal(b_bar, b_ref)
     if starts is not None:
         np.testing.assert_array_equal(a_bar[starts], 0.0)
-    for name, g, ref in zip(("d_delta", "d_a", "d_b"), grads, grads_ref):
+    for name, g, ref in zip(("d_delta", "d_a"), grads, grads_ref):
         assert g.shape == ref.shape
         assert_close(g, ref, name)
 
 
 def test_discretize_rejects_mismatched_shapes():
     with pytest.raises(ShapeError):
-        discretize(dc.Tensor(np.ones((3, 2))), dc.Tensor(-np.ones((2, 4))),
-                   dc.Tensor(np.ones((3, 5))))
+        discretize(dc.Tensor(np.ones((3, 2))), dc.Tensor(-np.ones((3, 4))))
+    with pytest.raises(ShapeError):
+        discretize(dc.Tensor(np.ones((3, 2))), dc.Tensor(-np.ones(2)))
 
 
-def test_discretize_gradient_on_a_bar_only():
-    (t_len, n_ch, n_st), starts = DISCRETIZE_CASES["packed_starts"]
-    rng = np.random.default_rng(15)
-    values = (rng.uniform(0.01, 3.0, size=(t_len, n_ch)),
-              -np.exp(rng.normal(size=(n_ch, n_st))),
-              rng.normal(size=(t_len, n_st)))
-    g_a = dc.Tensor(rng.normal(size=(t_len, n_ch, n_st)))
-    _, _, grads = run_discretize(discretize, values, starts, g_a)
-    _, _, grads_ref = run_discretize(oracle_discretize, values, starts, g_a)
-    assert grads[2] is None and grads_ref[2] is None  # b_t reaches only B_bar
-    for name, g, ref in zip(("d_delta", "d_a"), grads, grads_ref):
+# --- the delta-form scan vs the B_bar form it replaced in training ---------
+# A copy of discretize as it was when it also built B_bar = delta (x) B as a
+# second (T, C, S) output, one tape op; with the B_bar scan it is the oracle
+# of discretize plus selective_scan(..., delta=delta).
+
+def oracle_discretize_b_bar(delta, a, b_t, starts=None):
+    dd, ad, bd = delta.data, a.data, b_t.data
+    a_bar = dc.Tensor(np.einsum("tc,cs->tcs", dd, ad))
+    np.exp(a_bar.data, out=a_bar.data)
+    if starts is not None:
+        a_bar.data[starts] = 0.0
+    b_bar = dc.Tensor(np.einsum("tc,ts->tcs", dd, bd))
+
+    def bwd(g_a, g_b):
+        d_delta = np.zeros_like(dd)
+        if g_a is not None:
+            g_a *= a_bar.data
+            d_delta += np.einsum("tcs,cs->tc", g_a, ad)
+            dc._acc(a, np.einsum("tcs,tc->cs", g_a, dd), owned=True)
+        if g_b is not None:
+            d_delta += np.matmul(g_b, bd[:, :, None])[:, :, 0]
+            dc._acc(b_t, np.matmul(dd[:, None, :], g_b)[:, 0, :], owned=True)
+        dc._acc(delta, d_delta, owned=True)
+
+    dc._record(bwd, a_bar, b_bar)
+    return a_bar, b_bar
+
+
+def delta_form_path(u, delta, a, b_t, c, d, starts):
+    return scan.selective_scan(u, discretize(delta, a, starts), b_t, c, d, delta=delta)
+
+
+def b_bar_path(u, delta, a, b_t, c, d, starts):
+    a_bar, b_bar = oracle_discretize_b_bar(delta, a, b_t, starts)
+    return scan.selective_scan(u, a_bar, b_bar, c, d)
+
+
+@pytest.mark.parametrize("case", sorted(DISCRETIZE_CASES))
+def test_delta_form_matches_b_bar_oracle(case):
+    (t_len, n_ch, n_st), starts = DISCRETIZE_CASES[case]
+    rng = np.random.default_rng(sum(map(ord, case)))
+    delta, a, b_t = discretize_values(rng, t_len, n_ch, n_st)
+    values = (rng.normal(size=(t_len, n_ch)), delta, a, b_t,
+              rng.normal(size=(t_len, n_st)), rng.normal(size=n_ch))
+    dy = dc.Tensor(rng.normal(size=(t_len, n_ch)))
+    results = []
+    for path in (delta_form_path, b_bar_path):
+        ins = [dc.Tensor(v) for v in values]
+        with dc.Tape() as tape:
+            y = path(*ins, starts=starts)
+            tape.backward(dc.total_sum(dc.mul(y, dy)))
+        results.append((y.data, [t.grad for t in ins]))
+    (y, grads), (y_ref, grads_ref) = results
+    assert_close(y, y_ref, "y")
+    for name, g, ref in zip(("du", "d_delta", "d_a", "d_b_t", "dC", "dD"), grads, grads_ref):
+        assert g.shape == ref.shape
         assert_close(g, ref, name)

@@ -165,6 +165,8 @@ def test_train_non_finite_loss_names_utterances():
     with pytest.raises(NumericError) as e, np.errstate(invalid="ignore"):
         tr.train(records, tr.TrainConfig(epochs=1, batch_size=4), tiny_model(feat_dim=9))
     assert records[2].id in str(e.value)
+    # the packed forward names the row within its own utterance
+    assert "of 4, features[1][3]: non-finite value nan (1 in these rows)" in str(e.value)
 
 
 def test_train_rejects_wrong_feature_width():
