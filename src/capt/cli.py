@@ -27,6 +27,7 @@ def _load_cfg(args) -> data_mod.RunConfig:
     cfg = data_mod.load_run_config(args.config) if args.config else data_mod.RunConfig()
     if getattr(args, "seed", None) is not None:
         cfg.training.seed = args.seed
+        cfg.training.validate()
     return cfg
 
 
@@ -75,8 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_synth(args) -> int:
     cfg = _load_cfg(args)
-    seed = args.seed if args.seed is not None else cfg.training.seed
-    meta = data_mod.synth_corpus(args.n, seed, args.out,
+    meta = data_mod.synth_corpus(args.n, cfg.training.seed, args.out,
                                  rule_seed=args.rule_seed, ssl_dim=args.ssl_dim)
     print(json.dumps(meta, sort_keys=True))
     return 0
@@ -136,8 +136,7 @@ def _cmd_score(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     cfg = _load_cfg(args)
-    seed = args.seed if args.seed is not None else cfg.training.seed
-    results = run_suite(seed=seed)
+    results = run_suite(seed=cfg.training.seed)
     ok = True
     for name, err, passed in results:
         print(f"{'PASS' if passed else 'FAIL'} {name:24s} max rel err {err:.3e}")

@@ -312,6 +312,9 @@ def synth_records(n: int, seed: int, rule_seed: int = 0, ssl_dim: int = 32):
     """
     if n < 1:
         raise DatasetError("synthetic corpus needs n >= 1")
+    for name, value in (("seed", seed), ("rule_seed", rule_seed), ("ssl_dim", ssl_dim)):
+        if value < 0:
+            raise DatasetError(f"synthetic corpus: {name} {value} must be >= 0")
     rule = PlantedRule.make(rule_seed, ssl_dim)
     rng = np.random.default_rng(seed)
     records = []

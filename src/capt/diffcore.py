@@ -438,45 +438,6 @@ def _segment_of(starts, n: int) -> np.ndarray:
     return np.repeat(np.arange(len(starts)), np.diff(np.append(starts, n)))
 
 
-def segment_softmax(a: Tensor, starts) -> Tensor:
-    """Stable softmax of a 1-D tensor, taken separately within each segment."""
-    a = as_tensor(a)
-    if a.data.ndim != 1:
-        raise ShapeError(f"segment_softmax: expected 1-D, got {a.data.shape}")
-    seg = _segment_of(starts, a.data.shape[0])
-    e = np.exp(a.data - np.maximum.reduceat(a.data, starts)[seg])
-    s = e / np.add.reduceat(e, starts)[seg]
-    out = Tensor(s)
-
-    def bwd(g):
-        _acc(a, s * (g - np.add.reduceat(g * s, starts)[seg]))
-
-    _record(bwd, out)
-    return out
-
-
-def segment_matrix(a: Tensor, starts) -> Tensor:
-    """(N,) -> (B, N): row b holds the entries of segment b and zeros elsewhere.
-
-    ``matmul(segment_matrix(alpha, starts), h)`` is the per-segment weighted
-    sum of the rows of h.
-    """
-    a = as_tensor(a)
-    if a.data.ndim != 1:
-        raise ShapeError(f"segment_matrix: expected 1-D, got {a.data.shape}")
-    n = a.data.shape[0]
-    seg, cols = _segment_of(starts, n), np.arange(n)
-    m = np.zeros((len(starts), n))
-    m[seg, cols] = a.data
-    out = Tensor(m)
-
-    def bwd(g):
-        _acc(a, g[seg, cols])
-
-    _record(bwd, out)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # depthwise causal convolution
 

@@ -35,7 +35,7 @@ class EncoderConfig:
     n_layers: int = 2
     conv_width: int = 4
     n_think: int = 4
-    d_attn: int = 0  # 0 -> d_model // 2, resolved by the model assembly
+    d_attn: int = 0  # 0 -> d_model // 2; read it through attn_dim
 
     @property
     def d_inner(self) -> int:
@@ -46,31 +46,31 @@ class EncoderConfig:
         """The attention pooler width: d_attn, or d_model // 2 when that is 0."""
         return self.d_attn if self.d_attn > 0 else max(self.d_model // 2, 1)
 
-    def n_params(self, feat_dim: int = 0, d_attn: int = 0) -> int:
+    def n_params(self, feat_dim: int = 0) -> int:
         """Parameters of every array whose size a width sets: the encoder, the
         projection from feat_dim input features and the five aspect poolers of
-        width d_attn (0: ``attn_dim``).  The fixed-size embedding and heads,
-        small beside these, are left out."""
+        width ``attn_dim``.  The fixed-size embedding and heads, small beside
+        these, are left out."""
         dm, di, ds, w = self.d_model, self.d_inner, self.d_state, self.conv_width
         block = di * (3 * dm + di + w + 3 * ds + 5) + dm  # one direction of one layer
         layer = 2 * block + 2 * dm * dm + dm  # plus the direction combiner
-        pools = 5 * dm * (d_attn or self.attn_dim)  # one projection per aspect
+        pools = 5 * dm * self.attn_dim  # one projection per aspect
         return self.n_layers * layer + self.n_think * dm + feat_dim * dm + pools
 
-    def validate(self, feat_dim: int = 0, d_attn: int = 0):
-        """Check the fields; a model built with ``feat_dim`` input features and
-        pooler width ``d_attn`` (0: ``attn_dim``) must fit in MAX_PARAMS."""
+    def validate(self, feat_dim: int = 0):
+        """Check the fields; a model built with ``feat_dim`` input features
+        must fit in MAX_PARAMS."""
         if min(self.d_model, self.d_state, self.expand, self.n_layers, self.conv_width) < 1:
             raise ConfigError("encoder dimensions must all be >= 1")
         if self.n_think < 0:
             raise ConfigError("think token count must be >= 0")
         if self.d_attn < 0:
             raise ConfigError(f"d_attn {self.d_attn} must be >= 0 (0: d_model // 2)")
-        n = self.n_params(feat_dim, d_attn)
+        n = self.n_params(feat_dim)
         if n > MAX_PARAMS:
             sizes = ", ".join(f"{k} {getattr(self, k)}" for k in (
                 "d_model", "d_state", "expand", "n_layers", "conv_width", "n_think"))
-            raise ConfigError(f"{sizes}, d_attn {d_attn or self.attn_dim}, feat_dim {feat_dim}: "
+            raise ConfigError(f"{sizes}, d_attn {self.attn_dim}, feat_dim {feat_dim}: "
                               f"{n:,} parameters, more than MAX_PARAMS ({MAX_PARAMS:,})")
 
 

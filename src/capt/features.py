@@ -14,7 +14,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .encoder import ParamStore, he_uniform
-from .errors import ContractError, DatasetError, ShapeError
+from .errors import ContractError, ShapeError
 from .phonology import N_ATTRIBUTES, N_PHONES
 
 log = logging.getLogger("capt")
@@ -87,18 +87,13 @@ def fuse(x: dc.Tensor, c: dc.Tensor) -> dc.Tensor:
 
 
 def assemble_utterance_features(feature_rows: np.ndarray, phone_ids: np.ndarray,
-                                onehot_attr: np.ndarray, params: ParamStore,
-                                utt_id: str = "?") -> dc.Tensor:
-    """X_hat = project(gop | ssl) + canonical_embedding, per phone."""
+                                onehot_attr: np.ndarray, params: ParamStore) -> dc.Tensor:
+    """X_hat = project(gop | ssl) + canonical_embedding, per phone; one
+    feature row per phone id, else ``fuse`` raises ``ShapeError``."""
     feature_rows = np.asarray(feature_rows, dtype=np.float64)
     phone_ids = np.asarray(phone_ids, dtype=np.int64)
-    n = phone_ids.shape[0]
-    if n < 1:
-        raise ContractError(f"utterance {utt_id}: no phones")
-    if feature_rows.shape[0] != n:
-        raise DatasetError(
-            f"utterance {utt_id}: {feature_rows.shape[0]} feature rows for {n} phones"
-        )
+    if phone_ids.shape[0] < 1:
+        raise ContractError("assemble_utterance_features: no phones")
     x = dc.linear(dc.Tensor(feature_rows), params["feat.proj.w"], params["feat.proj.b"])
     c = canonical_embeddings(phone_ids, onehot_attr, params)
     return fuse(x, c)

@@ -24,14 +24,13 @@ from .errors import ConfigError, ContractError, NumericError, PersistenceError, 
 
 MODEL_FORMAT_VERSION = 1
 # metadata fields load_model reads, with the JSON type each must have
-_META_FIELDS = {"table_checksum": str, "config": dict, "feat_dim": int, "d_attn": int}
+_META_FIELDS = {"table_checksum": str, "config": dict, "feat_dim": int}
 
 
 @dataclass
 class Model:
     cfg: EncoderConfig
     feat_dim: int
-    d_attn: int
     params: ParamStore
     onehot_attr: np.ndarray
     table_checksum: str
@@ -52,6 +51,9 @@ class Model:
             raise ShapeError(f"forward: features have shape {np.shape(feature_rows)}, "
                              f"model feat_dim is {self.feat_dim}")
         n_total = len(phone_ids)
+        if np.shape(feature_rows)[0] != n_total:
+            raise ShapeError(f"forward: features have {np.shape(feature_rows)[0]} rows "
+                             f"for {n_total} phone ids")
         packing = Packing([n_total] if n_phones is None else n_phones, self.cfg.n_think)
         if int(packing.n_phones.sum()) != n_total:
             raise ContractError(
@@ -82,21 +84,18 @@ class Model:
         return self.forward(feature_rows, phone_ids, word_spans).detach()
 
 
-def init_model(cfg: EncoderConfig, feat_dim: int, seed: int,
-               d_attn: int | None = None) -> Model:
-    if d_attn is None:
-        d_attn = cfg.attn_dim
-    cfg.validate(feat_dim, d_attn)
+def init_model(cfg: EncoderConfig, feat_dim: int, seed: int) -> Model:
+    cfg.validate(feat_dim)
     rng = np.random.default_rng(seed)
     store = ParamStore()
     feat.init_feature_params(feat_dim, cfg.d_model, rng, store)
     init_encoder_params(cfg, rng, store)
-    scoring.init_scoring_params(cfg.d_model, d_attn, rng, store)
+    scoring.init_scoring_params(cfg.d_model, cfg.attn_dim, rng, store)
     table_text = phonology.default_table_text()
     attr = phonology.load_attribute_table(table_text)
     onehot_attr = feat.build_onehot_attr_matrix(attr)
     feat.check_embedding_injective(onehot_attr, store["embed.w"].data)
-    return Model(cfg=cfg, feat_dim=feat_dim, d_attn=d_attn, params=store,
+    return Model(cfg=cfg, feat_dim=feat_dim, params=store,
                  onehot_attr=onehot_attr,
                  table_checksum=phonology.table_checksum(table_text))
 
@@ -106,7 +105,6 @@ def save_model(model: Model, path) -> None:
         "format_version": MODEL_FORMAT_VERSION,
         "config": asdict(model.cfg),
         "feat_dim": model.feat_dim,
-        "d_attn": model.d_attn,
         "table_checksum": model.table_checksum,
         "score_ranges": {"phone": PHONE_SCORE_MAX, "word": WORD_SCORE_MAX,
                          "utterance": UTT_SCORE_MAX},
@@ -169,8 +167,7 @@ def load_model(path) -> Model:
             raise PersistenceError(f"{path}: model config field {key!r} is {value!r}, "
                                    f"not a {type(defaults[key]).__name__}")
     try:
-        model = init_model(EncoderConfig(**config), meta["feat_dim"], seed=0,
-                           d_attn=meta["d_attn"])
+        model = init_model(EncoderConfig(**config), meta["feat_dim"], seed=0)
     except (ConfigError, ValueError) as e:
         raise PersistenceError(f"{path}: bad model configuration: {e}") from e
     names = set(model.params.names())

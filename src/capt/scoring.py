@@ -6,7 +6,7 @@ representations inside each word span, then one affine map to
 (accuracy, stress, total).  Utterance-level: an attention pooler and a
 regressor for each of the five aspects, all computed together as one tape
 op (``utterance_level_outputs``); ``attention_weights`` and ``pool`` are the
-one-aspect reference it agrees with.
+one-aspect, one-utterance reference it agrees with.
 """
 
 from __future__ import annotations
@@ -69,39 +69,24 @@ def init_scoring_params(d_model: int, d_attn: int, rng: np.random.Generator,
     store.add("head.word.b", np.full(3, 0.5))
 
 
-def attention_weights(h: dc.Tensor, params: ParamStore, aspect: str,
-                      starts=(0,)) -> dc.Tensor:
-    """alpha_i = softmax_i( w_a . tanh(W_a h_i) ); (N,) summing to 1.
-
-    When h packs several utterances, ``starts`` holds the first row of each
-    and the softmax runs within each utterance, so each one's weights sum to 1.
-    """
+def attention_weights(h: dc.Tensor, params: ParamStore, aspect: str) -> dc.Tensor:
+    """alpha_i = softmax_i( w_a . tanh(W_a h_i) ); (N,) summing to 1."""
     if h.data.shape[0] < 1:
         raise ContractError("attention_weights: empty sequence")
     scores = dc.matmul(dc.tanh(dc.matmul(h, params[f"pool.{aspect}.w_proj"])),
                        params[f"pool.{aspect}.w_score"])
-    if len(starts) == 1:
-        return dc.softmax(scores, axis=-1)
-    return dc.segment_softmax(scores, starts)
+    return dc.softmax(scores, axis=-1)
 
 
-def pool(h: dc.Tensor, alpha: dc.Tensor, starts=(0,)) -> dc.Tensor:
-    """Convex combination of the rows of h; alpha must sum to 1.
-
-    With several utterance ``starts`` it is one combination per utterance,
-    (B, d), and alpha must sum to 1 within each.
-    """
+def pool(h: dc.Tensor, alpha: dc.Tensor) -> dc.Tensor:
+    """Convex combination of the rows of h; alpha must sum to 1."""
     if alpha.data.shape != (h.data.shape[0],):
         raise ContractError(
             f"pool: weight length {alpha.data.shape} vs {h.data.shape[0]} rows"
         )
-    if len(starts) == 1:
-        if abs(alpha.data.sum() - 1.0) > 1e-9:
-            raise ContractError("pool: weights do not sum to 1")
-        return dc.matmul(alpha, h)
-    if np.any(np.abs(np.add.reduceat(alpha.data, starts) - 1.0) > 1e-9):
-        raise ContractError("pool: weights do not sum to 1 within an utterance")
-    return dc.matmul(dc.segment_matrix(alpha, starts), h)
+    if abs(alpha.data.sum() - 1.0) > 1e-9:
+        raise ContractError("pool: weights do not sum to 1")
+    return dc.matmul(alpha, h)
 
 
 def phone_level_outputs(h: dc.Tensor, params: ParamStore):

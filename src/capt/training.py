@@ -10,7 +10,7 @@ does not reweight the objective.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,6 +34,8 @@ class TrainConfig:
             raise ConfigError(f"alpha {self.alpha} outside [0, 1]")
         if not 0.0 <= self.lr < np.inf or self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("lr must be finite, lr/epochs >= 0, batch_size >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed {self.seed} must be >= 0")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 
@@ -307,9 +309,7 @@ def overfit_sanity(n_utts: int, encoder_cfg, train_cfg: TrainConfig,
             return mse_now < mse_threshold and acc_now > acc_threshold
         return False
 
-    cfg = TrainConfig(alpha=train_cfg.alpha, lr=train_cfg.lr, epochs=max_epochs,
-                      batch_size=min(train_cfg.batch_size, n_utts),
-                      seed=train_cfg.seed, optimizer=train_cfg.optimizer)
+    cfg = replace(train_cfg, epochs=max_epochs, batch_size=min(train_cfg.batch_size, n_utts))
     train(records, cfg, model, callback=stop)
     mse_final, acc_final = training_set_stats(model, records)
     return {

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,6 +220,29 @@ def test_load_run_config(tmp_path):
     assert cfg.training.optimizer == "sgd"
 
 
+def test_documented_run_config_loads(tmp_path):
+    # the INI block of docs/formats.md, read by the loader, gives exactly the
+    # values it shows, and it shows every key the loader knows
+    text = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", text, re.S).group(1)
+    path = tmp_path / "run.ini"
+    path.write_text(block)
+    cfg = dm.load_run_config(path)
+    shown, section = {}, None
+    for line in block.splitlines():
+        if m := re.fullmatch(r"\[(\w+)\]", line.strip()):
+            section = m.group(1)
+        elif "=" in line and not line.lstrip().startswith((";", "#")):
+            key, value = (part.strip() for part in line.split("=", 1))
+            shown[section, key] = value
+    expected = {(sec, key) for sec, (_, keys) in dm._INI_KEYS.items() for key in keys}
+    assert set(shown) == expected
+    for (sec, key), value in shown.items():
+        attr, keys = dm._INI_KEYS[sec]
+        got = getattr(getattr(cfg, attr), keys[key])
+        assert got == type(got)(value), (sec, key)
+
+
 def test_load_run_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         dm.load_run_config(tmp_path / "missing.ini")
@@ -367,6 +392,21 @@ def test_cli_errors_exit_codes(tmp_path, capsys):
         cli.main(["synth"])  # missing required args
     assert e.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["train", "--config", "{ini}", "--data", "{tmp}", "--out", "{tmp}/m.capt"], "seed"),
+    (["synth", "--n", "2", "--out", "{tmp}/c", "--seed", "-1"], "seed"),
+    (["gradcheck", "--seed", "-1"], "seed"),
+    (["synth", "--n", "2", "--out", "{tmp}/c", "--rule-seed", "-1"], "rule_seed"),
+    (["synth", "--n", "2", "--out", "{tmp}/c", "--ssl-dim", "-1"], "ssl_dim"),
+], ids=["train_ini_seed", "synth_seed", "gradcheck_seed", "synth_rule_seed", "synth_ssl_dim"])
+def test_cli_rejects_negative_seed_or_size(tmp_path, capsys, argv, named):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[training]\nseed = -1\n")
+    code, _, err = run_cli([a.format(ini=ini, tmp=tmp_path) for a in argv], capsys)
+    assert code == 1
+    assert err.startswith("error:") and f"{named} -1" in err
 
 
 def test_cli_score_unknown_id(tmp_path, capsys):

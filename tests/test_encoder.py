@@ -27,6 +27,22 @@ def test_config_validation():
         EncoderConfig(n_think=-1).validate()
 
 
+@pytest.mark.parametrize("cfg", [
+    EncoderConfig(),
+    EncoderConfig(d_model=48, d_state=8, n_layers=1, conv_width=3, n_think=4),  # criterion 5
+    EncoderConfig(n_layers=3, expand=3, conv_width=2, n_think=0, d_attn=7),
+])
+def test_n_params_counts_the_width_set_arrays(cfg):
+    from capt.model import init_model
+
+    feat_dim = 33
+    params = init_model(cfg, feat_dim, seed=0).params
+    sized = [t.data.size for name, t in params.items()
+             if name.startswith("enc.") or name == "feat.proj.w"
+             or (name.startswith("pool.") and name.endswith(".w_proj"))]
+    assert cfg.n_params(feat_dim) == sum(sized)
+
+
 def test_block_zero_out_proj_is_identity():
     cfg = small_cfg()
     store = build(cfg)

@@ -4,7 +4,8 @@ import pytest
 from capt import diffcore as dc
 from capt import scoring
 from capt.encoder import EncoderConfig, ParamStore
-from capt.errors import AlignmentError, CaptError, ContractError, PersistenceError
+from capt.errors import (AlignmentError, CaptError, ContractError, PersistenceError,
+                         ShapeError)
 from capt.model import init_model, load_model, save_model
 
 
@@ -100,13 +101,12 @@ def test_utterance_level_five_scores():
     assert out.data.shape == (5,)
 
 
-def oracle_aspect_scores(h, params, starts=(0,)):
-    """The per-aspect op chain the multi-aspect pooler replaced: a list of
-    five () or (B,) score tensors."""
+def oracle_aspect_scores(h, params):
+    """The per-aspect op chain the multi-aspect pooler replaced, for one
+    utterance: a list of five () score tensors."""
     scores = []
     for a in scoring.ASPECTS:
-        alpha = scoring.attention_weights(h, params, a, starts)
-        h_u = scoring.pool(h, alpha, starts)
+        h_u = scoring.pool(h, scoring.attention_weights(h, params, a))
         scores.append(dc.add(dc.matmul(h_u, params[f"head.utt.{a}.w"]),
                              params[f"head.utt.{a}.b"]))
     return scores
@@ -128,11 +128,16 @@ def test_utterance_pooler_matches_per_aspect_chain(n_rows, starts):
         return out.data, dc.total_sum(dc.mul(out, dc.Tensor(w)))
 
     def chain():
-        scores = oracle_aspect_scores(h, store, starts)
-        loss = dc.total_sum(dc.mul(scores[0], dc.Tensor(w[..., 0])))
-        for i in range(1, 5):
-            loss = dc.add(loss, dc.total_sum(dc.mul(scores[i], dc.Tensor(w[..., i]))))
-        return np.stack([s.data for s in scores], axis=-1), loss
+        # the one-utterance chain on each utterance's rows, all on one tape
+        w_b = w.reshape(len(starts), 5)
+        values, loss = [], None
+        for b, (s, e) in enumerate(zip(starts, [*starts[1:], n_rows])):
+            scores = oracle_aspect_scores(dc.slice_rows(h, s, e), store)
+            values.append([t.data for t in scores])
+            for i, t in enumerate(scores):
+                term = dc.total_sum(dc.mul(t, dc.Tensor(w_b[b, i])))
+                loss = term if loss is None else dc.add(loss, term)
+        return np.array(values).reshape(w.shape), loss
 
     results = []
     for f in (fused, chain):
@@ -264,7 +269,7 @@ def test_load_rejects_wrong_version(tmp_path):
     assert "version" in str(e.value)
 
 
-@pytest.mark.parametrize("field", ["table_checksum", "config", "feat_dim", "d_attn"])
+@pytest.mark.parametrize("field", ["table_checksum", "config", "feat_dim"])
 def test_load_rejects_missing_meta_field(tmp_path, field):
     path = tmp_path / "m.capt"
     save_model(tiny_model(), path)
@@ -311,6 +316,33 @@ def test_predict_rejects_wrong_feature_width():
         model.predict(rows, np.array([4, 5, 6]), [(0, 3)])
     msg = str(e.value)
     assert "features" in msg and str(model.feat_dim) in msg and str(model.feat_dim + 1) in msg
+
+
+def test_predict_rejects_wrong_row_count():
+    model = tiny_model()
+    with pytest.raises(ShapeError) as e:
+        model.predict(np.zeros((4, model.feat_dim)), np.arange(5), [(0, 5)])
+    msg = str(e.value)
+    assert "features" in msg and "4 rows" in msg and "5 phone ids" in msg
+
+
+def test_load_ignores_older_d_attn_key(tmp_path):
+    # older model files also stored the pooler width as metadata "d_attn"; the
+    # width now comes from the config alone and the pooler shapes must match it
+    model = tiny_model(seed=6)
+    path = tmp_path / "m.capt"
+    save_model(model, path)
+    _rewrite_meta(path, lambda meta: meta.update(d_attn=model.cfg.attn_dim))
+    loaded = load_model(path)
+    rows, ids = np.random.default_rng(12).normal(size=(3, 5)), np.array([4, 5, 6])
+    np.testing.assert_array_equal(model.predict(rows, ids, [(0, 3)]).utterance_scores,
+                                  loaded.predict(rows, ids, [(0, 3)]).utterance_scores)
+    wide = model.cfg.attn_dim + 1
+    _rewrite_meta(path, lambda meta: meta.update(d_attn=wide),
+                  {"pool.total.w_proj": np.zeros((model.cfg.d_model, wide))})
+    with pytest.raises(PersistenceError) as e:
+        load_model(path)
+    assert "pool.total.w_proj" in str(e.value)
 
 
 def test_load_drops_removed_scan_impl_key(tmp_path):
