@@ -13,6 +13,13 @@ once freed heap memory is kept for reuse.  Discretization's backward starts
 from a given gradient of A_bar, copied into a fresh buffer as the scan's
 backward hands over its own.
 
+The last column is what the forward holds for the backward under a tape
+(its output and the arrays its backward closure keeps), traced with
+``tracemalloc`` in one extra, untimed call.  For the scan that is y, the
+states the cache-blocked kernel keeps (``scan.KEEP_BYTES`` at most) and the
+state entering each chunk whose states it drops (``scan.CHUNK_BYTES`` sets
+the chunk).
+
 The default shapes are the per-call scan shapes of perfbench's train_short
 (242, 96, 8) and train_long (756, 128, 16) workloads.
 
@@ -26,6 +33,7 @@ import argparse
 import os
 import resource
 import time
+import tracemalloc
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")  # must precede the numpy import
@@ -58,6 +66,19 @@ def best_ms(fn, repeats):
     return min(times) * 1e3, faults / repeats
 
 
+def retained_mib(fn):
+    """MiB that ``fn`` leaves allocated while its tape is alive."""
+    from capt import diffcore as dc
+
+    tracemalloc.start()
+    with dc.Tape():
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()  # noqa: F841 -- held until the tape closes, as training holds it
+        held = tracemalloc.get_traced_memory()[0] - before
+    tracemalloc.stop()
+    return held / 2**20
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeats", type=int, default=7)
@@ -70,7 +91,7 @@ def main():
     def scan_fns(ins, **delta):
         """Forward and forward-plus-backward of selective_scan on ``ins``."""
         def forward():
-            scan.selective_scan(*ins, **delta)
+            return scan.selective_scan(*ins, **delta)
 
         def forward_backward():
             for t in (*ins, *delta.values()):
@@ -81,7 +102,8 @@ def main():
 
     rng = np.random.default_rng(0)
     header = (f"{'op':>21} {'T x C x S':>16} {'forward (ms)':>13} {'faults':>7} "
-              f"{'fwd+bwd (ms)':>13} {'faults':>7} {'parallel (ms)':>14}")
+              f"{'fwd+bwd (ms)':>13} {'faults':>7} {'parallel (ms)':>14} {'kept (MiB)':>11}")
+    print(f"scan.CHUNK_BYTES {scan.CHUNK_BYTES}, scan.KEEP_BYTES {scan.KEEP_BYTES}")
     print(header)
     print("-" * len(header))
     for shape in SHAPES:
@@ -110,7 +132,7 @@ def main():
             both, both_faults = best_ms(both_fn, args.repeats)
             par = f"{best_ms(par_fn, args.repeats)[0]:14.3f}" if par_fn else f"{'-':>14}"
             print(f"{name:>21} {str(shape):>16} {fwd:13.3f} {fwd_faults:7.0f} "
-                  f"{both:13.3f} {both_faults:7.0f} {par}")
+                  f"{both:13.3f} {both_faults:7.0f} {par} {retained_mib(fwd_fn):11.2f}")
 
 
 if __name__ == "__main__":

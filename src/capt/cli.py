@@ -7,6 +7,8 @@ import json
 import logging
 import os
 import sys
+import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import data as data_mod
@@ -102,8 +104,12 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     model = model_mod.load_model(args.model)
     records = data_mod.load_dataset(args.data)
+    t0 = time.perf_counter()
     report = metrics_mod.evaluate(model, records)
-    text = report.to_text()
+    wall_s = time.perf_counter() - t0
+    # the timing stays out of EvalReport, whose text is deterministic
+    text = json.dumps({**asdict(report), "wall_s": wall_s,
+                       "utts_per_s": len(records) / wall_s}, sort_keys=True, indent=2) + "\n"
     sys.stdout.write(text)
     if args.out:
         Path(args.out).write_text(text)

@@ -20,11 +20,20 @@ from . import features as feat
 from . import phonology, scoring
 from .data import PHONE_SCORE_MAX, UTT_SCORE_MAX, WORD_SCORE_MAX
 from .encoder import EncoderConfig, Packing, ParamStore, bimamba_encode, init_encoder_params
-from .errors import ConfigError, ContractError, NumericError, PersistenceError, ShapeError
+from .errors import (ConfigError, ContractError, InventoryError, NumericError, PersistenceError,
+                     ShapeError)
 
 MODEL_FORMAT_VERSION = 1
 # metadata fields load_model reads, with the JSON type each must have
 _META_FIELDS = {"table_checksum": str, "config": dict, "feat_dim": int}
+
+
+def _locate(packing: Packing, row: int) -> tuple[str, int]:
+    """The "utterance u of B, " prefix that names a packed phone row's
+    utterance (empty for one utterance), and the row's index within it."""
+    utt = np.searchsorted(packing.phone_starts, row, side="right") - 1
+    where = "" if packing.single else f"utterance {utt} of {packing.n_phones.size}, "
+    return where, row - packing.phone_starts[utt]
 
 
 @dataclass
@@ -45,7 +54,9 @@ class Model:
         go through one packed graph (see ``encoder.Packing``); the outputs
         hold their rows in the same order and utterance_scores is (B, 5)
         instead of (5,).  A non-finite feature raises ``NumericError``
-        naming its row within its utterance and its column.
+        naming its row within its utterance and its column; a phone id that
+        is not an integer in [0, N_PHONES) raises ``InventoryError`` naming
+        its position within its utterance and its value.
         """
         if np.ndim(feature_rows) != 2 or np.shape(feature_rows)[1] != self.feat_dim:
             raise ShapeError(f"forward: features have shape {np.shape(feature_rows)}, "
@@ -63,14 +74,24 @@ class Model:
         if not np.isfinite(feature_rows).all():
             bad = np.argwhere(~np.isfinite(feature_rows))
             row, col = bad[0]
-            utt = np.searchsorted(packing.phone_starts, row, side="right") - 1
-            where = "" if packing.single else f"utterance {utt} of {packing.n_phones.size}, "
+            where, i = _locate(packing, row)
             raise NumericError(
-                f"forward: {where}features[{row - packing.phone_starts[utt]}][{col}]: "
+                f"forward: {where}features[{i}][{col}]: "
                 f"non-finite value {np.asarray(feature_rows)[row, col]} "
                 f"({len(bad)} in these rows)")
+        ids = np.asarray(phone_ids)
+        if ids.ndim != 1 or ids.dtype.kind not in "iuf":
+            raise InventoryError(f"forward: phone ids must be a 1-D sequence of integers, "
+                                 f"got {ids.dtype} of shape {ids.shape}")
+        ok = (ids >= 0) & (ids < phonology.N_PHONES) & (ids == np.trunc(ids))
+        if not ok.all():
+            bad = np.flatnonzero(~ok)
+            where, i = _locate(packing, bad[0])
+            raise InventoryError(
+                f"forward: {where}phone_ids[{i}]: {ids[bad[0]]} is not "
+                f"a phone id in [0, {phonology.N_PHONES}) ({bad.size} in these ids)")
         x_hat = feat.assemble_utterance_features(
-            feature_rows, phone_ids, self.onehot_attr, self.params
+            feature_rows, ids, self.onehot_attr, self.params
         )
         think = self.params["enc.think"] if "enc.think" in self.params else None
         h = bimamba_encode(packing.place(x_hat, think), packing, self.params, self.cfg)

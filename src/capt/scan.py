@@ -2,9 +2,21 @@
 
 The linear recurrence h_t = A_t * h_{t-1} + B_t * x_t is serial over time,
 and so is its adjoint g_t = A_{t+1} * g_{t+1} + dy_t (x) C_t.  Each pass runs
-exactly one Python loop for its recurrence, one (C, S) row update per step
-through a preallocated temp; every other term (the readout y, dx, dA, dB,
-dC, dD) is one vectorized numpy expression over the whole (T, C, S) stream.
+one Python loop for its recurrence, one (C, S) row update per step through a
+preallocated temp; every other term (the readout y, dx, dA, dB, dC) is one
+vectorized numpy expression per chunk of time rows.
+
+The kernel is cache-blocked.  The forward runs the stream in chunks of
+CHUNK_BYTES of (C, S) state rows and reads each chunk's states out into y
+while they sit in L2.  It keeps the states of the trailing chunks that fit
+KEEP_BYTES (every state, for a short stream); each earlier chunk is written
+into one reused buffer, and only the state entering it is kept.  The
+backward walks the chunks in reverse, recomputes a chunk's states from its
+entry state unless they were kept, and carries A_bar_s * g_s into the
+previous chunk.  This is how Mamba's scan keeps its (B, L, D, N) states out
+of slow memory (Gu & Dao 2023, section 3.3.2), the checkpoint-and-recompute
+trade of Chen et al. 2016.  Every operation runs in the same order as over
+the whole stream, so y and the gradients do not depend on the chunk length.
 
 The encoder calls the delta form, ``selective_scan(x, A_bar, B, C, D,
 delta=delta)`` with the (T, S) projection B, as Mamba's ``selective_scan_fn``
@@ -35,58 +47,152 @@ def backend() -> str:
 # ---------------------------------------------------------------------------
 # kernels
 
+# The two budgets of the cache-blocked kernel, in bytes of float64 state.  A
+# chunk of CHUNK_BYTES worth of (C, S) state rows stays in a core's L2 while
+# the recurrence writes it and the readout reads it.  The states of the
+# trailing chunks that fit KEEP_BYTES (all of them, for a short stream) are
+# kept for the backward; the others are recomputed there from their entry
+# state.  Chosen with benchmarks/bench_scan.py and perfbench's train_long.
+CHUNK_BYTES = 512 * 1024
+KEEP_BYTES = 2560 * 1024
 
-def _scan_fwd(x, a_bar, b, c, d, delta=None):
-    """Returns y (T, C) and the states in a (T + 1, C, S) buffer whose row 0
-    is the zero initial state and row t + 1 is h_t.
+
+def _states(pad, a_bar, b, xs, s, e, tmp):
+    """Writes the states h_s .. h_{e-1} into pad[1:], continuing from the
+    state h_{s-1} in pad[0]; h_0 takes no A_bar * h term.
+
+    ``xs`` is x when b is B_bar (T, C, S) and delta * x when b is the (T, S)
+    projection B, whose states start from (delta * x) (x) B.
+    """
+    h = pad[1:]
+    if b.ndim == 3:
+        np.einsum("tcs,tc->tcs", b[s:e], xs[s:e], out=h)  # faster than broadcasting
+    else:
+        np.einsum("tc,ts->tcs", xs[s:e], b[s:e], out=h)  # also faster than broadcasting
+    first = 1 if s == 0 else 0
+    for a_t, h_prev, h_t in zip(a_bar[s + first:e], pad[first:-1], h[first:]):
+        np.multiply(a_t, h_prev, out=tmp)
+        h_t += tmp
+
+
+def _scan_fwd(x, a_bar, b, c, d, delta=None, chunk=None):
+    """Returns y (T, C) and what ``_scan_bwd`` needs of the states:
+    ``(chunk, entries, kept)``.
+
+    The stream runs in chunks of ``chunk`` rows (by default as many (C, S)
+    rows as fit CHUNK_BYTES), each read out into y while it is hot.  The
+    first n chunks are written into one reused buffer, and ``entries``
+    (n, C, S) holds the state entering each.  ``kept`` holds the states of
+    the other, trailing chunks, from row ``T + 1 - len(kept)`` on, after
+    the state entering them: the whole (T + 1, C, S) stream, starting from
+    the zero state, when it fits KEEP_BYTES.
 
     Without ``delta``, b is B_bar (T, C, S) and the states start from
     B_bar * x; with it, b is the (T, S) projection B and they start from
     (delta * x) (x) B, so B_bar is never built.
     """
     t_len, n_ch = x.shape
-    h_pad = np.empty((t_len + 1, n_ch, c.shape[1]))
-    h_pad[0] = 0.0
-    h = h_pad[1:]
-    if delta is None:
-        np.einsum("tcs,tc->tcs", b, x, out=h)  # B_bar * x, faster than broadcasting
-    else:
-        np.einsum("tc,ts->tcs", delta * x, b, out=h)  # also faster than broadcasting
-    tmp = np.empty(h.shape[1:])
-    for a_t, h_prev, h_t in zip(a_bar[1:], h[:-1], h[1:]):
-        np.multiply(a_t, h_prev, out=tmp)
-        h_t += tmp
-    y = np.matmul(h, c[:, :, None])[:, :, 0] + d * x
-    return y, h_pad
+    row = (n_ch, c.shape[1])
+    row_bytes = 8 * n_ch * row[1]
+    chunk = chunk or CHUNK_BYTES // row_bytes or 1
+    # keep every state if they fit KEEP_BYTES, else drop those of as few
+    # leading chunks as leave the rest, with the state entering them, within it
+    over = t_len + 1 - KEEP_BYTES // row_bytes
+    s_keep = 0 if over <= 0 else min(-(-over // chunk) * chunk, t_len)
+    entries = np.empty((-(-s_keep // chunk), *row))
+    kept = np.empty((t_len + 1 - s_keep, *row))
+    tmp = np.empty(row)
+    xs = x if delta is None else delta * x
+    y = np.empty(x.shape)
+    h_last = 0.0  # the state entering the first chunk
+    if s_keep:
+        work = np.empty((min(chunk, s_keep) + 1, *row))
+        for s in range(0, s_keep, chunk):
+            e = min(s + chunk, t_len)
+            pad = work[:e - s + 1]
+            pad[0] = entries[s // chunk] = h_last
+            _states(pad, a_bar, b, xs, s, e, tmp)
+            np.matmul(pad[1:], c[s:e, :, None], out=y[s:e, :, None])
+            h_last = pad[-1]
+    kept[0] = h_last
+    for s in range(s_keep, t_len, chunk):
+        e = min(s + chunk, t_len)
+        pad = kept[s - s_keep:e - s_keep + 1]
+        _states(pad, a_bar, b, xs, s, e, tmp)
+        np.matmul(pad[1:], c[s:e, :, None], out=y[s:e, :, None])
+    y += d * x
+    return y, (chunk, entries, kept)
 
 
-def _scan_bwd(x, a_bar, b, c, d, h_pad, dy, delta=None):
+def _chunk_states(a_bar, b, xs, saved):
+    """Yields ``(s, e, pad)`` for each chunk of ``saved``, last chunk first:
+    pad[0] is the state h_{s-1} entering rows s:e and pad[1:] their states,
+    kept by the forward or recomputed from the chunk's entry state into one
+    reused buffer (valid until the next chunk is yielded)."""
+    chunk, entries, kept = saved
+    t_len = len(a_bar)
+    s_keep = t_len + 1 - len(kept)
+    work = np.empty((min(chunk, s_keep) + 1, *kept.shape[1:])) if s_keep else None
+    tmp = np.empty(kept.shape[1:])
+    for s in reversed(range(0, t_len, chunk)):
+        e = min(s + chunk, t_len)
+        if s >= s_keep:
+            yield s, e, kept[s - s_keep:e - s_keep + 1]
+            continue
+        pad = work[:e - s + 1]
+        pad[0] = entries[s // chunk]
+        _states(pad, a_bar, b, xs, s, e, tmp)
+        yield s, e, pad
+
+
+def _scan_bwd(x, a_bar, b, c, d, saved, dy, delta=None):
     """Gradients (dx, dA_bar, db, dC, dD, d_delta) of sum(y * dy); d_delta is
     None without ``delta``, and db is then dB_bar (T, C, S).
 
-    Consumes ``h_pad`` from ``_scan_fwd``: dA_bar is written over it.  The
-    adjoint buffer is the one (T, C, S) array this allocates; without
-    ``delta`` dB_bar is written over it.
+    Walks the chunks of ``saved`` (from ``_scan_fwd``) in reverse, carrying
+    A_bar_s * g_s into the previous chunk, with the adjoint g of one chunk
+    in one reused buffer.  When the forward kept every state, dA_bar is
+    written over them; otherwise it is a fresh (T, C, S) array, as dB_bar
+    always is without ``delta``.
     """
-    h = h_pad[1:]
-    g = np.einsum("tc,ts->tcs", dy, c)  # dy (x) C
-    tmp = np.empty(g.shape[1:])
-    # g_t += A_{t+1} * g_{t+1}, for t = T-2 down to 0
-    for a_next, g_next, g_t in zip(a_bar[:0:-1], g[:0:-1], g[-2::-1]):
-        np.multiply(a_next, g_next, out=tmp)
-        g_t += tmp
-    dc_ = np.matmul(dy[:, None, :], h)[:, 0]
+    t_len, n_ch = x.shape
+    row = (n_ch, c.shape[1])
+    chunk, _, kept = saved
+    s_keep = t_len + 1 - len(kept)
+    xs = x if delta is None else delta * x
+    dc_ = np.empty(c.shape)
+    # dC of the kept rows first: in place, dA_bar overwrites their states
+    np.matmul(dy[s_keep:, None, :], kept[1:], out=dc_[s_keep:, None, :])
+    da = kept[:-1] if s_keep == 0 else np.empty(a_bar.shape)
+    db = np.empty(b.shape)
+    g_b = np.empty(x.shape)  # sum_s g * B_bar, or sum_s g * B with delta
+    g_buf = np.empty((min(chunk, t_len), *row))
+    tmp, carry = np.empty(row), np.empty(row)
+    for s, e, pad in _chunk_states(a_bar, b, xs, saved):
+        g = g_buf[:e - s]
+        np.einsum("tc,ts->tcs", dy[s:e], c[s:e], out=g)  # dy (x) C
+        if e < t_len:
+            g[-1] += carry
+        # g_t += A_{t+1} * g_{t+1}, for t = e-2 down to s
+        for a_next, g_next, g_t in zip(a_bar[e - 1:s:-1], g[:0:-1], g[-2::-1]):
+            np.multiply(a_next, g_next, out=tmp)
+            g_t += tmp
+        if s:
+            np.multiply(a_bar[s], g[0], out=carry)
+        if s < s_keep:
+            np.matmul(dy[s:e, None, :], pad[1:], out=dc_[s:e, None, :])
+        np.multiply(g, pad[:-1], out=da[s:e])  # pad row t - s holds h_{t-1}
+        if delta is None:
+            np.einsum("tcs,tcs->tc", g, b[s:e], out=g_b[s:e])
+            np.multiply(g, x[s:e, :, None], out=db[s:e])
+        else:
+            # batched matrix products over t: (C,S)@(S,1) and (1,C)@(C,S)
+            np.matmul(g, b[s:e, :, None], out=g_b[s:e, :, None])  # gradient of delta * x
+            np.matmul(xs[s:e, None, :], g, out=db[s:e, None, :])
     dd = np.einsum("tc,tc->c", dy, x)
-    da = h_pad[:-1]  # row t holds h_{t-1}, so this is elementwise in place
-    np.multiply(g, da, out=da)
     if delta is None:
-        dx = np.einsum("tcs,tcs->tc", g, b) + dy * d
-        np.multiply(g, x[:, :, None], out=g)
-        return dx, da, g, dc_, dd, None
-    # batched matrix products over t: (C,S)@(S,1) and (1,C)@(C,S)
-    dxb = np.matmul(g, b[:, :, None])[:, :, 0]  # gradient of delta * x
-    db = np.matmul((delta * x)[:, None, :], g)[:, 0, :]
-    return dxb * delta + dy * d, da, db, dc_, dd, dxb * x
+        return g_b + dy * d, da, db, dc_, dd, None
+    return g_b * delta + dy * d, da, db, dc_, dd, g_b * x
 
 
 # ---------------------------------------------------------------------------
@@ -149,20 +255,22 @@ def selective_scan(x, a_bar, b, c, d, delta=None):
     B_bar = delta (x) B, the form training runs: B_bar is never built, and
     the backward hands gradients to x, delta and B directly.
 
-    The backward closure hands the kernel's state buffer and adjoint buffer
-    to ``_acc`` as gradients; this is safe because a tape runs each closure
-    once and then drops it.
+    Between forward and backward the op holds y, the states entering the
+    chunks it recomputes and at most KEEP_BYTES of kept states.  The
+    backward closure hands the kept state buffer (as dA_bar, when it holds
+    every state) to ``_acc`` as a gradient; this is safe because a tape runs
+    each closure once and then drops it.
     """
     ins = [dc.as_tensor(v) for v in (x, a_bar, b, c, d)]
     if delta is not None:
         ins.append(dc.as_tensor(delta))
     arrays = [t.data for t in ins]
     _check_streams(*arrays)
-    y, h_pad = _scan_fwd(*arrays)
+    y, saved = _scan_fwd(*arrays)
     out = dc.Tensor(y)
 
     def bwd(dy):
-        grads = _scan_bwd(*arrays[:5], h_pad, dy, *arrays[5:])
+        grads = _scan_bwd(*arrays[:5], saved, dy, *arrays[5:])
         for t, g in zip(ins, grads):
             dc._acc(t, g, owned=True)
 

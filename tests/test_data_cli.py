@@ -372,6 +372,7 @@ def test_cli_synth_train_eval_score(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["n_utterances"] == 12
+    assert report["wall_s"] > 0 and report["utts_per_s"] > 0
     assert json.loads(report_path.read_text()) == report
 
     some_id = json.loads((corpus / "corpus.jsonl").read_text().splitlines()[0])["id"]

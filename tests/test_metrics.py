@@ -4,7 +4,7 @@ import pytest
 from capt import metrics as mx
 from capt.data import synth_records
 from capt.encoder import EncoderConfig
-from capt.errors import AlignmentError, CaptError, ContractError, NumericError
+from capt.errors import AlignmentError, CaptError, ContractError, InventoryError, NumericError
 from capt.model import init_model
 from capt.phonology import DEL_ID
 
@@ -212,6 +212,42 @@ def test_non_finite_features_raise(value):
     with pytest.raises(CaptError) as e:
         mx.evaluate(model, records)
     assert rec.id in str(e.value) and "features[1][2]" in str(e.value)
+
+
+@pytest.mark.parametrize("value", [50, -1, 0.5, np.nan])
+def test_bad_phone_ids_raise(value):
+    records, _ = synth_records(3, seed=3, ssl_dim=8)
+    model = init_model(EncoderConfig(d_model=8, d_state=4, n_layers=1,
+                                     conv_width=3, n_think=2),
+                       feat_dim=9, seed=0)
+    rec = records[1]
+    ids = rec.canonical_ids().astype(type(value))
+    ids[2] = value
+    with pytest.raises(InventoryError) as e:
+        model.predict(rec.features, ids, rec.word_spans())
+    assert f"phone_ids[2]: {value} is not a phone id in [0, 41) (1 in" in str(e.value)
+    # in a packed batch the error names the utterance and the position within it
+    first = records[0]
+    spans = first.word_spans() + [(s + first.n_phones, e + first.n_phones)
+                                  for s, e in rec.word_spans()]
+    with pytest.raises(InventoryError) as e:
+        model.forward(np.concatenate([first.features, rec.features]),
+                      np.concatenate([first.canonical_ids(), ids]), spans,
+                      [first.n_phones, rec.n_phones])
+    assert f"utterance 1 of 2, phone_ids[2]: {value} is not" in str(e.value)
+    rec.canonical_ids = lambda: ids
+    with pytest.raises(CaptError) as e:
+        mx.evaluate(model, records)
+    assert rec.id in str(e.value) and f"phone_ids[2]: {value}" in str(e.value)
+
+
+def test_non_integer_phone_id_array_raises():
+    model = init_model(EncoderConfig(d_model=8, d_state=4, n_layers=1,
+                                     conv_width=3, n_think=2),
+                       feat_dim=9, seed=0)
+    with pytest.raises(InventoryError) as e:
+        model.predict(np.zeros((2, 9)), np.array(["a", "b"]), [(0, 2)])
+    assert "1-D sequence of integers" in str(e.value)
 
 
 def test_evaluate_empty_dataset():

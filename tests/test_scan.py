@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -205,9 +207,14 @@ def test_kernels_match_per_step_oracle(case):
     y_ref, h_ref = oracle_fwd(x, a_bar, b_bar, c, d)
     grads_ref = oracle_bwd(x, a_bar, b_bar, c, d, h_ref, dy)
 
-    y, h_pad = scan._scan_fwd(x, a_bar, b_bar, c, d)
-    np.testing.assert_array_equal(h_pad[0], 0.0)
-    np.testing.assert_array_equal(h_pad[1:], h_ref)
+    y, saved = scan._scan_fwd(x, a_bar, b_bar, c, d)
+    # every state the backward reads, kept or recomputed, is the oracle's
+    ends = []
+    for s, e, pad in scan._chunk_states(a_bar, b_bar, x, saved):
+        np.testing.assert_array_equal(pad[0], h_ref[s - 1] if s else 0.0)
+        np.testing.assert_array_equal(pad[1:], h_ref[s:e])
+        ends.append((s, e))
+    assert ends == [(s, min(s + saved[0], t_len)) for s in range(0, t_len, saved[0])][::-1]
     assert_close(y, y_ref, "y")
 
     # through the differentiable op and the tape, as training runs it
@@ -219,6 +226,148 @@ def test_kernels_match_per_step_oracle(case):
     for name, t, ref in zip(("dx", "dA_bar", "dB_bar", "dC", "dD"), ts, grads_ref):
         assert t.grad.shape == ref.shape
         assert_close(t.grad, ref, name)
+
+
+# --- the cache-blocked kernel vs the whole-stream kernel it replaced -------
+# Copies of _scan_fwd/_scan_bwd as they were before the stream ran in chunks:
+# one (T + 1, C, S) state buffer kept from the forward to the backward.  The
+# chunked kernel runs the same operations in the same order, so y and every
+# gradient must be bit-identical.
+
+def whole_fwd(x, a_bar, b, c, d, delta=None):
+    t_len, n_ch = x.shape
+    h_pad = np.empty((t_len + 1, n_ch, c.shape[1]))
+    h_pad[0] = 0.0
+    h = h_pad[1:]
+    if delta is None:
+        np.einsum("tcs,tc->tcs", b, x, out=h)
+    else:
+        np.einsum("tc,ts->tcs", delta * x, b, out=h)
+    tmp = np.empty(h.shape[1:])
+    for a_t, h_prev, h_t in zip(a_bar[1:], h[:-1], h[1:]):
+        np.multiply(a_t, h_prev, out=tmp)
+        h_t += tmp
+    y = np.matmul(h, c[:, :, None])[:, :, 0] + d * x
+    return y, h_pad
+
+
+def whole_bwd(x, a_bar, b, c, d, h_pad, dy, delta=None):
+    h = h_pad[1:]
+    g = np.einsum("tc,ts->tcs", dy, c)
+    tmp = np.empty(g.shape[1:])
+    for a_next, g_next, g_t in zip(a_bar[:0:-1], g[:0:-1], g[-2::-1]):
+        np.multiply(a_next, g_next, out=tmp)
+        g_t += tmp
+    dc_ = np.matmul(dy[:, None, :], h)[:, 0]
+    dd = np.einsum("tc,tc->c", dy, x)
+    da = h_pad[:-1]
+    np.multiply(g, da, out=da)
+    if delta is None:
+        dx = np.einsum("tcs,tcs->tc", g, b) + dy * d
+        np.multiply(g, x[:, :, None], out=g)
+        return dx, da, g, dc_, dd, None
+    dxb = np.matmul(g, b[:, :, None])[:, :, 0]
+    db = np.matmul((delta * x)[:, None, :], g)[:, 0, :]
+    return dxb * delta + dy * d, da, db, dc_, dd, dxb * x
+
+
+def scan_streams(rng, t_len, n_ch, n_st, form, starts=()):
+    """(x, A_bar, b, C, D, delta) as the encoder makes them; b is B_bar and
+    delta None in the B_bar form.  A_bar is 0 on the ``starts`` rows."""
+    x, a_bar, b_bar, c, d = rand_instance(rng, t_len, n_ch, n_st)
+    a_bar[list(starts)] = 0.0
+    if form == "B_bar":
+        return x, a_bar, b_bar, c, d, None
+    return (x, a_bar, rng.normal(size=(t_len, n_st)), c, d,
+            rng.uniform(0.01, 3.0, size=(t_len, n_ch)))
+
+
+def assert_bit_identical(streams, dy, chunk=None):
+    """y and every gradient of the chunked kernel equal the whole-stream
+    kernel's; returns the chunked forward's saved states."""
+    *arrays, delta = streams
+    y_ref, h_pad = whole_fwd(*arrays, delta=delta)
+    grads_ref = whole_bwd(*arrays, h_pad, dy, delta=delta)
+    y, saved = scan._scan_fwd(*arrays, delta=delta, chunk=chunk)
+    grads = scan._scan_bwd(*arrays, saved, dy, delta=delta)
+    np.testing.assert_array_equal(y, y_ref)
+    for name, g, ref in zip(("dx", "dA_bar", "db", "dC", "dD", "d_delta"), grads, grads_ref):
+        assert (g is None) == (ref is None), name
+        if ref is not None:
+            assert g.shape == ref.shape and np.array_equal(g, ref), name
+    return saved
+
+
+CHUNK_LENGTHS = {"1": 1, "3": 3, "T-1": 39, "T": 40, "T+5": 45}
+
+
+@pytest.mark.parametrize("form", ["delta", "B_bar"])
+@pytest.mark.parametrize("length", sorted(CHUNK_LENGTHS))
+def test_chunked_kernel_is_bit_identical(form, length):
+    chunk = CHUNK_LENGTHS[length]
+    rng = np.random.default_rng(chunk)
+    streams = scan_streams(rng, 40, 6, 4, form, starts=[0, 1, 7, 8, 23, 39])
+    saved = assert_bit_identical(streams, rng.normal(size=(40, 6)), chunk)
+    assert saved[0] == chunk and len(saved[2]) == 41  # all kept at this size
+
+
+@pytest.mark.parametrize("form", ["delta", "B_bar"])
+def test_segment_starts_on_chunk_edges(form):
+    # chunks of 8 rows: segments start on a chunk's first row (8, 24, 32)
+    # and on its last row (15, 39)
+    rng = np.random.default_rng(9)
+    streams = scan_streams(rng, 40, 6, 4, form, starts=[0, 8, 15, 24, 32, 39])
+    assert_bit_identical(streams, rng.normal(size=(40, 6)), chunk=8)
+
+
+@pytest.mark.parametrize("form", ["delta", "B_bar"])
+def test_partially_kept_stream_is_bit_identical(form, monkeypatch):
+    # room for 12 state rows: the last two chunks of 5 are kept, after the
+    # state entering them, and the first six are recomputed in the backward
+    monkeypatch.setattr(scan, "KEEP_BYTES", 12 * 8 * 6 * 4)
+    rng = np.random.default_rng(10)
+    streams = scan_streams(rng, 40, 6, 4, form, starts=[0, 5, 14, 29, 30])
+    dy = rng.normal(size=(40, 6))
+    _, entries, kept = assert_bit_identical(streams, dy, chunk=5)
+    assert entries.shape == (6, 6, 4) and kept.shape == (11, 6, 4)
+    # and with no chunk kept at all
+    monkeypatch.setattr(scan, "KEEP_BYTES", 0)
+    _, entries, kept = assert_bit_identical(streams, dy, chunk=5)
+    assert len(entries) == 8 and len(kept) == 1
+
+
+@pytest.mark.parametrize("form", ["delta", "B_bar"])
+def test_default_budgets_at_train_long_shape_are_bit_identical(form):
+    # the default budgets keep the trailing chunks of a train_long stream
+    # and recompute the others
+    rng = np.random.default_rng(11)
+    streams = scan_streams(rng, 756, 128, 16, form)
+    saved = assert_bit_identical(streams, rng.normal(size=(756, 128)))
+    assert len(saved[1]) > 0 and len(saved[2]) > 1
+
+
+def test_scan_holds_at_most_the_kept_and_entry_states():
+    """Between forward and backward a delta-form scan under a tape holds y,
+    the states entering its chunks and at most KEEP_BYTES of states, not
+    the T * C * S states of the stream."""
+    t_len, n_ch, n_st = 756, 128, 16
+    rng = np.random.default_rng(12)
+    *arrays, delta = (dc.Tensor(v) for v in scan_streams(rng, t_len, n_ch, n_st, "delta"))
+    row_bytes = 8 * n_ch * n_st
+    chunk = scan.CHUNK_BYTES // row_bytes
+    entries_bytes = -(-t_len // chunk) * row_bytes
+    tracemalloc.start()
+    try:
+        with dc.Tape() as tape:
+            before = tracemalloc.get_traced_memory()[0]
+            y = scan.selective_scan(*arrays, delta=delta)
+            held = tracemalloc.get_traced_memory()[0] - before
+            tape.backward(dc.total_sum(y))
+    finally:
+        tracemalloc.stop()
+    assert held <= scan.KEEP_BYTES + y.data.nbytes + entries_bytes
+    assert held < t_len * row_bytes / 2
+    assert arrays[1].grad.shape == (t_len, n_ch, n_st)
 
 
 def test_scan_gradients_on_numpy_backend():
