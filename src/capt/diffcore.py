@@ -1,13 +1,16 @@
 """Reverse-mode differentiable primitives over float64 numpy arrays.
 
-A ``Tensor`` wraps an ndarray plus an optional gradient buffer.  An operation
-executed while a ``Tape`` is active records a backward closure with its
-outputs, ``_record(bwd, *outs)``.  ``Tape.backward(loss)`` replays the records
-in exact reverse recording order, calls ``bwd(*grads)`` with the outputs'
-gradients only when at least one of them is not None, and drops each record
-once it has run, so a tape is replayed once.  A closure adds into its inputs'
-gradients with ``_acc``.  Everything runs in float64 so the finite-difference
-checker is meaningful at 1e-4 relative tolerance.
+A ``Tensor`` wraps an ndarray plus an optional gradient buffer.  Every
+differentiable operand of an op is a ``Tensor``, and ``Tensor(data)`` is the
+one place an array becomes one.  Constant operands (loss targets, row weights,
+labels, indices, segment positions) stay plain arrays and get no gradient.  An
+operation executed while a ``Tape`` is active records a backward closure with
+its outputs, ``_record(bwd, *outs)``.  ``Tape.backward(loss)`` replays the
+records in exact reverse recording order, calls ``bwd(*grads)`` with the
+outputs' gradients only when at least one of them is not None, and drops each
+record once it has run, so a tape is replayed once.  A closure adds into its
+inputs' gradients with ``_acc``.  Everything runs in float64 so the
+finite-difference checker is meaningful at 1e-4 relative tolerance.
 """
 
 from __future__ import annotations
@@ -123,17 +126,12 @@ def _acc(t: Tensor, g: np.ndarray, owned: bool = False, at=None):
         t.grad += g.reshape(t.data.shape)
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 # ---------------------------------------------------------------------------
 # elementwise primitives
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; b may also be a scalar () or a last-axis vector."""
-    a, b = as_tensor(a), as_tensor(b)
     if not (
         b.data.shape == a.data.shape
         or b.data.shape == ()
@@ -156,7 +154,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mul: shapes differ {a.data.shape} vs {b.data.shape}")
     out = Tensor(a.data * b.data)
@@ -170,7 +167,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    a = as_tensor(a)
     out = Tensor(a.data * c)
 
     def bwd(g):
@@ -181,7 +177,6 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def exp(a: Tensor) -> Tensor:
-    a = as_tensor(a)
     out = Tensor(np.exp(a.data))
 
     def bwd(g):
@@ -192,7 +187,6 @@ def exp(a: Tensor) -> Tensor:
 
 
 def tanh(a: Tensor) -> Tensor:
-    a = as_tensor(a)
     out = Tensor(np.tanh(a.data))
 
     def bwd(g):
@@ -208,7 +202,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    a = as_tensor(a)
     s = _sigmoid(a.data)
     out = Tensor(s)
 
@@ -220,7 +213,6 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def silu(a: Tensor) -> Tensor:
-    a = as_tensor(a)
     s = _sigmoid(a.data)
     out = Tensor(a.data * s)
 
@@ -232,7 +224,6 @@ def silu(a: Tensor) -> Tensor:
 
 
 def softplus(a: Tensor) -> Tensor:
-    a = as_tensor(a)
     # log(1 + e^x) as np.logaddexp(0, x) computes it, on SIMD ufuncs
     out = Tensor(np.maximum(a.data, 0.0) + np.log1p(np.exp(-np.abs(a.data))))
 
@@ -245,7 +236,6 @@ def softplus(a: Tensor) -> Tensor:
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Stable softmax along one axis (max subtraction)."""
-    a = as_tensor(a)
     z = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(z)
     s = e / e.sum(axis=axis, keepdims=True)
@@ -263,7 +253,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
     if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
         raise ShapeError(f"matmul: only 1-D/2-D operands, got {ad.shape} @ {bd.shape}")
@@ -274,28 +263,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(ad @ bd)
 
     def bwd(g):
-        if ad.ndim == 2 and bd.ndim == 2:
-            _acc(a, g @ bd.T)
-            _acc(b, ad.T @ g)
-        elif ad.ndim == 1 and bd.ndim == 2:
-            _acc(a, g @ bd.T)
-            _acc(b, np.outer(ad, g))
-        elif ad.ndim == 2 and bd.ndim == 1:
-            _acc(a, np.outer(g, bd))
-            _acc(b, ad.T @ g)
-        else:
-            _acc(a, g * bd)
-            _acc(b, g * ad)
+        # against a 1-D operand the gradient is an outer product with it
+        _acc(a, g @ bd.T if bd.ndim == 2 else np.multiply.outer(g, bd))
+        _acc(b, ad.T @ g if ad.ndim == 2 else np.multiply.outer(ad, g))
 
     _record(bwd, out)
     return out
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w + b as one op: x (N, k), w (k, m), b (m,).  Without b it is ``matmul``."""
-    if b is None:
-        return matmul(x, w)
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one op: x (N, k), w (k, m), b (m,)."""
     xd, wd = x.data, w.data
     if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] or b.data.shape != wd.shape[1:]:
         raise ShapeError(f"linear: incompatible {xd.shape} @ {wd.shape} + {b.data.shape}")
@@ -317,7 +294,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    a = as_tensor(a)
     out = Tensor(a.data[start:stop])
 
     def bwd(g):
@@ -328,7 +304,6 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    a = as_tensor(a)
     if a.data.ndim != 2:
         raise ShapeError(f"slice_cols: expected 2-D, got {a.data.shape}")
     out = Tensor(a.data[:, start:stop])
@@ -341,7 +316,6 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
 
 
 def reverse_rows(a: Tensor) -> Tensor:
-    a = as_tensor(a)
     out = Tensor(a.data[::-1])
 
     def bwd(g):
@@ -352,7 +326,6 @@ def reverse_rows(a: Tensor) -> Tensor:
 
 
 def concat_rows(parts) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
     out = Tensor(np.concatenate([p.data for p in parts], axis=0))
     sizes = [p.data.shape[0] for p in parts]
 
@@ -367,7 +340,6 @@ def concat_rows(parts) -> Tensor:
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     if a.data.shape[0] != b.data.shape[0]:
         raise ShapeError(f"concat_cols: row counts differ {a.data.shape} vs {b.data.shape}")
     na = a.data.shape[1]
@@ -387,7 +359,6 @@ def gather_rows(a: Tensor, index) -> Tensor:
     The adjoint scatter-adds each output row's gradient back onto the row
     it was read from.
     """
-    a = as_tensor(a)
     index = np.asarray(index, dtype=np.int64)
     out = Tensor(a.data[index])
     # without repeats the scatter is one indexed add, far faster than add.at
@@ -406,7 +377,6 @@ def gather_rows(a: Tensor, index) -> Tensor:
 
 
 def total_sum(a: Tensor) -> Tensor:
-    a = as_tensor(a)
     out = Tensor(np.asarray(a.data.sum()))
 
     def bwd(g):
@@ -417,7 +387,6 @@ def total_sum(a: Tensor) -> Tensor:
 
 
 def mean(a: Tensor) -> Tensor:
-    a = as_tensor(a)
     n = a.data.size
     out = Tensor(np.asarray(a.data.mean()))
 
@@ -454,7 +423,6 @@ def conv1d_causal_silu(x: Tensor, kernel: Tensor, bias: Tensor, pos=None) -> Ten
     rows sum their taps in the same order as the unmasked ones, so a packed
     call equals one call per segment bit for bit.
     """
-    x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
     xd, kd = x.data, kernel.data
     if (xd.ndim != 2 or kd.ndim != 2 or xd.shape[1] != kd.shape[1]
             or bias.data.shape != xd.shape[1:]):
@@ -527,17 +495,15 @@ def _row_weights(row_weights, n_rows: int, op: str) -> np.ndarray:
 
 
 def mse(pred: Tensor, target, row_weights=None) -> Tensor:
-    """Mean squared error.
+    """Mean squared error of pred against the constant array ``target``.
 
     With ``row_weights`` (one per leading-axis row) it is the weighted sum
     over rows of each row's mean squared error; weights 1/n give the plain mean.
     """
-    pred, target = as_tensor(pred), as_tensor(target)
-    if pred.data.shape != target.data.shape:
-        raise ShapeError(
-            f"mse: shapes differ {pred.data.shape} vs {target.data.shape}"
-        )
-    diff = pred.data - target.data
+    target = np.asarray(target, dtype=np.float64)
+    if pred.data.shape != target.shape:
+        raise ShapeError(f"mse: shapes differ {pred.data.shape} vs {target.shape}")
+    diff = pred.data - target
     n_rows = diff.shape[0] if diff.ndim else 1
     # per-element weights: each row's weight spread evenly over its elements
     w = _row_weights(row_weights, n_rows, "mse") * (n_rows / diff.size)
@@ -545,9 +511,7 @@ def mse(pred: Tensor, target, row_weights=None) -> Tensor:
     out = Tensor(np.asarray((w * diff**2).sum()))
 
     def bwd(g):
-        g = g * 2.0 * w * diff
-        _acc(pred, g)
-        _acc(target, -g)
+        _acc(pred, g * 2.0 * w * diff, owned=True)
 
     _record(bwd, out)
     return out
@@ -555,7 +519,6 @@ def mse(pred: Tensor, target, row_weights=None) -> Tensor:
 
 def cross_entropy(logits: Tensor, labels, row_weights=None) -> Tensor:
     """Mean over rows of -log softmax(logits)[label]; weighted sum with ``row_weights``."""
-    logits = as_tensor(logits)
     labels = np.asarray(labels, dtype=np.int64)
     if logits.data.ndim != 2 or labels.ndim != 1 or labels.shape[0] != logits.data.shape[0]:
         raise ShapeError(

@@ -156,7 +156,6 @@ def discretize(delta: dc.Tensor, a: dc.Tensor, starts=None) -> dc.Tensor:
     starts its states from (delta * x) (x) B.  One tape op that stores no
     (T, C, S) tensor besides its output.
     """
-    delta, a = dc.as_tensor(delta), dc.as_tensor(a)
     dd, ad = delta.data, a.data
     if not (dd.ndim == ad.ndim == 2 and ad.shape[0] == dd.shape[1]):
         raise ShapeError(f"discretize: incompatible delta {dd.shape}, a {ad.shape}")

@@ -74,8 +74,9 @@ def _primitive_checks(rng):
     delta = dc.Tensor(drng.uniform(0.5, 1.5, size=(t_len, ci)))
     a_neg = dc.Tensor(-drng.uniform(0.5, 1.5, size=(ci, s)))
     b_t = _p(drng, (t_len, s))
-    x_d, c_d = drng.normal(size=(t_len, ci)), drng.normal(size=(t_len, s))
-    d_d = drng.normal(size=ci)
+    x_d = dc.Tensor(drng.normal(size=(t_len, ci)))
+    c_d = dc.Tensor(drng.normal(size=(t_len, s)))
+    d_d = dc.Tensor(drng.normal(size=ci))
 
     def discretize_loss():
         # two packed segments: A_bar is zeroed on rows 0 and 3
@@ -145,12 +146,11 @@ def _full_model_check(seed: int):
     return ("full_model_tiny", loss, model.params.tensors(), 3e-4)
 
 
-def run_suite(seed: int = 0, include_full_model: bool = True):
+def run_suite(seed: int = 0):
     """Returns a list of (name, max_rel_err, passed)."""
     rng = np.random.default_rng(seed)
     checks = [(n, f, p, 1e-4) for n, f, p in _primitive_checks(rng) + _layer_checks(rng)]
-    if include_full_model:
-        checks.append(_full_model_check(seed))
+    checks.append(_full_model_check(seed))
     results = []
     for name, f, params, eps in checks:
         err = dc.grad_check(f, params, epsilon=eps)

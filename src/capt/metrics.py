@@ -61,21 +61,16 @@ def mdd_confusion(canonical, annotated, predicted) -> MddConfusion:
             f"mdd_confusion: length mismatch {canonical.shape}/"
             f"{annotated.shape}/{predicted.shape}"
         )
-    conf = MddConfusion()
-    for c, a, p in zip(canonical, annotated, predicted):
-        if a == c:
-            if p == c:
-                conf.ta += 1
-            else:
-                conf.fr += 1
-        else:
-            if p == c:
-                conf.fa += 1
-            else:
-                conf.tr += 1
-                if p == a:
-                    conf.cd += 1
-    return conf
+    correct = annotated == canonical
+    accepted = predicted == canonical
+    true_rejected = ~correct & ~accepted
+    return MddConfusion(
+        ta=int(np.count_nonzero(correct & accepted)),
+        fr=int(np.count_nonzero(correct & ~accepted)),
+        fa=int(np.count_nonzero(~correct & accepted)),
+        tr=int(np.count_nonzero(true_rejected)),
+        cd=int(np.count_nonzero(true_rejected & (predicted == annotated))),
+    )
 
 
 def _safe_div(num: float, den: float, flags: list[str], name: str) -> float:
@@ -151,8 +146,7 @@ def evaluate(model, records) -> EvalReport:
     phone_pred, phone_tgt = [], []
     word_pred, word_tgt = [], []
     utt_pred, utt_tgt = [], []
-    conf = MddConfusion()
-    per_num, per_den = 0, 0
+    canonical, annotated, predicted = [], [], []
     for rec in records:
         try:
             pred = model.predict(rec.features, rec.canonical_ids(), rec.word_spans())
@@ -164,16 +158,9 @@ def evaluate(model, records) -> EvalReport:
         word_tgt.append(rec.word_targets_norm() * WORD_SCORE_MAX)
         utt_pred.append(pred.utterance_scores * UTT_SCORE_MAX)
         utt_tgt.append(rec.utt_targets_norm() * UTT_SCORE_MAX)
-        annotated = rec.realized_ids()
-        predicted = pred.mdd_logits.argmax(axis=1)
-        c = mdd_confusion(rec.canonical_ids(), annotated, predicted)
-        conf.ta += c.ta
-        conf.fr += c.fr
-        conf.fa += c.fa
-        conf.tr += c.tr
-        conf.cd += c.cd
-        per_num += int((annotated != predicted).sum())
-        per_den += int((annotated != DEL_ID).sum())
+        canonical.append(rec.canonical_ids())
+        annotated.append(rec.realized_ids())
+        predicted.append(pred.mdd_logits.argmax(axis=1))
 
     report = EvalReport(n_utterances=len(records))
     phone_pred = np.concatenate(phone_pred)
@@ -196,10 +183,14 @@ def evaluate(model, records) -> EvalReport:
             report.utterance_pcc[name] = _pcc_or_flag(
                 utt_pred[:, j], utt_tgt[:, j], f"utterance.{name}", report.flags
             )
+    annotated, predicted = np.concatenate(annotated), np.concatenate(predicted)
+    conf = mdd_confusion(np.concatenate(canonical), annotated, predicted)
     re_, pr_, f1_, cd_, flags = mdd_rates(conf)
     report.mdd_recall, report.mdd_precision = re_, pr_
     report.mdd_f1, report.mdd_correct_diag = f1_, cd_
     report.flags.extend(f"mdd_zero_denominator:{f}" for f in flags)
+    per_num = int(np.count_nonzero(annotated != predicted))
+    per_den = int(np.count_nonzero(annotated != DEL_ID))
     report.mdd_per = per_num / per_den if per_den else None
     if per_den == 0:
         report.flags.append("per_empty_reference")

@@ -261,9 +261,7 @@ def selective_scan(x, a_bar, b, c, d, delta=None):
     every state) to ``_acc`` as a gradient; this is safe because a tape runs
     each closure once and then drops it.
     """
-    ins = [dc.as_tensor(v) for v in (x, a_bar, b, c, d)]
-    if delta is not None:
-        ins.append(dc.as_tensor(delta))
+    ins = [x, a_bar, b, c, d] + ([] if delta is None else [delta])
     arrays = [t.data for t in ins]
     _check_streams(*arrays)
     y, saved = _scan_fwd(*arrays)

@@ -36,7 +36,7 @@ def report(num: int, desc: str, ok: bool, detail: str = ""):
 
 def test_criterion_1_gradient_suite(capsys):
     t0 = time.perf_counter()
-    results = run_suite(seed=0, include_full_model=True)
+    results = run_suite(seed=0)
     code = cli.main(["gradcheck"])
     elapsed = time.perf_counter() - t0
     capsys.readouterr()  # swallow the CLI's own PASS lines

@@ -27,8 +27,8 @@ def test_discretize_small_delta_freezes_state():
     np.testing.assert_allclose(a_bar.data, 1.0, atol=1e-11)
     # B_bar = delta (x) B is never built; the scan's delta form starts its
     # states from (delta * x) (x) B, so with D = 0 nothing reaches y
-    x, b_t, c = np.ones((2, 3)), np.ones((2, 2)), np.ones((2, 2))
-    y = scan.selective_scan(x, a_bar, b_t, c, np.zeros(3), delta=delta)
+    x, b_t, c = (dc.Tensor(np.ones(shape)) for shape in ((2, 3), (2, 2), (2, 2)))
+    y = scan.selective_scan(x, a_bar, b_t, c, dc.Tensor(np.zeros(3)), delta=delta)
     np.testing.assert_allclose(y.data, 0.0, atol=1e-11)
 
 
@@ -99,15 +99,16 @@ def test_scan_stream_length_mismatch():
 
 def test_delta_form_shape_mismatch_names_every_stream():
     rng = np.random.default_rng(3)
-    x, a_bar, _, c, d = rand_instance(rng, 5)
-    b_t, delta = rng.normal(size=(5, 2)), rng.uniform(0.5, 1.5, size=(5, 3))
+    x, a_bar, _, c, d = (dc.Tensor(v) for v in rand_instance(rng, 5))
+    b_t = dc.Tensor(rng.normal(size=(5, 2)))
+    delta = rng.uniform(0.5, 1.5, size=(5, 3))
     with pytest.raises(ContractError) as e:
-        scan.selective_scan(x, a_bar, b_t, c, d, delta=delta[:4])
+        scan.selective_scan(x, a_bar, b_t, c, d, delta=dc.Tensor(delta[:4]))
     for name, shape in (("x", x.shape), ("delta", (4, 3)), ("A_bar", a_bar.shape),
                         ("B", b_t.shape), ("C", c.shape), ("D", d.shape)):
         assert f"{name} {shape}" in str(e.value)
     with pytest.raises(ContractError):  # a B_bar where B belongs
-        scan.selective_scan(x, a_bar, a_bar, c, d, delta=delta)
+        scan.selective_scan(x, a_bar, a_bar, c, d, delta=dc.Tensor(delta))
 
 
 # --- parallel scan ---------------------------------------------------------
