@@ -15,10 +15,10 @@ backward hands over its own.
 
 The last column is what the forward holds for the backward under a tape
 (its output and the arrays its backward closure keeps), traced with
-``tracemalloc`` in one extra, untimed call.  For the scan that is y, the
-states the cache-blocked kernel keeps (``scan.KEEP_BYTES`` at most) and the
-state entering each chunk whose states it drops (``scan.CHUNK_BYTES`` sets
-the chunk).
+``tracemalloc`` in one extra, untimed call.  For the scan that is y and
+either all T + 1 states, when they fit ``scan.KEEP_BYTES``, or else only
+the state entering each chunk (``scan.CHUNK_BYTES`` sets the chunk), from
+which the backward recomputes the chunk.
 
 The default shapes are the per-call scan shapes of perfbench's train_short
 (242, 96, 8) and train_long (756, 128, 16) workloads.

@@ -211,7 +211,7 @@ def _record_from_line(line: bytes, features: dict) -> UtteranceRecord:
     """One corpus line -> a validated record holding its feature matrix."""
     try:
         obj = json.loads(line.decode("utf-8"))
-    except ValueError as e:  # UnicodeDecodeError or JSONDecodeError
+    except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, or nested too deep
         raise DatasetError(f"not a UTF-8 JSON line: {e}") from e
     try:
         phones = [
@@ -456,50 +456,88 @@ def import_speechocean(scores_json_path, out_corpus_path) -> int:
 
     Acoustic feature matrices are not derivable from the annotations and
     must be supplied separately; only the jsonl file is written.  Returns
-    the number of converted records.
+    the number of converted records.  A malformed file raises
+    ``DatasetError`` naming the file, the utterance and the field, and
+    nothing is written.
     """
-    with open(scores_json_path) as f:
-        raw = json.load(f)
+    path = Path(scores_json_path)
+    try:
+        raw = json.loads(path.read_bytes().decode("utf-8"))
+    except OSError as e:
+        raise DatasetError(f"{path}: cannot read: {e}") from e
+    except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, or nested too deep
+        raise DatasetError(f"{path}: not a UTF-8 JSON file: {e}") from e
+    if not isinstance(raw, dict):
+        raise DatasetError(f"{path}: top level is a {type(raw).__name__}, not an object")
+
+    def fail(uid, field_name, msg):
+        raise DatasetError(f"{path}: utterance {uid!r}, field {field_name!r}: {msg}")
+
+    def entries(obj, key, kind, uid, field_name):
+        """obj[key], by default empty: a list of ``kind`` items."""
+        value = obj.get(key, [])
+        if not isinstance(value, list):
+            fail(uid, field_name, f"a {type(value).__name__}, not a list")
+        for i, v in enumerate(value):
+            if not isinstance(v, kind) or isinstance(v, bool):
+                fail(uid, f"{field_name}[{i}]", f"a {type(v).__name__}, not a {kind.__name__}")
+        return value
+
+    def score(value, hi, uid, field_name):
+        """A finite number, clipped to [0, hi]."""
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            try:
+                if np.isfinite(float(value)):
+                    return float(np.clip(value, 0.0, hi))
+            except OverflowError:
+                pass
+        fail(uid, field_name, f"{value!r} is not a finite number")
+
+    lines = []
+    for uid in sorted(raw):
+        u = raw[uid]
+        if not isinstance(u, dict):
+            raise DatasetError(f"{path}: utterance {uid!r} is a {type(u).__name__}, "
+                               "not an object")
+        phones = []
+        word_scores = []
+        skip = False
+        for wi, word in enumerate(entries(u, "words", dict, uid, "words")):
+            at = f"words[{wi}]"
+            canon = [_strip_phone(p) for p in entries(word, "phones", str, uid, f"{at}.phones")]
+            if any(c in (DEL, UNK) for c in canon):
+                skip = True  # canonical side must be a real phone
+                break
+            realized = list(canon)
+            mis_at = f"{at}.mispronunciations"
+            for mi, mis in enumerate(entries(word, "mispronunciations", dict, uid, mis_at)):
+                idx = mis.get("index")
+                if idx is not None and (not isinstance(idx, int) or isinstance(idx, bool)):
+                    fail(uid, f"{mis_at}[{mi}].index", f"{idx!r} is not an integer")
+                if idx is not None and 0 <= idx < len(realized):
+                    realized[idx] = _strip_phone(str(mis.get("pronounced-phone", UNK)))
+            accs = word.get("phones-accuracy", [2.0] * len(canon))
+            if not isinstance(accs, list) or len(accs) != len(canon):
+                fail(uid, f"{at}.phones-accuracy", f"{accs!r} is not {len(canon)} scores")
+            for c, r, s in zip(canon, realized, accs):
+                phones.append({"canonical": c, "realized": r, "word": wi,
+                               "score": score(s, 2.0, uid, f"{at}.phones-accuracy")})
+            word_scores.append([score(word.get(k, 0.0), 10.0, uid, f"{at}.{k}")
+                                for k in ("accuracy", "stress", "total")])
+        if skip or not phones:
+            continue
+        keys = {a: a for a in ASPECTS} | {"prosody": "prosodic" if "prosodic" in u else "prosody"}
+        lines.append(json.dumps({
+            "id": uid,
+            "phones": phones,
+            "word_scores": word_scores,
+            "utterance_scores": {a: score(u.get(k, 0.0), 10.0, uid, k) for a, k in keys.items()},
+            "features": uid,
+        }, sort_keys=True) + "\n")
     out_path = Path(out_corpus_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    count = 0
-    with open(out_path, "w") as out:
-        for uid in sorted(raw):
-            u = raw[uid]
-            phones = []
-            word_scores = []
-            skip = False
-            for wi, word in enumerate(u.get("words", [])):
-                canon = [_strip_phone(p) for p in word.get("phones", [])]
-                if any(c in (DEL, UNK) for c in canon):
-                    skip = True  # canonical side must be a real phone
-                    break
-                realized = list(canon)
-                for mis in word.get("mispronunciations", []):
-                    idx = mis.get("index")
-                    if idx is not None and 0 <= idx < len(realized):
-                        realized[idx] = _strip_phone(str(mis.get("pronounced-phone", UNK)))
-                accs = word.get("phones-accuracy", [2.0] * len(canon))
-                for c, r, s in zip(canon, realized, accs):
-                    phones.append({"canonical": c, "realized": r,
-                                   "score": float(np.clip(s, 0.0, 2.0)), "word": wi})
-                word_scores.append([float(np.clip(word.get(k, 0.0), 0.0, 10.0))
-                                    for k in ("accuracy", "stress", "total")])
-            if skip or not phones:
-                continue
-            rec = {
-                "id": uid,
-                "phones": phones,
-                "word_scores": word_scores,
-                "utterance_scores": {
-                    "accuracy": float(np.clip(u.get("accuracy", 0.0), 0, 10)),
-                    "completeness": float(np.clip(u.get("completeness", 0.0), 0, 10)),
-                    "fluency": float(np.clip(u.get("fluency", 0.0), 0, 10)),
-                    "prosody": float(np.clip(u.get("prosodic", u.get("prosody", 0.0)), 0, 10)),
-                    "total": float(np.clip(u.get("total", 0.0), 0, 10)),
-                },
-                "features": uid,
-            }
-            out.write(json.dumps(rec, sort_keys=True) + "\n")
-            count += 1
-    return count
+    try:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        out_path.write_text("".join(lines))
+    except OSError as e:
+        raise DatasetError(f"{out_path}: cannot write: {e}") from e
+    return len(lines)

@@ -24,6 +24,10 @@ class ConstantInputError(ContractError):
     """PCC undefined: an input sequence is constant."""
 
 
+class EmptyReferenceError(ContractError):
+    """PER undefined: every annotated phone is a deletion."""
+
+
 def pcc(x, y) -> float:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -104,7 +108,7 @@ def per(annotated, predicted) -> float:
         )
     ref_len = int((annotated != DEL_ID).sum())
     if ref_len == 0:
-        raise ContractError("per: empty reference (no spoken phones)")
+        raise EmptyReferenceError("per: empty reference (no spoken phones)")
     errors = int((annotated != predicted).sum())
     return errors / ref_len
 
@@ -189,10 +193,9 @@ def evaluate(model, records) -> EvalReport:
     report.mdd_recall, report.mdd_precision = re_, pr_
     report.mdd_f1, report.mdd_correct_diag = f1_, cd_
     report.flags.extend(f"mdd_zero_denominator:{f}" for f in flags)
-    per_num = int(np.count_nonzero(annotated != predicted))
-    per_den = int(np.count_nonzero(annotated != DEL_ID))
-    report.mdd_per = per_num / per_den if per_den else None
-    if per_den == 0:
+    try:
+        report.mdd_per = per(annotated, predicted)
+    except EmptyReferenceError:
         report.flags.append("per_empty_reference")
     report.mdd_confusion = asdict(conf)
     return report

@@ -8,15 +8,15 @@ vectorized numpy expression per chunk of time rows.
 
 The kernel is cache-blocked.  The forward runs the stream in chunks of
 CHUNK_BYTES of (C, S) state rows and reads each chunk's states out into y
-while they sit in L2.  It keeps the states of the trailing chunks that fit
-KEEP_BYTES (every state, for a short stream); each earlier chunk is written
-into one reused buffer, and only the state entering it is kept.  The
-backward walks the chunks in reverse, recomputes a chunk's states from its
-entry state unless they were kept, and carries A_bar_s * g_s into the
-previous chunk.  This is how Mamba's scan keeps its (B, L, D, N) states out
-of slow memory (Gu & Dao 2023, section 3.3.2), the checkpoint-and-recompute
-trade of Chen et al. 2016.  Every operation runs in the same order as over
-the whole stream, so y and the gradients do not depend on the chunk length.
+while they sit in L2.  A stream whose T + 1 states fit KEEP_BYTES keeps all
+of them for the backward.  A longer one writes every chunk into one reused
+buffer and keeps only the state entering each chunk; the backward walks the
+chunks in reverse, recomputes each from its entry state, and carries
+A_bar_s * g_s into the previous chunk.  This is how Mamba's scan keeps its
+(B, L, D, N) states out of slow memory (Gu & Dao 2023, section 3.3.2), the
+checkpoint-and-recompute trade of Chen et al. 2016.  Every operation runs in
+the same order as over the whole stream, so y and the gradients do not
+depend on the chunk length or on what is kept.
 
 The encoder calls the delta form, ``selective_scan(x, A_bar, B, C, D,
 delta=delta)`` with the (T, S) projection B, as Mamba's ``selective_scan_fn``
@@ -49,10 +49,10 @@ def backend() -> str:
 
 # The two budgets of the cache-blocked kernel, in bytes of float64 state.  A
 # chunk of CHUNK_BYTES worth of (C, S) state rows stays in a core's L2 while
-# the recurrence writes it and the readout reads it.  The states of the
-# trailing chunks that fit KEEP_BYTES (all of them, for a short stream) are
-# kept for the backward; the others are recomputed there from their entry
-# state.  Chosen with benchmarks/bench_scan.py and perfbench's train_long.
+# the recurrence writes it and the readout reads it.  A stream whose T + 1
+# states fit KEEP_BYTES keeps them all for the backward; a longer one keeps
+# the state entering each chunk and recomputes the chunk there.  Chosen with
+# benchmarks/bench_scan.py and perfbench's train_long.
 CHUNK_BYTES = 512 * 1024
 KEEP_BYTES = 2560 * 1024
 
@@ -77,15 +77,13 @@ def _states(pad, a_bar, b, xs, s, e, tmp):
 
 def _scan_fwd(x, a_bar, b, c, d, delta=None, chunk=None):
     """Returns y (T, C) and what ``_scan_bwd`` needs of the states:
-    ``(chunk, entries, kept)``.
+    ``(chunk, states)``.
 
     The stream runs in chunks of ``chunk`` rows (by default as many (C, S)
-    rows as fit CHUNK_BYTES), each read out into y while it is hot.  The
-    first n chunks are written into one reused buffer, and ``entries``
-    (n, C, S) holds the state entering each.  ``kept`` holds the states of
-    the other, trailing chunks, from row ``T + 1 - len(kept)`` on, after
-    the state entering them: the whole (T + 1, C, S) stream, starting from
-    the zero state, when it fits KEEP_BYTES.
+    rows as fit CHUNK_BYTES), each read out into y while it is hot.  When
+    the T + 1 states fit KEEP_BYTES, ``states`` is all of them, from the
+    zero state on.  Otherwise the chunks are written into one reused buffer
+    and ``states`` holds the state entering each chunk.
 
     Without ``delta``, b is B_bar (T, C, S) and the states start from
     B_bar * x; with it, b is the (T, S) projection B and they start from
@@ -95,33 +93,26 @@ def _scan_fwd(x, a_bar, b, c, d, delta=None, chunk=None):
     row = (n_ch, c.shape[1])
     row_bytes = 8 * n_ch * row[1]
     chunk = chunk or CHUNK_BYTES // row_bytes or 1
-    # keep every state if they fit KEEP_BYTES, else drop those of as few
-    # leading chunks as leave the rest, with the state entering them, within it
-    over = t_len + 1 - KEEP_BYTES // row_bytes
-    s_keep = 0 if over <= 0 else min(-(-over // chunk) * chunk, t_len)
-    entries = np.empty((-(-s_keep // chunk), *row))
-    kept = np.empty((t_len + 1 - s_keep, *row))
+    keep = (t_len + 1) * row_bytes <= KEEP_BYTES
+    states = np.empty((t_len + 1 if keep else -(-t_len // chunk), *row))
+    states[0] = 0.0  # the state entering the first chunk
+    work = None if keep else np.empty((min(chunk, t_len) + 1, *row))
     tmp = np.empty(row)
     xs = x if delta is None else delta * x
     y = np.empty(x.shape)
-    h_last = 0.0  # the state entering the first chunk
-    if s_keep:
-        work = np.empty((min(chunk, s_keep) + 1, *row))
-        for s in range(0, s_keep, chunk):
-            e = min(s + chunk, t_len)
-            pad = work[:e - s + 1]
-            pad[0] = entries[s // chunk] = h_last
-            _states(pad, a_bar, b, xs, s, e, tmp)
-            np.matmul(pad[1:], c[s:e, :, None], out=y[s:e, :, None])
-            h_last = pad[-1]
-    kept[0] = h_last
-    for s in range(s_keep, t_len, chunk):
+    for s in range(0, t_len, chunk):
         e = min(s + chunk, t_len)
-        pad = kept[s - s_keep:e - s_keep + 1]
+        if keep:
+            pad = states[s:e + 1]
+        else:
+            pad = work[:e - s + 1]
+            pad[0] = states[s // chunk]
         _states(pad, a_bar, b, xs, s, e, tmp)
         np.matmul(pad[1:], c[s:e, :, None], out=y[s:e, :, None])
+        if not keep and e < t_len:
+            states[e // chunk] = pad[-1]
     y += d * x
-    return y, (chunk, entries, kept)
+    return y, (chunk, states)
 
 
 def _chunk_states(a_bar, b, xs, saved):
@@ -129,18 +120,19 @@ def _chunk_states(a_bar, b, xs, saved):
     pad[0] is the state h_{s-1} entering rows s:e and pad[1:] their states,
     kept by the forward or recomputed from the chunk's entry state into one
     reused buffer (valid until the next chunk is yielded)."""
-    chunk, entries, kept = saved
+    chunk, states = saved
     t_len = len(a_bar)
-    s_keep = t_len + 1 - len(kept)
-    work = np.empty((min(chunk, s_keep) + 1, *kept.shape[1:])) if s_keep else None
-    tmp = np.empty(kept.shape[1:])
+    keep = len(states) == t_len + 1
+    if not keep:
+        work = np.empty((min(chunk, t_len) + 1, *states.shape[1:]))
+        tmp = np.empty(states.shape[1:])
     for s in reversed(range(0, t_len, chunk)):
         e = min(s + chunk, t_len)
-        if s >= s_keep:
-            yield s, e, kept[s - s_keep:e - s_keep + 1]
+        if keep:
+            yield s, e, states[s:e + 1]
             continue
         pad = work[:e - s + 1]
-        pad[0] = entries[s // chunk]
+        pad[0] = states[s // chunk]
         _states(pad, a_bar, b, xs, s, e, tmp)
         yield s, e, pad
 
@@ -157,13 +149,15 @@ def _scan_bwd(x, a_bar, b, c, d, saved, dy, delta=None):
     """
     t_len, n_ch = x.shape
     row = (n_ch, c.shape[1])
-    chunk, _, kept = saved
-    s_keep = t_len + 1 - len(kept)
+    chunk, states = saved
+    keep = len(states) == t_len + 1
     xs = x if delta is None else delta * x
     dc_ = np.empty(c.shape)
-    # dC of the kept rows first: in place, dA_bar overwrites their states
-    np.matmul(dy[s_keep:, None, :], kept[1:], out=dc_[s_keep:, None, :])
-    da = kept[:-1] if s_keep == 0 else np.empty(a_bar.shape)
+    if keep:  # dC first: dA_bar overwrites the states in place
+        np.matmul(dy[:, None, :], states[1:], out=dc_[:, None, :])
+        da = states[:-1]
+    else:
+        da = np.empty(a_bar.shape)
     db = np.empty(b.shape)
     g_b = np.empty(x.shape)  # sum_s g * B_bar, or sum_s g * B with delta
     g_buf = np.empty((min(chunk, t_len), *row))
@@ -179,7 +173,7 @@ def _scan_bwd(x, a_bar, b, c, d, saved, dy, delta=None):
             g_t += tmp
         if s:
             np.multiply(a_bar[s], g[0], out=carry)
-        if s < s_keep:
+        if not keep:
             np.matmul(dy[s:e, None, :], pad[1:], out=dc_[s:e, None, :])
         np.multiply(g, pad[:-1], out=da[s:e])  # pad row t - s holds h_{t-1}
         if delta is None:
@@ -255,8 +249,8 @@ def selective_scan(x, a_bar, b, c, d, delta=None):
     B_bar = delta (x) B, the form training runs: B_bar is never built, and
     the backward hands gradients to x, delta and B directly.
 
-    Between forward and backward the op holds y, the states entering the
-    chunks it recomputes and at most KEEP_BYTES of kept states.  The
+    Between forward and backward the op holds y and either all T + 1
+    states, when they fit KEEP_BYTES, or the state entering each chunk.  The
     backward closure hands the kept state buffer (as dA_bar, when it holds
     every state) to ``_acc`` as a gradient; this is safe because a tape runs
     each closure once and then drops it.

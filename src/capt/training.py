@@ -147,10 +147,10 @@ class Sgd:
 class Adam:
     """Adam with every moment in two flat buffers.
 
-    ``m`` and ``v`` map each parameter name to its view into the buffers, and
-    a step gathers the gradients into a third one, so each update term is one
-    ufunc over all parameters.  A parameter with no gradient keeps its value
-    and its moments.
+    ``m`` and ``v`` map each parameter name to its view into the buffers.  A
+    step gathers the gradients into one flat array, so each update term is
+    one ufunc over all parameters.  A parameter with no gradient keeps its
+    value and its moments.
     """
 
     def __init__(self, params: ParamStore, lr: float,
@@ -158,40 +158,39 @@ class Adam:
         self.params = params
         self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        sizes = [t.data.size for t in params.tensors()]
-        self._m, self._v, self._g, self._upd = (np.zeros(sum(sizes)) for _ in range(4))
-        ends = np.cumsum(sizes)
+        self._m, self._v = (np.zeros(sum(t.data.size for t in params.tensors())) for _ in range(2))
+        self.m, self.v = self._views(self._m), self._views(self._v)
 
-        def views(buf):
-            return {n: buf[e - k : e].reshape(t.data.shape)
-                    for (n, t), k, e in zip(params.items(), sizes, ends)}
-
-        self.m, self.v, self._upd_of = views(self._m), views(self._v), views(self._upd)
+    def _views(self, buf):
+        """Each parameter's view into the flat buffer ``buf``, by name."""
+        ends = np.cumsum([t.data.size for t in self.params.tensors()])
+        return {n: buf[e - t.data.size:e].reshape(t.data.shape)
+                for (n, t), e in zip(self.params.items(), ends)}
 
     def step(self):
         self.t += 1
         items = list(self.params.items())
-        np.concatenate([np.zeros(t.data.size) if t.grad is None else t.grad.ravel()
-                        for _, t in items], out=self._g)
+        g = np.concatenate([np.zeros(t.data.size) if t.grad is None else t.grad.ravel()
+                            for _, t in items])
         frozen = [(n, self.m[n].copy(), self.v[n].copy()) for n, t in items if t.grad is None]
-        g, m, v, upd = self._g, self._m, self._v, self._upd
+        m, v = self._m, self._v
         m *= self.b1
-        np.multiply(g, 1 - self.b1, out=upd)
+        upd = np.multiply(g, 1 - self.b1)
         m += upd
         v *= self.b2
         np.multiply(g, 1 - self.b2, out=upd)
         upd *= g
         v += upd
-        # upd = lr * m_hat / (sqrt(v_hat) + eps), with v_hat in the gradient buffer
+        # upd = lr * m_hat / (sqrt(v_hat) + eps), with v_hat in the gradient array
         np.divide(v, 1 - self.b2**self.t, out=g)
         np.sqrt(g, out=g)
         g += self.eps
         np.divide(m, 1 - self.b1**self.t, out=upd)
         upd *= self.lr
         upd /= g
-        for name, t in items:
+        for (name, t), u in zip(items, self._views(upd).values()):
             if t.grad is not None:
-                t.data -= self._upd_of[name]
+                t.data -= u
         for name, m_old, v_old in frozen:
             self.m[name][...] = m_old
             self.v[name][...] = v_old

@@ -170,6 +170,18 @@ def test_load_dataset_rejects_malformed_line(tmp_path, field, value):
     assert str(corpus) in str(e.value) and "line 2" in str(e.value)
 
 
+def test_load_dataset_rejects_deeply_nested_line(tmp_path):
+    # json's decoder recurses once per level and raises RecursionError
+    records, _ = dm.synth_records(2, seed=2, ssl_dim=8)
+    dm.save_dataset(records, tmp_path)
+    corpus = tmp_path / dm.CORPUS_FILE
+    first = corpus.read_bytes().splitlines(keepends=True)[0]
+    corpus.write_bytes(first + b"[" * 100_000 + b"\n")
+    with pytest.raises(DatasetError) as e:
+        dm.load_dataset(tmp_path)
+    assert str(corpus) in str(e.value) and "line 2" in str(e.value)
+
+
 # --- synthetic generator ----------------------------------------------------
 
 def test_synth_records_planted_rule_consistency():
@@ -302,28 +314,30 @@ def test_load_run_config_rejects_bad_model_size(tmp_path, line, named):
 
 # --- speechocean importer ---------------------------------------------------
 
+SPEECHOCEAN = {
+    "000010011": {
+        "accuracy": 8, "completeness": 10.0, "fluency": 9,
+        "prosodic": 9, "total": 8,
+        "words": [
+            {"phones": ["W", "IY0"], "phones-accuracy": [2.0, 1.8],
+             "accuracy": 10, "stress": 10, "total": 10,
+             "mispronunciations": []},
+            {"phones": ["K", "AO1", "L"], "phones-accuracy": [2.0, 0.4, 2.0],
+             "accuracy": 6, "stress": 10, "total": 6,
+             "mispronunciations": [{"index": 1, "pronounced-phone": "AA"}]},
+        ],
+    },
+    "000010012": {
+        "accuracy": 5, "completeness": 10, "fluency": 5, "prosodic": 5,
+        "total": 5,
+        "words": [{"phones": ["<unk>"], "phones-accuracy": [0.0]}],
+    },
+}
+
+
 def test_import_speechocean(tmp_path):
-    raw = {
-        "000010011": {
-            "accuracy": 8, "completeness": 10.0, "fluency": 9,
-            "prosodic": 9, "total": 8,
-            "words": [
-                {"phones": ["W", "IY0"], "phones-accuracy": [2.0, 1.8],
-                 "accuracy": 10, "stress": 10, "total": 10,
-                 "mispronunciations": []},
-                {"phones": ["K", "AO1", "L"], "phones-accuracy": [2.0, 0.4, 2.0],
-                 "accuracy": 6, "stress": 10, "total": 6,
-                 "mispronunciations": [{"index": 1, "pronounced-phone": "AA"}]},
-            ],
-        },
-        "000010012": {
-            "accuracy": 5, "completeness": 10, "fluency": 5, "prosodic": 5,
-            "total": 5,
-            "words": [{"phones": ["<unk>"], "phones-accuracy": [0.0]}],
-        },
-    }
     src = tmp_path / "scores.json"
-    src.write_text(json.dumps(raw))
+    src.write_text(json.dumps(SPEECHOCEAN))
     out = tmp_path / "corpus.jsonl"
     n = dm.import_speechocean(src, out)
     assert n == 1  # the <unk>-canonical utterance is skipped
@@ -332,6 +346,80 @@ def test_import_speechocean(tmp_path):
     assert [p["canonical"] for p in rec["phones"]] == ["W", "IY", "K", "AO", "L"]
     assert rec["phones"][3]["realized"] == "AA"
     assert rec["utterance_scores"]["prosody"] == 9.0
+
+
+def import_error(tmp_path, content: bytes) -> str:
+    """The DatasetError message of importing ``content``; nothing is written."""
+    src = tmp_path / "scores.json"
+    src.write_bytes(content)
+    out = tmp_path / "corpus.jsonl"
+    with pytest.raises(DatasetError) as e:
+        dm.import_speechocean(src, out)
+    assert not out.exists()
+    msg = str(e.value)
+    assert str(src) in msg
+    return msg
+
+
+def mutated_speechocean(path, value):
+    """SPEECHOCEAN with the value at ``path`` (keys from the top) replaced."""
+    raw = json.loads(json.dumps(SPEECHOCEAN))
+    node = raw["000010011"]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(raw).encode()
+
+
+def test_import_speechocean_unreadable_or_malformed_file(tmp_path):
+    with pytest.raises(DatasetError) as e:
+        dm.import_speechocean(tmp_path / "missing.json", tmp_path / "corpus.jsonl")
+    assert "missing.json" in str(e.value)
+    assert "cannot read" in str(e.value)
+    assert "not a UTF-8 JSON" in import_error(tmp_path, b'{"000010011": {"words": [}')
+    assert "not a UTF-8 JSON" in import_error(tmp_path, b'{"\xff": {}}')
+    assert "not a UTF-8 JSON" in import_error(tmp_path, b'{"u": ' + b"[" * 100_000)
+
+
+def test_import_speechocean_top_level_not_an_object(tmp_path):
+    assert "top level is a list" in import_error(tmp_path, b"[1, 2]")
+    msg = import_error(tmp_path, b'{"000010011": [1]}')
+    assert "'000010011'" in msg and "not an object" in msg
+
+
+@pytest.mark.parametrize("path,field_name", [
+    (("words",), "words"),
+    (("words", 0, "phones"), "words[0].phones"),
+    (("words", 1, "mispronunciations"), "words[1].mispronunciations"),
+])
+def test_import_speechocean_field_not_a_list(tmp_path, path, field_name):
+    # a string is not iterated character by character
+    msg = import_error(tmp_path, mutated_speechocean(path, "AH"))
+    assert "'000010011'" in msg and f"'{field_name}'" in msg and "not a list" in msg
+
+
+SCORE_FIELDS = [
+    (("words", 1, "phones-accuracy", 1), "words[1].phones-accuracy"),
+    (("words", 0, "stress"), "words[0].stress"),
+    (("accuracy",), "accuracy"),
+    (("prosodic",), "prosodic"),
+]
+INDEX_FIELD = (("words", 1, "mispronunciations", 0, "index"),
+               "words[1].mispronunciations[0].index")
+
+
+@pytest.mark.parametrize("path,field_name,value", [
+    *((p, f, v) for p, f in SCORE_FIELDS for v in ("0.4", None, True, float("nan"))),
+    *((*INDEX_FIELD, v) for v in ("1", True, 1.0)),
+])
+def test_import_speechocean_non_numeric_score(tmp_path, path, field_name, value):
+    msg = import_error(tmp_path, mutated_speechocean(path, value))
+    assert "'000010011'" in msg and f"'{field_name}'" in msg
+
+
+def test_import_speechocean_score_count_mismatch(tmp_path):
+    msg = import_error(tmp_path, mutated_speechocean(("words", 1, "phones-accuracy"), [2.0]))
+    assert "'words[1].phones-accuracy'" in msg and "3 scores" in msg
 
 
 # --- CLI --------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Byte-level fuzzing of the file loaders.
 
 Any mutation or truncation of a run config, a corpus line, a feature
-container or a model file either loads or raises a ``CaptError``; no other
-exception may escape.  The examples are derandomized, so every run tests
+container, a model file or a speechocean762 scores.json either loads or
+raises a ``CaptError``; no other exception may escape.  The examples are derandomized, so every run tests
 the same inputs.
 """
 
@@ -50,6 +50,10 @@ def _corpus_and_model_files() -> dict[str, bytes]:
 
 FILES = _corpus_and_model_files()
 FIRST_LINE = FILES[dm.CORPUS_FILE].splitlines(keepends=True)[0]
+SCORES_JSON = (b'{"0001": {"accuracy": 8, "completeness": 10.0, "fluency": 9, '
+               b'"prosodic": 9, "total": 8, "words": [{"phones": ["K", "AO1"], '
+               b'"phones-accuracy": [2.0, 0.4], "accuracy": 6, "stress": 10, '
+               b'"total": 6, "mispronunciations": [{"index": 1, "pronounced-phone": "AA"}]}]}}')
 
 
 def mutated(blob: bytes):
@@ -104,10 +108,20 @@ def test_fuzz_model_file(tmp_path, blob):
     loads_or_capt_error(load_model, tmp_path / "m.capt")
 
 
+@FUZZ
+@given(blob=mutated(SCORES_JSON))
+def test_fuzz_speechocean_scores(tmp_path, blob):
+    (tmp_path / "scores.json").write_bytes(blob)
+    loads_or_capt_error(dm.import_speechocean, tmp_path / "scores.json",
+                        tmp_path / dm.CORPUS_FILE)
+
+
 def test_unmutated_files_load(tmp_path):
     (tmp_path / "run.ini").write_bytes(INI)
     assert dm.load_run_config(tmp_path / "run.ini").encoder.d_model == 8
     for name, blob in FILES.items():
         (tmp_path / name).write_bytes(blob)
     assert len(dm.load_dataset(tmp_path)) == 2
+    (tmp_path / "scores.json").write_bytes(SCORES_JSON)
+    assert dm.import_speechocean(tmp_path / "scores.json", tmp_path / "so.jsonl") == 1
     assert np.isfinite(load_model(tmp_path / "m.capt").params["enc.l0.fwd.a_raw"].data).all()

@@ -6,7 +6,7 @@ from capt.data import synth_records
 from capt.encoder import EncoderConfig
 from capt.errors import AlignmentError, CaptError, ContractError, InventoryError, NumericError
 from capt.model import init_model
-from capt.phonology import DEL_ID
+from capt.phonology import DEL, DEL_ID
 
 
 # --- PCC --------------------------------------------------------------------
@@ -182,6 +182,30 @@ def test_evaluate_untrained_model_runs_and_reports():
     import json
     parsed = json.loads(text)
     assert parsed["n_utterances"] == 4
+
+
+@pytest.mark.parametrize("all_deleted", [False, True])
+def test_evaluate_takes_per_from_per(all_deleted):
+    records, _ = synth_records(4, seed=4, ssl_dim=8)
+    if all_deleted:  # every annotated phone is <del>: PER has no reference
+        for rec in records:
+            for p in rec.phones:
+                p.realized = DEL
+    model = init_model(EncoderConfig(d_model=8, d_state=4, n_layers=1,
+                                     conv_width=3, n_think=2),
+                       feat_dim=9, seed=0)
+    report = mx.evaluate(model, records)
+    annotated = np.concatenate([rec.realized_ids() for rec in records])
+    predicted = np.concatenate([
+        model.predict(rec.features, rec.canonical_ids(), rec.word_spans())
+        .mdd_logits.argmax(axis=1) for rec in records])
+    if all_deleted:
+        with pytest.raises(mx.EmptyReferenceError):
+            mx.per(annotated, predicted)
+        assert report.mdd_per is None and "per_empty_reference" in report.flags
+    else:
+        assert report.mdd_per == mx.per(annotated, predicted)
+        assert "per_empty_reference" not in report.flags
 
 
 def test_evaluate_rejects_wrong_feature_width():

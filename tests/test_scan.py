@@ -309,7 +309,7 @@ def test_chunked_kernel_is_bit_identical(form, length):
     rng = np.random.default_rng(chunk)
     streams = scan_streams(rng, 40, 6, 4, form, starts=[0, 1, 7, 8, 23, 39])
     saved = assert_bit_identical(streams, rng.normal(size=(40, 6)), chunk)
-    assert saved[0] == chunk and len(saved[2]) == 41  # all kept at this size
+    assert saved[0] == chunk and len(saved[1]) == 41  # all kept at this size
 
 
 @pytest.mark.parametrize("form", ["delta", "B_bar"])
@@ -323,34 +323,49 @@ def test_segment_starts_on_chunk_edges(form):
 
 @pytest.mark.parametrize("form", ["delta", "B_bar"])
 def test_partially_kept_stream_is_bit_identical(form, monkeypatch):
-    # room for 12 state rows: the last two chunks of 5 are kept, after the
-    # state entering them, and the first six are recomputed in the backward
+    # room for 12 of the 41 state rows: only the state entering each of the
+    # eight chunks of 5 is kept, and every chunk is recomputed in the backward
     monkeypatch.setattr(scan, "KEEP_BYTES", 12 * 8 * 6 * 4)
     rng = np.random.default_rng(10)
     streams = scan_streams(rng, 40, 6, 4, form, starts=[0, 5, 14, 29, 30])
     dy = rng.normal(size=(40, 6))
-    _, entries, kept = assert_bit_identical(streams, dy, chunk=5)
-    assert entries.shape == (6, 6, 4) and kept.shape == (11, 6, 4)
-    # and with no chunk kept at all
+    _, states = assert_bit_identical(streams, dy, chunk=5)
+    assert states.shape == (8, 6, 4)
+    # and with no room for a single state row
     monkeypatch.setattr(scan, "KEEP_BYTES", 0)
-    _, entries, kept = assert_bit_identical(streams, dy, chunk=5)
-    assert len(entries) == 8 and len(kept) == 1
+    _, states = assert_bit_identical(streams, dy, chunk=5)
+    assert states.shape == (8, 6, 4)
 
 
 @pytest.mark.parametrize("form", ["delta", "B_bar"])
 def test_default_budgets_at_train_long_shape_are_bit_identical(form):
-    # the default budgets keep the trailing chunks of a train_long stream
-    # and recompute the others
+    # the default budgets keep only the state entering each chunk of a
+    # train_long stream and recompute every chunk
     rng = np.random.default_rng(11)
     streams = scan_streams(rng, 756, 128, 16, form)
-    saved = assert_bit_identical(streams, rng.normal(size=(756, 128)))
-    assert len(saved[1]) > 0 and len(saved[2]) > 1
+    chunk, states = assert_bit_identical(streams, rng.normal(size=(756, 128)))
+    assert len(states) == -(-756 // chunk) and len(states) > 1
+
+
+@pytest.mark.parametrize("form", ["delta", "B_bar"])
+@pytest.mark.parametrize("rows_over", [0, 1])
+def test_keep_budget_boundary(form, rows_over):
+    # at C = 128, S = 16 a state row is 16 KiB and KEEP_BYTES holds 160 rows:
+    # T = 159 keeps all T + 1 states, and T = 160, one row over, keeps only
+    # the state entering each chunk
+    row_bytes = 8 * 128 * 16
+    t_len = scan.KEEP_BYTES // row_bytes - 1 + rows_over
+    rng = np.random.default_rng(t_len)
+    streams = scan_streams(rng, t_len, 128, 16, form, starts=[0, 40, 41])
+    chunk, states = assert_bit_identical(streams, rng.normal(size=(t_len, 128)))
+    assert len(states) == (-(-t_len // chunk) if rows_over else t_len + 1)
+    assert (t_len + 1) * row_bytes - scan.KEEP_BYTES == rows_over * row_bytes
 
 
 def test_scan_holds_at_most_the_kept_and_entry_states():
-    """Between forward and backward a delta-form scan under a tape holds y,
-    the states entering its chunks and at most KEEP_BYTES of states, not
-    the T * C * S states of the stream."""
+    """Between forward and backward a delta-form scan under a tape whose
+    states overflow KEEP_BYTES holds y and the states entering its chunks,
+    not the T * C * S states of the stream."""
     t_len, n_ch, n_st = 756, 128, 16
     rng = np.random.default_rng(12)
     *arrays, delta = (dc.Tensor(v) for v in scan_streams(rng, t_len, n_ch, n_st, "delta"))
@@ -366,7 +381,7 @@ def test_scan_holds_at_most_the_kept_and_entry_states():
             tape.backward(dc.total_sum(y))
     finally:
         tracemalloc.stop()
-    assert held <= scan.KEEP_BYTES + y.data.nbytes + entries_bytes
+    assert held <= y.data.nbytes + entries_bytes + row_bytes
     assert held < t_len * row_bytes / 2
     assert arrays[1].grad.shape == (t_len, n_ch, n_st)
 

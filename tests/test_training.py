@@ -1,5 +1,6 @@
 import platform
 import resource
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -307,6 +308,96 @@ def test_adam_keeps_parameter_without_gradient():
     np.testing.assert_array_equal(opt.v["b"], v)
     for n in ("a", "c"):
         assert not np.array_equal(store[n].data, before[n][0])
+
+
+class BufferedAdam:
+    """A copy of Adam as it was when it also kept the gathered gradient and
+    the update in two persistent flat buffers; the oracle for Adam.step."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = params
+        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        sizes = [t.data.size for t in params.tensors()]
+        self._m, self._v, self._g, self._upd = (np.zeros(sum(sizes)) for _ in range(4))
+        ends = np.cumsum(sizes)
+
+        def views(buf):
+            return {n: buf[e - k : e].reshape(t.data.shape)
+                    for (n, t), k, e in zip(params.items(), sizes, ends)}
+
+        self.m, self.v, self._upd_of = views(self._m), views(self._v), views(self._upd)
+
+    def step(self):
+        self.t += 1
+        items = list(self.params.items())
+        np.concatenate([np.zeros(t.data.size) if t.grad is None else t.grad.ravel()
+                        for _, t in items], out=self._g)
+        frozen = [(n, self.m[n].copy(), self.v[n].copy()) for n, t in items if t.grad is None]
+        g, m, v, upd = self._g, self._m, self._v, self._upd
+        m *= self.b1
+        np.multiply(g, 1 - self.b1, out=upd)
+        m += upd
+        v *= self.b2
+        np.multiply(g, 1 - self.b2, out=upd)
+        upd *= g
+        v += upd
+        np.divide(v, 1 - self.b2**self.t, out=g)
+        np.sqrt(g, out=g)
+        g += self.eps
+        np.divide(m, 1 - self.b1**self.t, out=upd)
+        upd *= self.lr
+        upd /= g
+        for name, t in items:
+            if t.grad is not None:
+                t.data -= self._upd_of[name]
+        for name, m_old, v_old in frozen:
+            self.m[name][...] = m_old
+            self.v[name][...] = v_old
+
+
+def test_adam_matches_buffered_adam_bit_identically():
+    # five steps; "b" has no gradient on steps 2 and 4, "c" on none
+    stores, opts = [], []
+    for cls in (tr.Adam, BufferedAdam):
+        rng = np.random.default_rng(8)
+        store = ParamStore()
+        for name, shape in (("a", (3, 4)), ("b", (5,)), ("c", (2, 1, 3))):
+            store.add(name, rng.normal(size=shape))
+        stores.append(store)
+        opts.append(cls(store, lr=0.01))
+    rng = np.random.default_rng(9)
+    for step in range(1, 6):
+        grads = {n: rng.normal(size=t.data.shape) for n, t in stores[0].items()}
+        for store, opt in zip(stores, opts):
+            for n, t in store.items():
+                t.grad = None if n == "c" or (n == "b" and step % 2 == 0) else grads[n].copy()
+            opt.step()
+        for n in stores[0].names():
+            np.testing.assert_array_equal(stores[0][n].data, stores[1][n].data)
+            np.testing.assert_array_equal(opts[0].m[n], opts[1].m[n])
+            np.testing.assert_array_equal(opts[0].v[n], opts[1].v[n])
+    assert not opts[0].m["c"].any() and opts[0].m["b"].any()
+
+
+def test_adam_holds_no_gradient_sized_buffer_between_steps():
+    store = ParamStore()
+    store.add("w", np.ones((200, 100)))
+    store.add("b", np.ones(100))
+    opt = tr.Adam(store, lr=0.01)
+    for t in store.tensors():
+        t.grad = np.full(t.data.shape, 0.5)
+    grad_bytes = 8 * (200 * 100 + 100)
+    tracemalloc.start()
+    try:
+        opt.step()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak >= 2 * grad_bytes  # the step's gradient and update arrays
+    assert held < grad_bytes / 10
+    buffers = [k for k, v in vars(opt).items() if isinstance(v, np.ndarray)]
+    assert sorted(buffers) == ["_m", "_v"]
 
 
 def test_train_non_finite_gradient_names_parameter(monkeypatch):
