@@ -16,6 +16,8 @@ from . import metrics as metrics_mod
 from . import model as model_mod
 from .errors import CaptError
 from .gradsuite import run_suite
+from .phonology import PHONES
+from .scoring import ASPECTS
 from .training import overfit_sanity, train
 
 
@@ -27,7 +29,7 @@ def _setup_logging():
 
 def _load_cfg(args) -> data_mod.RunConfig:
     cfg = data_mod.load_run_config(args.config) if args.config else data_mod.RunConfig()
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.training.seed = args.seed
         cfg.training.validate()
     return cfg
@@ -57,13 +59,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", help="loss log CSV path (default: <out>.loss.csv)")
 
     p = sub.add_parser("eval", help="evaluate a saved model on a corpus")
-    common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", help="write the report here as well as stdout")
 
     p = sub.add_parser("score", help="print predictions for one utterance")
-    common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--id", required=True, help="utterance id")
@@ -124,8 +124,6 @@ def _cmd_score(args) -> int:
         raise CaptError(f"utterance id {args.id!r} not in corpus")
     rec = by_id[args.id]
     pred = model.predict(rec.features, rec.canonical_ids(), rec.word_spans())
-    from .phonology import PHONES
-    from .scoring import ASPECTS
     out = {
         "id": rec.id,
         "phone_scores": [round(float(s) * data_mod.PHONE_SCORE_MAX, 4)

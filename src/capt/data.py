@@ -405,8 +405,7 @@ _INI_KEYS = {
     "model": ("encoder", {"d_model": "d_model", "d_state": "d_state", "expand": "expand",
                           "n_layers": "n_layers", "conv_width": "conv_width",
                           "think_tokens": "n_think", "d_attn": "d_attn"}),
-    "training": ("training", {k: k for k in ("alpha", "lr", "epochs", "batch_size",
-                                             "seed", "optimizer")}),
+    "training": ("training", {k: k for k in ("alpha", "lr", "epochs", "batch_size", "seed")}),
 }
 
 
@@ -512,10 +511,14 @@ def import_speechocean(scores_json_path, out_corpus_path) -> int:
             mis_at = f"{at}.mispronunciations"
             for mi, mis in enumerate(entries(word, "mispronunciations", dict, uid, mis_at)):
                 idx = mis.get("index")
-                if idx is not None and (not isinstance(idx, int) or isinstance(idx, bool)):
+                if idx is None:
+                    continue
+                if not isinstance(idx, int) or isinstance(idx, bool):
                     fail(uid, f"{mis_at}[{mi}].index", f"{idx!r} is not an integer")
-                if idx is not None and 0 <= idx < len(realized):
-                    realized[idx] = _strip_phone(str(mis.get("pronounced-phone", UNK)))
+                if not 0 <= idx < len(realized):
+                    fail(uid, f"{mis_at}[{mi}].index",
+                         f"{idx} is outside the word's {len(realized)} phones")
+                realized[idx] = _strip_phone(str(mis.get("pronounced-phone", UNK)))
             accs = word.get("phones-accuracy", [2.0] * len(canon))
             if not isinstance(accs, list) or len(accs) != len(canon):
                 fail(uid, f"{at}.phones-accuracy", f"{accs!r} is not {len(canon)} scores")

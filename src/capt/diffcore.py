@@ -234,15 +234,15 @@ def softplus(a: Tensor) -> Tensor:
     return out
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Stable softmax along one axis (max subtraction)."""
-    z = a.data - a.data.max(axis=axis, keepdims=True)
+def softmax(a: Tensor) -> Tensor:
+    """Stable softmax along the last axis (max subtraction)."""
+    z = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(s)
 
     def bwd(g):
-        _acc(a, s * (g - (g * s).sum(axis=axis, keepdims=True)))
+        _acc(a, s * (g - (g * s).sum(axis=-1, keepdims=True)))
 
     _record(bwd, out)
     return out

@@ -117,15 +117,14 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -
     return rng.uniform(-bound, bound, size=shape)
 
 
-def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator, store: ParamStore,
-                        prefix: str = "enc") -> None:
+def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator, store: ParamStore) -> None:
     cfg.validate()
     dm, di, ds, w = cfg.d_model, cfg.d_inner, cfg.d_state, cfg.conv_width
     if cfg.n_think > 0:
-        store.add(f"{prefix}.think", rng.normal(0.0, 0.02, size=(cfg.n_think, dm)))
+        store.add("enc.think", rng.normal(0.0, 0.02, size=(cfg.n_think, dm)))
     for layer in range(cfg.n_layers):
         for direction in ("fwd", "bwd"):
-            p = f"{prefix}.l{layer}.{direction}"
+            p = f"enc.l{layer}.{direction}"
             store.add(f"{p}.in_proj.w", xavier_uniform(rng, dm, 2 * di, (dm, 2 * di)))
             store.add(f"{p}.in_proj.b", np.zeros(2 * di))
             store.add(f"{p}.conv.k", he_uniform(rng, w, (w, di)))
@@ -141,9 +140,8 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator, store: Par
             # small output projection: blocks start near the identity map
             store.add(f"{p}.out_proj.w", 0.1 * xavier_uniform(rng, di, dm, (di, dm)))
             store.add(f"{p}.out_proj.b", np.zeros(dm))
-        store.add(f"{prefix}.l{layer}.comb.w",
-                  xavier_uniform(rng, 2 * dm, dm, (2 * dm, dm)))
-        store.add(f"{prefix}.l{layer}.comb.b", np.zeros(dm))
+        store.add(f"enc.l{layer}.comb.w", xavier_uniform(rng, 2 * dm, dm, (2 * dm, dm)))
+        store.add(f"enc.l{layer}.comb.b", np.zeros(dm))
 
 
 def discretize(delta: dc.Tensor, a: dc.Tensor, starts=None) -> dc.Tensor:
@@ -273,7 +271,7 @@ def append_think_tokens(x_hat: dc.Tensor, think: dc.Tensor | None) -> dc.Tensor:
 
 
 def bimamba_encode(x_ext: dc.Tensor, packing: Packing, params: ParamStore,
-                   cfg: EncoderConfig, prefix: str = "enc") -> dc.Tensor:
+                   cfg: EncoderConfig) -> dc.Tensor:
     """Run the bidirectional stack over the packed rows; return the phone rows."""
     if x_ext.data.shape[0] != packing.n_rows:
         raise ContractError(
@@ -281,7 +279,7 @@ def bimamba_encode(x_ext: dc.Tensor, packing: Packing, params: ParamStore,
         )
     h = x_ext
     for layer in range(cfg.n_layers):
-        p = f"{prefix}.l{layer}"
+        p = f"enc.l{layer}"
         f = mamba_block(h, params, f"{p}.fwd", cfg, packing)
         b = packing.reverse(mamba_block(packing.reverse(h), params, f"{p}.bwd", cfg, packing))
         h = dc.linear(dc.concat_cols(f, b), params[f"{p}.comb.w"], params[f"{p}.comb.b"])

@@ -13,6 +13,7 @@ import numpy as np
 from . import diffcore as dc
 from . import model as model_mod
 from . import scoring
+from .data import synth_records
 from .encoder import EncoderConfig, ParamStore, discretize, init_encoder_params, mamba_block
 from .scan import selective_scan
 from .training import TrainConfig, batch_loss
@@ -128,8 +129,6 @@ def _layer_checks(rng):
 
 
 def _full_model_check(seed: int):
-    from .data import synth_records
-
     records, _ = synth_records(8, seed=seed, rule_seed=0, ssl_dim=6)
     # pin the tiny geometry: 5 phones, d_model 8, K = 2
     rec = next(r for r in records if r.n_phones >= 5)

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .data import PHONE_SCORE_MAX, UTT_SCORE_MAX, WORD_SCORE_MAX
 from .errors import AlignmentError, ContractError
 from .phonology import DEL_ID
 from .scoring import ASPECTS, WORD_SCORE_NAMES
@@ -143,8 +144,6 @@ def _pcc_or_flag(x, y, name: str, flags: list[str]):
 
 def evaluate(model, records) -> EvalReport:
     """Aggregate all metrics over a dataset; PCCs pool items across the set."""
-    from .data import PHONE_SCORE_MAX, UTT_SCORE_MAX, WORD_SCORE_MAX
-
     if not records:
         raise ContractError("evaluate: empty dataset")
     phone_pred, phone_tgt = [], []

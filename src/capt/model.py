@@ -167,7 +167,7 @@ def load_model(path) -> Model:
     for field, kind in _META_FIELDS.items():
         if field not in meta:
             raise PersistenceError(f"{path}: model metadata lacks field {field!r}")
-        if not isinstance(meta[field], kind):
+        if type(meta[field]) is not kind:  # JSON true is an int to isinstance
             raise PersistenceError(
                 f"{path}: model metadata field {field!r} is not a {kind.__name__}"
             )

@@ -75,7 +75,7 @@ def attention_weights(h: dc.Tensor, params: ParamStore, aspect: str) -> dc.Tenso
         raise ContractError("attention_weights: empty sequence")
     scores = dc.matmul(dc.tanh(dc.matmul(h, params[f"pool.{aspect}.w_proj"])),
                        params[f"pool.{aspect}.w_score"])
-    return dc.softmax(scores, axis=-1)
+    return dc.softmax(scores)
 
 
 def pool(h: dc.Tensor, alpha: dc.Tensor) -> dc.Tensor:

@@ -27,7 +27,6 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 16
     seed: int = 0
-    optimizer: str = "adam"
 
     def validate(self):
         if not (0.0 <= self.alpha <= 1.0):
@@ -36,8 +35,6 @@ class TrainConfig:
             raise ConfigError("lr must be finite, lr/epochs >= 0, batch_size >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed {self.seed} must be >= 0")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
 
 
 @dataclass
@@ -130,18 +127,7 @@ def batch_loss(model, batch, alpha: float):
 
 
 # ---------------------------------------------------------------------------
-# optimizers
-
-
-class Sgd:
-    def __init__(self, params: ParamStore, lr: float):
-        self.params = params
-        self.lr = lr
-
-    def step(self):
-        for t in self.params.tensors():
-            if t.grad is not None:
-                t.data -= self.lr * t.grad
+# optimizer
 
 
 class Adam:
@@ -153,10 +139,11 @@ class Adam:
     value and its moments.
     """
 
-    def __init__(self, params: ParamStore, lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    b1, b2, eps = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+
+    def __init__(self, params: ParamStore, lr: float):
         self.params = params
-        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.t = 0
         self._m, self._v = (np.zeros(sum(t.data.size for t in params.tensors())) for _ in range(2))
         self.m, self.v = self._views(self._m), self._views(self._v)
@@ -196,10 +183,6 @@ class Adam:
             self.v[name][...] = v_old
 
 
-def make_optimizer(cfg: TrainConfig, params: ParamStore):
-    return Adam(params, cfg.lr) if cfg.optimizer == "adam" else Sgd(params, cfg.lr)
-
-
 # ---------------------------------------------------------------------------
 # training loop
 
@@ -217,7 +200,7 @@ def train(records, cfg: TrainConfig, model, log_path=None,
                 f"model feat_dim is {model.feat_dim}"
             )
     rng = np.random.default_rng(cfg.seed)
-    opt = make_optimizer(cfg, model.params)
+    opt = Adam(model.params, cfg.lr)
     history: list[LossBreakdown] = []
     log_file = open(log_path, "a", newline="") if log_path else None
     writer = None

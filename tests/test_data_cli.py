@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -221,7 +222,7 @@ def test_load_run_config(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text(
         "[model]\nd_model = 24\nn_layers = 3\nthink_tokens = 6\n"
-        "[training]\nlr = 0.005\nepochs = 12\noptimizer = sgd\n"
+        "[training]\nlr = 0.005\nepochs = 12\n"
     )
     cfg = dm.load_run_config(path)
     assert cfg.encoder.d_model == 24
@@ -229,7 +230,6 @@ def test_load_run_config(tmp_path):
     assert cfg.encoder.n_think == 6
     assert cfg.training.lr == 0.005
     assert cfg.training.epochs == 12
-    assert cfg.training.optimizer == "sgd"
 
 
 def test_documented_run_config_loads(tmp_path):
@@ -255,6 +255,16 @@ def test_documented_run_config_loads(tmp_path):
         assert got == type(got)(value), (sec, key)
 
 
+def test_ini_keys_match_config_fields():
+    # every config field has exactly one INI key and every key sets a field
+    cfg = dm.RunConfig()
+    assert [attr for attr, _ in dm._INI_KEYS.values()] == [f.name for f in dataclasses.fields(cfg)]
+    for (attr, keys), n in zip(dm._INI_KEYS.values(), (7, 5)):
+        fields = [f.name for f in dataclasses.fields(getattr(cfg, attr))]
+        assert len(fields) == len(keys) == n
+        assert sorted(keys.values()) == sorted(fields)
+
+
 def test_load_run_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         dm.load_run_config(tmp_path / "missing.ini")
@@ -273,7 +283,7 @@ def test_load_run_config_errors(tmp_path):
     b"[model]\nd_model\n",  # a line without '='
     b"[model]\nd_model = 8\xff\n",  # not UTF-8
     b"[model]\nd_model = 8\n[model]\n",  # a repeated section
-    b"[training]\noptimizer = 50%\n",  # no interpolation syntax
+    b"[training]\nlr = 50%\n",  # no interpolation syntax
     b"[training]\nlr = nan\n",
 ])
 def test_load_run_config_malformed_files(tmp_path, text):
@@ -288,6 +298,7 @@ def test_load_run_config_malformed_files(tmp_path, text):
     ("[model]\nthink_token = 9\n", ["[model]", "'think_token'"]),
     ("[trianing]\nepochs = 3\n", ["[trianing]"]),
     ("[data]\ntrain = /tmp/train\n", ["[data]"]),
+    ("[training]\noptimizer = adam\n", ["[training]", "'optimizer'"]),
 ])
 def test_load_run_config_rejects_unknown_names(tmp_path, text, names):
     path = tmp_path / "run.ini"
@@ -417,6 +428,14 @@ def test_import_speechocean_non_numeric_score(tmp_path, path, field_name, value)
     assert "'000010011'" in msg and f"'{field_name}'" in msg
 
 
+@pytest.mark.parametrize("value", [3, -1, 10**30])
+def test_import_speechocean_index_outside_word(tmp_path, value):
+    # word 1 has 3 phones: no realization may be lost in silence
+    msg = import_error(tmp_path, mutated_speechocean(INDEX_FIELD[0], value))
+    assert "'000010011'" in msg and f"'{INDEX_FIELD[1]}'" in msg
+    assert f"{value} is outside the word's 3 phones" in msg
+
+
 def test_import_speechocean_score_count_mismatch(tmp_path):
     msg = import_error(tmp_path, mutated_speechocean(("words", 1, "phones-accuracy"), [2.0]))
     assert "'words[1].phones-accuracy'" in msg and "3 scores" in msg
@@ -481,6 +500,18 @@ def test_cli_errors_exit_codes(tmp_path, capsys):
         cli.main(["synth"])  # missing required args
     assert e.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--model", "m.capt", "--data", "c", "--seed", "1"],
+    ["score", "--model", "m.capt", "--data", "c", "--id", "u", "--config", "x.ini"],
+], ids=["eval_seed", "score_config"])
+def test_cli_rejects_flags_a_command_does_not_read(capsys, argv):
+    # eval and score load a saved model: no run config or seed applies
+    with pytest.raises(SystemExit) as e:
+        cli.main(argv)
+    assert e.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,named", [

@@ -6,6 +6,7 @@ raises a ``CaptError``; no other exception may escape.  The examples are derando
 the same inputs.
 """
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -32,7 +33,6 @@ d_attn = 0
 alpha = 0.3
 lr = 0.002
 epochs = 2
-optimizer = adam
 """
 
 
@@ -114,6 +114,25 @@ def test_fuzz_speechocean_scores(tmp_path, blob):
     (tmp_path / "scores.json").write_bytes(blob)
     loads_or_capt_error(dm.import_speechocean, tmp_path / "scores.json",
                         tmp_path / dm.CORPUS_FILE)
+
+
+@FUZZ
+@given(index=st.integers(-3, 4) | st.integers(-2**70, 2**70))
+def test_fuzz_speechocean_mispronunciation_index(tmp_path, index):
+    # the word has 2 phones: an index inside them realizes that phone as AA,
+    # any other is an error, never a mispronunciation dropped in silence
+    (tmp_path / "scores.json").write_bytes(SCORES_JSON.replace(b'"index": 1',
+                                                               b'"index": %d' % index))
+    out = tmp_path / dm.CORPUS_FILE
+    out.unlink(missing_ok=True)
+    try:
+        dm.import_speechocean(tmp_path / "scores.json", out)
+    except CaptError as e:
+        assert not 0 <= index < 2 and not out.exists()
+        assert "'words[0].mispronunciations[0].index'" in str(e)
+    else:
+        realized = [p["realized"] for p in json.loads(out.read_text())["phones"]]
+        assert 0 <= index < 2 and realized[index] == "AA"
 
 
 def test_unmutated_files_load(tmp_path):

@@ -290,7 +290,8 @@ def test_load_rejects_model_too_large_to_allocate(tmp_path, field, value):
     assert "MAX_PARAMS" in str(e.value)
 
 
-@pytest.mark.parametrize("case", ["string_param", "nan_param", "config_type"])
+@pytest.mark.parametrize("case", ["string_param", "nan_param", "config_type",
+                                  "feat_dim_true", "feat_dim_false"])
 def test_load_rejects_bad_values(tmp_path, case):
     model = tiny_model()
     path = tmp_path / "m.capt"
@@ -302,6 +303,8 @@ def test_load_rejects_bad_values(tmp_path, case):
         "string_param": (lambda meta: None, {name: bad.astype(str)}, name),
         "nan_param": (lambda meta: None, {name: bad}, name),
         "config_type": (lambda meta: meta["config"].update(d_model="big"), None, "'d_model'"),
+        "feat_dim_true": (lambda meta: meta.update(feat_dim=True), None, "'feat_dim'"),
+        "feat_dim_false": (lambda meta: meta.update(feat_dim=False), None, "'feat_dim'"),
     }[case]
     _rewrite_meta(path, edit, params)
     with pytest.raises(PersistenceError) as e:
