@@ -46,9 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the training seed")
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
-    common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.add_argument("--rule-seed", type=int, default=0)
     p.add_argument("--ssl-dim", type=int, default=32)
 
@@ -77,8 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
-    cfg = _load_cfg(args)
-    meta = data_mod.synth_corpus(args.n, cfg.training.seed, args.out,
+    meta = data_mod.synth_corpus(args.n, args.seed, args.out,
                                  rule_seed=args.rule_seed, ssl_dim=args.ssl_dim)
     print(json.dumps(meta, sort_keys=True))
     return 0

@@ -511,21 +511,20 @@ def import_speechocean(scores_json_path, out_corpus_path) -> int:
             mis_at = f"{at}.mispronunciations"
             for mi, mis in enumerate(entries(word, "mispronunciations", dict, uid, mis_at)):
                 idx = mis.get("index")
-                if idx is None:
-                    continue
                 if not isinstance(idx, int) or isinstance(idx, bool):
-                    fail(uid, f"{mis_at}[{mi}].index", f"{idx!r} is not an integer")
+                    fail(uid, f"{mis_at}[{mi}].index",
+                         "missing" if idx is None else f"{idx!r} is not an integer")
                 if not 0 <= idx < len(realized):
                     fail(uid, f"{mis_at}[{mi}].index",
                          f"{idx} is outside the word's {len(realized)} phones")
                 realized[idx] = _strip_phone(str(mis.get("pronounced-phone", UNK)))
-            accs = word.get("phones-accuracy", [2.0] * len(canon))
+            accs = word.get("phones-accuracy", [PHONE_SCORE_MAX] * len(canon))
             if not isinstance(accs, list) or len(accs) != len(canon):
                 fail(uid, f"{at}.phones-accuracy", f"{accs!r} is not {len(canon)} scores")
             for c, r, s in zip(canon, realized, accs):
-                phones.append({"canonical": c, "realized": r, "word": wi,
-                               "score": score(s, 2.0, uid, f"{at}.phones-accuracy")})
-            word_scores.append([score(word.get(k, 0.0), 10.0, uid, f"{at}.{k}")
+                phones.append({"canonical": c, "realized": r, "word": wi, "score": score(
+                    s, PHONE_SCORE_MAX, uid, f"{at}.phones-accuracy")})
+            word_scores.append([score(word.get(k, 0.0), WORD_SCORE_MAX, uid, f"{at}.{k}")
                                 for k in ("accuracy", "stress", "total")])
         if skip or not phones:
             continue
@@ -534,7 +533,8 @@ def import_speechocean(scores_json_path, out_corpus_path) -> int:
             "id": uid,
             "phones": phones,
             "word_scores": word_scores,
-            "utterance_scores": {a: score(u.get(k, 0.0), 10.0, uid, k) for a, k in keys.items()},
+            "utterance_scores": {a: score(u.get(k, 0.0), UTT_SCORE_MAX, uid, k)
+                                 for a, k in keys.items()},
             "features": uid,
         }, sort_keys=True) + "\n")
     out_path = Path(out_corpus_path)

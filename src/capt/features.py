@@ -72,28 +72,15 @@ def check_embedding_injective(onehot_attr: np.ndarray, embed_w: np.ndarray) -> N
         raise ContractError("canonical embeddings collide; re-seed the projection")
 
 
-def canonical_embeddings(phone_ids: np.ndarray, onehot_attr: np.ndarray,
-                         params: ParamStore) -> dc.Tensor:
-    """c_i rows for a sequence of phone ids, differentiable w.r.t. embed.w."""
-    rows = dc.Tensor(onehot_attr[np.asarray(phone_ids, dtype=np.int64)])
-    return dc.matmul(rows, params["embed.w"])
-
-
-def fuse(x: dc.Tensor, c: dc.Tensor) -> dc.Tensor:
-    """Elementwise additive fusion of acoustic and symbolic embeddings."""
-    if x.data.shape != c.data.shape:
-        raise ShapeError(f"fuse: shapes differ {x.data.shape} vs {c.data.shape}")
-    return dc.add(x, c)
-
-
 def assemble_utterance_features(feature_rows: np.ndarray, phone_ids: np.ndarray,
                                 onehot_attr: np.ndarray, params: ParamStore) -> dc.Tensor:
-    """X_hat = project(gop | ssl) + canonical_embedding, per phone; one
-    feature row per phone id, else ``fuse`` raises ``ShapeError``."""
+    """X_hat = project(gop | ssl) + c_i per phone, where the canonical
+    embedding c_i is the phone's [one-hot | attributes] row times embed.w;
+    one feature row per phone id, else ``dc.add`` raises ``ShapeError``."""
     feature_rows = np.asarray(feature_rows, dtype=np.float64)
     phone_ids = np.asarray(phone_ids, dtype=np.int64)
     if phone_ids.shape[0] < 1:
         raise ContractError("assemble_utterance_features: no phones")
     x = dc.linear(dc.Tensor(feature_rows), params["feat.proj.w"], params["feat.proj.b"])
-    c = canonical_embeddings(phone_ids, onehot_attr, params)
-    return fuse(x, c)
+    c = dc.matmul(dc.Tensor(onehot_attr[phone_ids]), params["embed.w"])
+    return dc.add(x, c)

@@ -5,8 +5,7 @@ classifier over realized phones.  Word-level: mean-pool the phone
 representations inside each word span, then one affine map to
 (accuracy, stress, total).  Utterance-level: an attention pooler and a
 regressor for each of the five aspects, all computed together as one tape
-op (``utterance_level_outputs``); ``attention_weights`` and ``pool`` are the
-one-aspect, one-utterance reference it agrees with.
+op (``utterance_level_outputs``).
 """
 
 from __future__ import annotations
@@ -69,26 +68,6 @@ def init_scoring_params(d_model: int, d_attn: int, rng: np.random.Generator,
     store.add("head.word.b", np.full(3, 0.5))
 
 
-def attention_weights(h: dc.Tensor, params: ParamStore, aspect: str) -> dc.Tensor:
-    """alpha_i = softmax_i( w_a . tanh(W_a h_i) ); (N,) summing to 1."""
-    if h.data.shape[0] < 1:
-        raise ContractError("attention_weights: empty sequence")
-    scores = dc.matmul(dc.tanh(dc.matmul(h, params[f"pool.{aspect}.w_proj"])),
-                       params[f"pool.{aspect}.w_score"])
-    return dc.softmax(scores)
-
-
-def pool(h: dc.Tensor, alpha: dc.Tensor) -> dc.Tensor:
-    """Convex combination of the rows of h; alpha must sum to 1."""
-    if alpha.data.shape != (h.data.shape[0],):
-        raise ContractError(
-            f"pool: weight length {alpha.data.shape} vs {h.data.shape[0]} rows"
-        )
-    if abs(alpha.data.sum() - 1.0) > 1e-9:
-        raise ContractError("pool: weights do not sum to 1")
-    return dc.matmul(alpha, h)
-
-
 def phone_level_outputs(h: dc.Tensor, params: ParamStore):
     scores = dc.add(dc.matmul(h, params["head.phone.w"]), params["head.phone.b"])
     logits = dc.linear(h, params["head.mdd.w"], params["head.mdd.b"])
@@ -137,11 +116,12 @@ def word_level_outputs(h: dc.Tensor, word_spans, params: ParamStore,
 def utterance_level_outputs(h: dc.Tensor, params: ParamStore, starts=(0,)) -> dc.Tensor:
     """Five aspect scores: (5,) for one utterance, (B, 5) for B utterance ``starts``.
 
-    Per aspect a this is ``attention_weights``, ``pool`` and the head
-    (w_a . pooled + b_a), for all five aspects in one op: the five (d, d_attn)
-    projections side by side as one (d, 5 d_attn) matrix, one tanh, an (N, 5)
-    score matrix with a softmax per utterance and column, the (B, 5, d)
-    pooled rows and one head contraction.
+    Per aspect a and utterance this is the weights
+    alpha_i = softmax_i(w_a . tanh(W_a h_i)), the pooled row sum_i alpha_i h_i
+    and the head w_a . pooled + b_a, for all five aspects in one op: the five
+    (d, d_attn) projections side by side as one (d, 5 d_attn) matrix, one
+    tanh, an (N, 5) score matrix with a softmax per utterance and column, the
+    (B, 5, d) pooled rows and one head contraction.
     """
     hd = h.data
     n = hd.shape[0]

@@ -133,10 +133,8 @@ def batch_loss(model, batch, alpha: float):
 class Adam:
     """Adam with every moment in two flat buffers.
 
-    ``m`` and ``v`` map each parameter name to its view into the buffers.  A
-    step gathers the gradients into one flat array, so each update term is
-    one ufunc over all parameters.  A parameter with no gradient keeps its
-    value and its moments.
+    A step gathers the gradients into one flat array, checks it once, and
+    runs each update term as one ufunc over all parameters.
     """
 
     b1, b2, eps = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
@@ -146,20 +144,19 @@ class Adam:
         self.lr = lr
         self.t = 0
         self._m, self._v = (np.zeros(sum(t.data.size for t in params.tensors())) for _ in range(2))
-        self.m, self.v = self._views(self._m), self._views(self._v)
-
-    def _views(self, buf):
-        """Each parameter's view into the flat buffer ``buf``, by name."""
-        ends = np.cumsum([t.data.size for t in self.params.tensors()])
-        return {n: buf[e - t.data.size:e].reshape(t.data.shape)
-                for (n, t), e in zip(self.params.items(), ends)}
 
     def step(self):
-        self.t += 1
+        """Update every parameter.  A missing or non-finite gradient raises
+        ``ContractError`` or ``NumericError`` naming it and changes nothing."""
         items = list(self.params.items())
-        g = np.concatenate([np.zeros(t.data.size) if t.grad is None else t.grad.ravel()
-                            for _, t in items])
-        frozen = [(n, self.m[n].copy(), self.v[n].copy()) for n, t in items if t.grad is None]
+        missing = next((n for n, t in items if t.grad is None), None)
+        if missing is not None:
+            raise ContractError(f"no gradient for parameter {missing!r}")
+        g = np.concatenate([t.grad.ravel() for _, t in items])
+        if not np.isfinite(g).all():
+            bad = next(n for n, t in items if not np.isfinite(t.grad).all())
+            raise NumericError(f"non-finite gradient of {bad!r}")
+        self.t += 1
         m, v = self._m, self._v
         m *= self.b1
         upd = np.multiply(g, 1 - self.b1)
@@ -175,12 +172,10 @@ class Adam:
         np.divide(m, 1 - self.b1**self.t, out=upd)
         upd *= self.lr
         upd /= g
-        for (name, t), u in zip(items, self._views(upd).values()):
-            if t.grad is not None:
-                t.data -= u
-        for name, m_old, v_old in frozen:
-            self.m[name][...] = m_old
-            self.v[name][...] = v_old
+        ofs = 0
+        for _, t in items:
+            t.data -= upd[ofs : ofs + t.data.size].reshape(t.data.shape)
+            ofs += t.data.size
 
 
 # ---------------------------------------------------------------------------
@@ -216,25 +211,18 @@ def train(records, cfg: TrainConfig, model, log_path=None,
             for start in range(0, len(records), cfg.batch_size):
                 batch = [records[i] for i in perm[start : start + cfg.batch_size]]
                 model.params.zero_grad()
-                with dc.Tape() as tape:
-                    try:
+                try:
+                    with dc.Tape() as tape:
                         loss, bd = batch_loss(model, batch, cfg.alpha)
                         if not np.isfinite(loss.data):
                             raise NumericError("non-finite loss")
-                    except NumericError as e:
-                        raise NumericError(
-                            f"{e} at epoch {epoch}, batch {n_batches} "
-                            f"(utterances {', '.join(rec.id for rec in batch)})"
-                        ) from e
-                    tape.backward(loss)
-                bad = next((name for name, t in model.params.items()
-                            if t.grad is not None and not np.isfinite(t.grad).all()), None)
-                if bad is not None:
+                        tape.backward(loss)
+                    opt.step()
+                except NumericError as e:
                     raise NumericError(
-                        f"non-finite gradient of {bad!r} at epoch {epoch}, batch {n_batches} "
+                        f"{e} at epoch {epoch}, batch {n_batches} "
                         f"(utterances {', '.join(rec.id for rec in batch)})"
-                    )
-                opt.step()
+                    ) from e
                 sums += [bd.l_phn, bd.l_word, bd.l_utt, bd.l_mdd]
                 n_batches += 1
             bd = LossBreakdown(*(float(v) for v in sums / n_batches))

@@ -21,8 +21,9 @@ from capt.encoder import EncoderConfig
 from capt.gradsuite import run_suite
 from capt.model import init_model, load_model, save_model
 from capt.phonology import DEL_ID
-from capt.scoring import ASPECTS, attention_weights
+from capt.scoring import ASPECTS
 from capt.training import Adam, TrainConfig, batch_loss, overfit_sanity, train
+from pooler_reference import attention_weights
 
 
 def report(num: int, desc: str, ok: bool, detail: str = ""):

@@ -436,6 +436,14 @@ def test_import_speechocean_index_outside_word(tmp_path, value):
     assert f"{value} is outside the word's 3 phones" in msg
 
 
+def test_import_speechocean_mispronunciation_without_index(tmp_path):
+    # skipping it would lose the realization and record the phone as correct
+    raw = json.loads(json.dumps(SPEECHOCEAN))
+    del raw["000010011"]["words"][1]["mispronunciations"][0]["index"]
+    msg = import_error(tmp_path, json.dumps(raw).encode())
+    assert "'000010011'" in msg and f"'{INDEX_FIELD[1]}'" in msg and "missing" in msg
+
+
 def test_import_speechocean_score_count_mismatch(tmp_path):
     msg = import_error(tmp_path, mutated_speechocean(("words", 1, "phones-accuracy"), [2.0]))
     assert "'words[1].phones-accuracy'" in msg and "3 scores" in msg
@@ -505,9 +513,11 @@ def test_cli_errors_exit_codes(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["eval", "--model", "m.capt", "--data", "c", "--seed", "1"],
     ["score", "--model", "m.capt", "--data", "c", "--id", "u", "--config", "x.ini"],
-], ids=["eval_seed", "score_config"])
+    ["synth", "--n", "2", "--out", "c", "--config", "x.ini"],
+], ids=["eval_seed", "score_config", "synth_config"])
 def test_cli_rejects_flags_a_command_does_not_read(capsys, argv):
-    # eval and score load a saved model: no run config or seed applies
+    # eval and score load a saved model: no run config or seed applies;
+    # synth reads a seed and sizes, no run config
     with pytest.raises(SystemExit) as e:
         cli.main(argv)
     assert e.value.code == 2

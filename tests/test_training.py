@@ -9,7 +9,7 @@ from capt import diffcore as dc
 from capt import training as tr
 from capt.data import synth_records
 from capt.encoder import EncoderConfig, ParamStore
-from capt.errors import ConfigError, DatasetError, NumericError
+from capt.errors import ConfigError, ContractError, DatasetError, NumericError
 from capt.gradsuite import TOLERANCE
 from capt.model import init_model
 from capt.scoring import GraphOutputs
@@ -238,7 +238,6 @@ def test_overfit_sanity_rejects_bad_sizes():
     cfg = EncoderConfig(d_model=8, d_state=4, n_layers=1)
     with pytest.raises(DatasetError):
         tr.overfit_sanity(0, cfg, tr.TrainConfig())
-    from capt.errors import ContractError
     with pytest.raises(ContractError):
         tr.overfit_sanity(65, cfg, tr.TrainConfig())
 
@@ -249,7 +248,7 @@ def test_adam_updates_moments_in_place_bit_identically():
     store.add("w", rng.normal(size=(3, 4)))
     store.add("b", rng.normal(size=4))
     opt = tr.Adam(store, lr=0.01)
-    moments = {n: (opt.m[n], opt.v[n]) for n in store.names()}
+    buffers = opt._m, opt._v
     ref = {n: t.data.copy() for n, t in store.items()}
     m = {n: np.zeros_like(t.data) for n, t in store.items()}
     v = {n: np.zeros_like(t.data) for n, t in store.items()}
@@ -266,14 +265,15 @@ def test_adam_updates_moments_in_place_bit_identically():
         opt.step()
         for n, t in store.items():
             np.testing.assert_array_equal(t.data, ref[n])
-            np.testing.assert_array_equal(opt.m[n], m[n])
-            np.testing.assert_array_equal(opt.v[n], v[n])
-    for n in store.names():
-        assert opt.m[n] is moments[n][0] and opt.v[n] is moments[n][1]
+        # the flat buffers hold each parameter's moments in store order
+        np.testing.assert_array_equal(opt._m, np.concatenate([m[n].ravel() for n in store.names()]))
+        np.testing.assert_array_equal(opt._v, np.concatenate([v[n].ravel() for n in store.names()]))
+    assert opt._m is buffers[0] and opt._v is buffers[1]
 
 
-def test_adam_keeps_parameter_without_gradient():
-    rng = np.random.default_rng(7)
+def stepped_adam(seed):
+    """An Adam over three parameters after one step, each with a gradient."""
+    rng = np.random.default_rng(seed)
     store = ParamStore()
     for name in ("a", "b", "c"):
         store.add(name, rng.normal(size=(2, 3)))
@@ -281,17 +281,52 @@ def test_adam_keeps_parameter_without_gradient():
     for t in store.tensors():
         t.grad = rng.normal(size=t.data.shape)
     opt.step()
-    before = {n: (t.data.copy(), opt.m[n].copy(), opt.v[n].copy()) for n, t in store.items()}
-    store.zero_grad()
-    store["a"].grad = rng.normal(size=(2, 3))
-    store["c"].grad = rng.normal(size=(2, 3))
-    opt.step()
-    data, m, v = before["b"]
-    np.testing.assert_array_equal(store["b"].data, data)
-    np.testing.assert_array_equal(opt.m["b"], m)
-    np.testing.assert_array_equal(opt.v["b"], v)
-    for n in ("a", "c"):
-        assert not np.array_equal(store[n].data, before[n][0])
+    for t in store.tensors():
+        t.grad = rng.normal(size=t.data.shape)
+    return store, opt
+
+
+def adam_state(store, opt):
+    return {n: t.data.copy() for n, t in store.items()}, opt._m.copy(), opt._v.copy(), opt.t
+
+
+def test_adam_rejects_parameter_without_gradient():
+    store, opt = stepped_adam(7)
+    before = adam_state(store, opt)
+    store["b"].grad = None
+    store["c"].grad = None
+    with pytest.raises(ContractError) as e:
+        opt.step()
+    assert "'b'" in str(e.value) and "'c'" not in str(e.value)
+    np.testing.assert_equal(adam_state(store, opt), before)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_adam_rejects_non_finite_gradient(bad):
+    store, opt = stepped_adam(7)
+    before = adam_state(store, opt)
+    store["b"].grad[1, 2] = bad
+    store["c"].grad[0, 0] = np.nan
+    with pytest.raises(NumericError) as e:
+        opt.step()
+    assert str(e.value) == "non-finite gradient of 'b'"
+    np.testing.assert_equal(adam_state(store, opt), before)
+
+
+@pytest.mark.parametrize("n_think", [0, 2])
+@pytest.mark.parametrize("n_utts", [1, 3])
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_batch_loss_gives_every_parameter_a_gradient(n_think, n_utts, alpha):
+    # Adam.step requires a gradient for every parameter; scale(., 0) at the
+    # ends of alpha's range still hands its input a zero gradient
+    records, _ = synth_records(n_utts, seed=12, ssl_dim=8)
+    cfg = EncoderConfig(d_model=8, d_state=4, expand=2, n_layers=2, conv_width=3,
+                        n_think=n_think)
+    model = init_model(cfg, feat_dim=9, seed=1)
+    model.params.zero_grad()
+    with dc.Tape() as tape:
+        tape.backward(tr.batch_loss(model, records, alpha)[0])
+    assert [n for n, t in model.params.items() if t.grad is None] == []
 
 
 class BufferedAdam:
@@ -341,7 +376,7 @@ class BufferedAdam:
 
 
 def test_adam_matches_buffered_adam_bit_identically():
-    # five steps; "b" has no gradient on steps 2 and 4, "c" on none
+    # five steps, every parameter with a gradient on each
     stores, opts = [], []
     for cls in (tr.Adam, BufferedAdam):
         rng = np.random.default_rng(8)
@@ -355,13 +390,12 @@ def test_adam_matches_buffered_adam_bit_identically():
         grads = {n: rng.normal(size=t.data.shape) for n, t in stores[0].items()}
         for store, opt in zip(stores, opts):
             for n, t in store.items():
-                t.grad = None if n == "c" or (n == "b" and step % 2 == 0) else grads[n].copy()
+                t.grad = grads[n].copy()
             opt.step()
         for n in stores[0].names():
             np.testing.assert_array_equal(stores[0][n].data, stores[1][n].data)
-            np.testing.assert_array_equal(opts[0].m[n], opts[1].m[n])
-            np.testing.assert_array_equal(opts[0].v[n], opts[1].v[n])
-    assert not opts[0].m["c"].any() and opts[0].m["b"].any()
+        np.testing.assert_array_equal(opts[0]._m, opts[1]._m)
+        np.testing.assert_array_equal(opts[0]._v, opts[1]._v)
 
 
 def test_adam_holds_no_gradient_sized_buffer_between_steps():
