@@ -14,17 +14,21 @@ from pathlib import Path
 from . import data as data_mod
 from . import metrics as metrics_mod
 from . import model as model_mod
-from .errors import CaptError
+from .errors import CaptError, ConfigError
 from .gradsuite import run_suite
 from .phonology import PHONES
 from .scoring import ASPECTS
 from .training import overfit_sanity, train
 
 
+_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+
+
 def _setup_logging():
-    level = os.environ.get("CAPT_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+    value = os.environ.get("CAPT_LOG", "WARNING")
+    if value.upper() not in _LOG_LEVELS:
+        raise ConfigError(f"CAPT_LOG {value!r} is not one of {', '.join(_LOG_LEVELS)}")
+    logging.basicConfig(level=value.upper(), format="%(levelname)s %(name)s: %(message)s")
 
 
 def _load_cfg(args) -> data_mod.RunConfig:
@@ -155,7 +159,6 @@ def _cmd_gradcheck(args) -> int:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     ap = build_parser()
     args = ap.parse_args(argv)
     handlers = {
@@ -166,6 +169,7 @@ def main(argv=None) -> int:
         "gradcheck": _cmd_gradcheck,
     }
     try:
+        _setup_logging()
         return handlers[args.command](args)
     except CaptError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -443,11 +443,13 @@ def load_run_config(path) -> RunConfig:
 # best-effort speechocean762 annotation importer (no audio features)
 
 
-def _strip_phone(symbol: str) -> str:
+def _strip_phone(symbol: str) -> str | None:
+    """The phone a speechocean762 symbol names, without stress digits or '*';
+    <del> or <unk> in any letter case; None for anything else."""
+    if symbol.lower() in (DEL, UNK):
+        return symbol.lower()
     base = symbol.rstrip("0123456789*").upper()
-    if symbol in (DEL, UNK):
-        return symbol
-    return base if base in PHONE_TO_ID else UNK
+    return base if base in PHONE_TO_ID else None
 
 
 def import_speechocean(scores_json_path, out_corpus_path) -> int:
@@ -504,7 +506,7 @@ def import_speechocean(scores_json_path, out_corpus_path) -> int:
         for wi, word in enumerate(entries(u, "words", dict, uid, "words")):
             at = f"words[{wi}]"
             canon = [_strip_phone(p) for p in entries(word, "phones", str, uid, f"{at}.phones")]
-            if any(c in (DEL, UNK) for c in canon):
+            if any(c in (DEL, UNK, None) for c in canon):
                 skip = True  # canonical side must be a real phone
                 break
             realized = list(canon)
@@ -517,7 +519,12 @@ def import_speechocean(scores_json_path, out_corpus_path) -> int:
                 if not 0 <= idx < len(realized):
                     fail(uid, f"{mis_at}[{mi}].index",
                          f"{idx} is outside the word's {len(realized)} phones")
-                realized[idx] = _strip_phone(str(mis.get("pronounced-phone", UNK)))
+                said = mis.get("pronounced-phone")
+                phone = _strip_phone(said) if isinstance(said, str) else None
+                if phone is None:
+                    fail(uid, f"{mis_at}[{mi}].pronounced-phone", "missing" if said is None
+                         else f"{said!r} is not a phone, <del> or <unk>")
+                realized[idx] = phone
             accs = word.get("phones-accuracy", [PHONE_SCORE_MAX] * len(canon))
             if not isinstance(accs, list) or len(accs) != len(canon):
                 fail(uid, f"{at}.phones-accuracy", f"{accs!r} is not {len(canon)} scores")

@@ -417,11 +417,12 @@ def conv1d_causal_silu(x: Tensor, kernel: Tensor, bias: Tensor, pos=None) -> Ten
     Tap j of row t reads x[t - (w - 1 - j)], and zero before the first row.
     ``pos`` (T,) gives each row's position within its segment when x packs
     several sequences; a tap reaching back past its segment's first row then
-    reads zero too, as ``seq_idx`` does in Mamba's ``causal_conv1d_fn``.  The
-    conv runs unmasked over all of x; only the rows with pos < w - 1, at most
-    w - 1 per segment, are computed again from their in-segment taps.  Those
-    rows sum their taps in the same order as the unmasked ones, so a packed
-    call equals one call per segment bit for bit.
+    reads zero too, as ``seq_idx`` does in Mamba's ``causal_conv1d_fn``.  Each
+    tap is one product over all of x whose cut rows, those read by a row with
+    pos < shift (at most shift per segment), are zeroed before the add; the
+    backward drops the same (row, tap) pairs from dx and dk.  A packed call
+    thus adds the same terms in the same order as one call per segment, and
+    equals it bit for bit.
     """
     xd, kd = x.data, kernel.data
     if (xd.ndim != 2 or kd.ndim != 2 or xd.shape[1] != kd.shape[1]
@@ -432,23 +433,15 @@ def conv1d_causal_silu(x: Tensor, kernel: Tensor, bias: Tensor, pos=None) -> Ten
     shifts = w - 1 - np.arange(w)  # tap j reads shifts[j] rows back
     y = np.zeros(xd.shape)
     tmp = np.empty(xd.shape)
+    # per tap, the source rows s whose reader s + sh lies in a later segment
+    cuts = None if pos is None else [np.flatnonzero(pos[sh:] < sh) for sh in shifts]
     for j, sh in enumerate(shifts):
         n = t_len - sh
         if n > 0:
             np.multiply(xd[:n], kd[j], out=tmp[:n])
+            if pos is not None:
+                tmp[cuts[j]] = 0.0
             y[sh:] += tmp[:n]
-    if pos is not None:
-        rows = np.flatnonzero(pos < w - 1)
-        src = rows[:, None] - shifts  # (R, w): the row each tap reads
-        inside = pos[rows][:, None] >= shifts
-        taps = np.where(inside[:, :, None], xd[np.maximum(src, 0)], 0.0)
-        y_rows = np.zeros((rows.size, xd.shape[1]))
-        for j in range(w):
-            y_rows += kd[j] * taps[:, j]
-        y[rows] = y_rows
-        # the (row, tap) pairs the unmasked conv summed but must not have
-        r_out, j_out = np.nonzero(~inside & (src >= 0))
-        r_out, s_out = rows[r_out], src[r_out, j_out]
     y += bias.data
     s = _sigmoid(y)
     y *= s
@@ -469,10 +462,11 @@ def conv1d_causal_silu(x: Tensor, kernel: Tensor, bias: Tensor, pos=None) -> Ten
             if n > 0:
                 dk[j] = np.einsum("tc,tc->c", gz[sh:], xd[:n])
                 np.multiply(gz[sh:], kd[j], out=buf[:n])
+                if pos is not None:
+                    cut = cuts[j]
+                    dk[j] -= np.einsum("tc,tc->c", gz[cut + sh], xd[cut])
+                    buf[cut] = 0.0
                 dx[:n] += buf[:n]
-        if pos is not None:
-            np.subtract.at(dk, j_out, gz[r_out] * xd[s_out])
-            np.subtract.at(dx, s_out, gz[r_out] * kd[j_out])
         _acc(kernel, dk, owned=True)
         _acc(x, dx, owned=True)
 

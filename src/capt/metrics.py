@@ -53,9 +53,6 @@ class MddConfusion:
     tr: int = 0  # mispronounced, rejected
     cd: int = 0  # rejected and diagnosed as the annotated phone
 
-    def total(self) -> int:
-        return self.ta + self.fr + self.fa + self.tr
-
 
 def mdd_confusion(canonical, annotated, predicted) -> MddConfusion:
     canonical = np.asarray(canonical, dtype=np.int64)

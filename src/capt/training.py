@@ -245,14 +245,11 @@ def train(records, cfg: TrainConfig, model, log_path=None,
 
 def training_set_stats(model, records) -> tuple[float, float]:
     """(phone MSE in normalized space, MDD classification accuracy)."""
-    sq, n, correct = 0.0, 0, 0
-    for rec in records:
-        pred = model.predict(rec.features, rec.canonical_ids(), rec.word_spans())
-        tgt = rec.phone_targets_norm()
-        sq += float(((pred.phone_scores - tgt) ** 2).sum())
-        correct += int((pred.mdd_logits.argmax(axis=1) == rec.realized_ids()).sum())
-        n += rec.n_phones
-    return sq / n, correct / n
+    from .metrics import PHONE_SCORE_MAX, evaluate
+
+    rep = evaluate(model, records)
+    hits = rep.mdd_confusion["ta"] + rep.mdd_confusion["cd"]  # predicted as annotated
+    return rep.phone_mse / PHONE_SCORE_MAX**2, hits / rep.n_phones
 
 
 def overfit_sanity(n_utts: int, encoder_cfg, train_cfg: TrainConfig,

@@ -444,6 +444,38 @@ def test_import_speechocean_mispronunciation_without_index(tmp_path):
     assert "'000010011'" in msg and f"'{INDEX_FIELD[1]}'" in msg and "missing" in msg
 
 
+PRONOUNCED_FIELD = (("words", 1, "mispronunciations", 0, "pronounced-phone"),
+                    "words[1].mispronunciations[0].pronounced-phone")
+
+
+@pytest.mark.parametrize("value,reason", [
+    (5, "5 is not a phone"),
+    (["AA"], "['AA'] is not a phone"),
+    ("XX", "'XX' is not a phone"),
+    (None, "missing"),
+])
+def test_import_speechocean_pronounced_phone_not_a_phone(tmp_path, value, reason):
+    # recording it as <unk> would lose the annotated realization in silence
+    msg = import_error(tmp_path, mutated_speechocean(PRONOUNCED_FIELD[0], value))
+    assert "'000010011'" in msg and f"'{PRONOUNCED_FIELD[1]}'" in msg and reason in msg
+
+
+def test_import_speechocean_pronounced_phone_missing(tmp_path):
+    raw = json.loads(json.dumps(SPEECHOCEAN))
+    del raw["000010011"]["words"][1]["mispronunciations"][0]["pronounced-phone"]
+    msg = import_error(tmp_path, json.dumps(raw).encode())
+    assert "'000010011'" in msg and f"'{PRONOUNCED_FIELD[1]}'" in msg and "missing" in msg
+
+
+@pytest.mark.parametrize("value", ["<DEL>", "<Del>"])
+def test_import_speechocean_deletion_in_any_case(tmp_path, value):
+    # a deletion is a deletion in any letter case, not a noncategorizable <unk>
+    src, out = tmp_path / "scores.json", tmp_path / "corpus.jsonl"
+    src.write_bytes(mutated_speechocean(PRONOUNCED_FIELD[0], value))
+    assert dm.import_speechocean(src, out) == 1
+    assert json.loads(out.read_text())["phones"][3]["realized"] == "<del>"
+
+
 def test_import_speechocean_score_count_mismatch(tmp_path):
     msg = import_error(tmp_path, mutated_speechocean(("words", 1, "phones-accuracy"), [2.0]))
     assert "'words[1].phones-accuracy'" in msg and "3 scores" in msg
@@ -537,6 +569,17 @@ def test_cli_rejects_negative_seed_or_size(tmp_path, capsys, argv, named):
     code, _, err = run_cli([a.format(ini=ini, tmp=tmp_path) for a in argv], capsys)
     assert code == 1
     assert err.startswith("error:") and f"{named} -1" in err
+
+
+@pytest.mark.parametrize("value", ["verbose", "basic_format"])
+def test_cli_rejects_unknown_log_level(tmp_path, capsys, monkeypatch, value):
+    # neither is a level: verbose must not fall back to WARNING, and
+    # BASIC_FORMAT names a logging attribute that is a format string
+    monkeypatch.setenv("CAPT_LOG", value)
+    code, _, err = run_cli(["synth", "--n", "2", "--out", str(tmp_path / "c")], capsys)
+    assert code == 1
+    assert err.startswith(f"error: CAPT_LOG {value!r}")
+    assert not (tmp_path / "c").exists()
 
 
 def test_cli_score_unknown_id(tmp_path, capsys):

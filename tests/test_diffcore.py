@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capt import diffcore as dc
 from capt.errors import ContractError, NumericError, ShapeError
@@ -309,6 +311,9 @@ CONV_CASES = {
     "packed_short_segments": (12, 3, 4, [1, 2, 5, 4]),
     "packed_width_3": (9, 2, 3, [1, 1, 1, 6]),
     "packed_width_1": (6, 2, 1, [2, 4]),
+    "packed_segment_of_width_minus_1": (9, 3, 4, [3, 6]),
+    "packed_shorter_than_kernel": (3, 2, 4, [1, 2]),
+    "packed_width_2": (7, 2, 2, [1, 3, 3]),
 }
 
 
@@ -324,6 +329,25 @@ def test_conv1d_causal_silu_matches_op_chain(case):
     _assert_same(fused, chain)
     # the forward values are the same sums in the same order
     np.testing.assert_array_equal(fused[0], chain[0])
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(lengths=st.lists(st.integers(1, 8), min_size=1, max_size=6),
+       w=st.integers(1, 5), n_ch=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_conv1d_causal_silu_packed_equals_per_segment_calls(lengths, w, n_ch, seed):
+    rng = np.random.default_rng(seed)
+    x, k, b = (rng.normal(size=shape) for shape in ((sum(lengths), n_ch), (w, n_ch), n_ch))
+    pos = np.concatenate([np.arange(n) for n in lengths])
+    ends = np.cumsum(lengths)
+    packed = dc.conv1d_causal_silu(dc.Tensor(x), dc.Tensor(k), dc.Tensor(b), pos).data
+    alone = [dc.conv1d_causal_silu(dc.Tensor(x[e - n : e]), dc.Tensor(k), dc.Tensor(b)).data
+             for n, e in zip(lengths, ends)]
+    np.testing.assert_array_equal(packed, np.concatenate(alone))
+    tensors = [dc.Tensor(a) for a in (x, k, b)]
+    fused = _values_and_grads(lambda x, k, b: dc.conv1d_causal_silu(x, k, b, pos), tensors, seed)
+    chain = _values_and_grads(
+        lambda x, k, b: dc.silu(dc.add(oracle_conv1d_causal(x, k, pos), b)), tensors, seed)
+    _assert_same(fused[1:], chain[1:])
 
 
 @pytest.mark.parametrize("shape_a,shape_b", [((3, 4), (4, 2)), ((3, 4), (4,)),

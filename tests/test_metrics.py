@@ -83,7 +83,7 @@ def test_confusion_brute_force_random():
                 tr += 1
                 cd += int(p[i] == a[i])
         assert (conf.ta, conf.fr, conf.fa, conf.tr, conf.cd) == (ta, fr, fa, tr, cd)
-        assert conf.total() == n
+        assert conf.ta + conf.fr + conf.fa + conf.tr == n
 
 
 def test_confusion_length_mismatch():

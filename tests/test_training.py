@@ -226,12 +226,33 @@ def test_train_empty_dataset_and_callback_stop():
     assert len(hist) == 3
 
 
+def oracle_training_set_stats(model, records):
+    """The per-utterance predict loop that training_set_stats replaced."""
+    sq, n, correct = 0.0, 0, 0
+    for rec in records:
+        pred = model.predict(rec.features, rec.canonical_ids(), rec.word_spans())
+        tgt = rec.phone_targets_norm()
+        sq += float(((pred.phone_scores - tgt) ** 2).sum())
+        correct += int((pred.mdd_logits.argmax(axis=1) == rec.realized_ids()).sum())
+        n += rec.n_phones
+    return sq / n, correct / n
+
+
 def test_training_set_stats_ranges():
     records, _ = synth_records(4, seed=9, ssl_dim=8)
     model = tiny_model(feat_dim=9)
     mse, acc = tr.training_set_stats(model, records)
     assert mse >= 0.0
     assert 0.0 <= acc <= 1.0
+    # the statistics metrics.evaluate reports are the per-utterance ones,
+    # before and after some training (3 epochs take the accuracy from 0.02 to 0.68)
+    for epochs in (0, 3):
+        if epochs:
+            tr.train(records, tr.TrainConfig(epochs=epochs, batch_size=4, lr=0.02), model)
+        mse, acc = tr.training_set_stats(model, records)
+        want_mse, want_acc = oracle_training_set_stats(model, records)
+        assert abs(mse - want_mse) <= 1e-15
+        assert acc == want_acc
 
 
 def test_overfit_sanity_rejects_bad_sizes():
