@@ -93,7 +93,6 @@ def _cmd_train(args) -> int:
     feat_dim = records[0].features.shape[1]
     model = model_mod.init_model(cfg.encoder, feat_dim, seed=cfg.training.seed)
     log_path = args.log or (str(args.out) + ".loss.csv")
-    Path(log_path).unlink(missing_ok=True)
     history = train(records, cfg.training, model, log_path=log_path)
     model_mod.save_model(model, args.out)
     final = history[-1] if history else None

@@ -193,8 +193,9 @@ def read_feature_file(path) -> dict[str, np.ndarray]:
 # corpus serialization
 
 
-def _record_to_json(rec: UtteranceRecord) -> dict:
-    return {
+def _record_to_json(rec: UtteranceRecord) -> str:
+    """One corpus.jsonl line: keys sorted, scores rounded to 4 decimals."""
+    return json.dumps({
         "id": rec.id,
         "phones": [
             {"canonical": p.canonical, "realized": p.realized,
@@ -204,31 +205,46 @@ def _record_to_json(rec: UtteranceRecord) -> dict:
         "word_scores": [[round(s, 4) for s in t] for t in rec.word_scores],
         "utterance_scores": {a: round(rec.utterance_scores[a], 4) for a in ASPECTS},
         "features": rec.id,
-    }
+    }, sort_keys=True) + "\n"
 
 
 def _record_from_line(line: bytes, features: dict) -> UtteranceRecord:
-    """One corpus line -> a validated record holding its feature matrix."""
+    """One corpus line -> a validated record holding its feature matrix; a
+    score is a float or an int, read as a float, and a word index an int (a
+    JSON true or false has type bool, so it is neither)."""
     try:
         obj = json.loads(line.decode("utf-8"))
     except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, or nested too deep
         raise DatasetError(f"not a UTF-8 JSON line: {e}") from e
     try:
-        phones = [
-            PhoneEntry(p["canonical"], p["realized"], float(p["score"]), int(p["word"]))
-            for p in obj["phones"]
-        ]
-        if not isinstance(obj["id"], str):
-            raise TypeError(f"id {obj['id']!r} is not a string")
+        rec_id = obj["id"]
+        if not isinstance(rec_id, str):
+            raise TypeError(f"id {rec_id!r} is not a string")
+        phones = []
+        for i, p in enumerate(obj["phones"]):
+            score, word = p["score"], p["word"]
+            if type(score) is not float:
+                if type(score) is not int:
+                    _fail(rec_id, f"phones[{i}].score", f"{score!r} is not a number")
+                score = float(score)
+            if type(word) is not int:
+                _fail(rec_id, f"phones[{i}].word", f"{word!r} is not an integer")
+            phones.append(PhoneEntry(p["canonical"], p["realized"], score, word))
+        word_scores = obj["word_scores"]
+        for w, t in enumerate(word_scores):
+            if type(t) is not list or any(type(s) is not float and type(s) is not int
+                                          for s in t):
+                _fail(rec_id, f"word_scores[{w}]", f"{t!r} is not a list of numbers")
+            word_scores[w] = tuple(map(float, t))
         utt_scores = obj["utterance_scores"]
         if not isinstance(utt_scores, dict):
             raise TypeError(f"utterance_scores {utt_scores!r} is not an object")
-        rec = UtteranceRecord(
-            id=obj["id"],
-            phones=phones,
-            word_scores=[tuple(float(s) for s in t) for t in obj["word_scores"]],
-            utterance_scores={a: float(v) for a, v in utt_scores.items()},
-        )
+        for a, v in utt_scores.items():
+            if type(v) is not float:
+                if type(v) is not int:
+                    _fail(rec_id, f"utterance_scores.{a}", f"{v!r} is not a number")
+                utt_scores[a] = float(v)
+        rec = UtteranceRecord(rec_id, phones, word_scores, utt_scores)
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise DatasetError(f"malformed record: {e}") from e
     key = obj.get("features", rec.id)
@@ -244,7 +260,7 @@ def save_dataset(records: list[UtteranceRecord], out_dir) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / CORPUS_FILE, "w") as f:
         for rec in records:
-            f.write(json.dumps(_record_to_json(rec), sort_keys=True) + "\n")
+            f.write(_record_to_json(rec))
     write_feature_file(out_dir / FEATURE_FILE,
                        {rec.id: rec.features for rec in records})
 
@@ -456,8 +472,10 @@ def import_speechocean(scores_json_path, out_corpus_path) -> int:
     """Convert a speechocean762 scores.json into corpus.jsonl records.
 
     Acoustic feature matrices are not derivable from the annotations and
-    must be supplied separately; only the jsonl file is written.  Returns
-    the number of converted records.  A malformed file raises
+    must be supplied separately; only the jsonl file is written, one line
+    per record as ``save_dataset`` writes it.  Returns the number of
+    converted records; an utterance without words, or with a canonical
+    ``<del>``/``<unk>``, is skipped.  A malformed file raises
     ``DatasetError`` naming the file, the utterance and the field, and
     nothing is written.
     """
@@ -494,7 +512,7 @@ def import_speechocean(scores_json_path, out_corpus_path) -> int:
                 pass
         fail(uid, field_name, f"{value!r} is not a finite number")
 
-    lines = []
+    records = []
     for uid in sorted(raw):
         u = raw[uid]
         if not isinstance(u, dict):
@@ -505,9 +523,15 @@ def import_speechocean(scores_json_path, out_corpus_path) -> int:
         skip = False
         for wi, word in enumerate(entries(u, "words", dict, uid, "words")):
             at = f"words[{wi}]"
-            canon = [_strip_phone(p) for p in entries(word, "phones", str, uid, f"{at}.phones")]
-            if any(c in (DEL, UNK, None) for c in canon):
-                skip = True  # canonical side must be a real phone
+            symbols = entries(word, "phones", str, uid, f"{at}.phones")
+            if not symbols:
+                fail(uid, f"{at}.phones", "empty: a word needs a phone")
+            canon = [_strip_phone(p) for p in symbols]
+            if None in canon:
+                j = canon.index(None)
+                fail(uid, f"{at}.phones[{j}]", f"{symbols[j]!r} is not a phone, <del> or <unk>")
+            if DEL in canon or UNK in canon:
+                skip = True  # no canonical phone to score against
                 break
             realized = list(canon)
             mis_at = f"{at}.mispronunciations"
@@ -528,26 +552,19 @@ def import_speechocean(scores_json_path, out_corpus_path) -> int:
             accs = word.get("phones-accuracy", [PHONE_SCORE_MAX] * len(canon))
             if not isinstance(accs, list) or len(accs) != len(canon):
                 fail(uid, f"{at}.phones-accuracy", f"{accs!r} is not {len(canon)} scores")
-            for c, r, s in zip(canon, realized, accs):
-                phones.append({"canonical": c, "realized": r, "word": wi, "score": score(
-                    s, PHONE_SCORE_MAX, uid, f"{at}.phones-accuracy")})
-            word_scores.append([score(word.get(k, 0.0), WORD_SCORE_MAX, uid, f"{at}.{k}")
-                                for k in ("accuracy", "stress", "total")])
+            phones += [PhoneEntry(c, r, score(s, PHONE_SCORE_MAX, uid, f"{at}.phones-accuracy"),
+                                  wi) for c, r, s in zip(canon, realized, accs)]
+            word_scores.append(tuple(score(word.get(k, 0.0), WORD_SCORE_MAX, uid, f"{at}.{k}")
+                                     for k in ("accuracy", "stress", "total")))
         if skip or not phones:
             continue
         keys = {a: a for a in ASPECTS} | {"prosody": "prosodic" if "prosodic" in u else "prosody"}
-        lines.append(json.dumps({
-            "id": uid,
-            "phones": phones,
-            "word_scores": word_scores,
-            "utterance_scores": {a: score(u.get(k, 0.0), UTT_SCORE_MAX, uid, k)
-                                 for a, k in keys.items()},
-            "features": uid,
-        }, sort_keys=True) + "\n")
+        records.append(UtteranceRecord(uid, phones, word_scores, {
+            a: score(u.get(k, 0.0), UTT_SCORE_MAX, uid, k) for a, k in keys.items()}))
     out_path = Path(out_corpus_path)
     try:
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text("".join(lines))
+        out_path.write_text("".join(_record_to_json(rec) for rec in records))
     except OSError as e:
         raise DatasetError(f"{out_path}: cannot write: {e}") from e
-    return len(lines)
+    return len(records)

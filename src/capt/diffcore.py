@@ -82,9 +82,6 @@ class Tape:
         assert popped is self
         return False
 
-    def record(self, backward_fn, outs):
-        self._ops.append((backward_fn, outs))
-
     def __len__(self):
         return len(self._ops)
 
@@ -107,7 +104,7 @@ class Tape:
 
 def _record(fn, *outs):
     if _TAPES:
-        _TAPES[-1].record(fn, outs)
+        _TAPES[-1]._ops.append((fn, outs))
 
 
 def _acc(t: Tensor, g: np.ndarray, owned: bool = False, at=None):

@@ -215,11 +215,12 @@ class Packing:
                                n.sum() + self.pos - n[seg])
 
     def place(self, x_hat: dc.Tensor, think: dc.Tensor | None) -> dc.Tensor:
-        """(sum N_b, d) phone rows and (K, d) think rows -> the packed rows."""
-        ext = append_think_tokens(x_hat, think)
-        if self.single or ext is x_hat:
-            return ext
-        return dc.gather_rows(ext, self._place)
+        """(sum N_b, d) phone rows and (K, d) think rows -> the packed rows;
+        ``think`` is None when K = 0."""
+        if think is None:
+            return x_hat
+        ext = dc.concat_rows([x_hat, think])
+        return ext if self.single else dc.gather_rows(ext, self._place)
 
     def reverse(self, h: dc.Tensor) -> dc.Tensor:
         """Reverse the rows of each segment in place."""
@@ -261,13 +262,6 @@ def mamba_block(x: dc.Tensor, params: ParamStore, prefix: str,
     gated = dc.mul(y, dc.silu(gate))
     out = dc.linear(gated, params[f"{prefix}.out_proj.w"], params[f"{prefix}.out_proj.b"])
     return dc.add(out, x)
-
-
-def append_think_tokens(x_hat: dc.Tensor, think: dc.Tensor | None) -> dc.Tensor:
-    """Postpend the K think embeddings after the N real positions."""
-    if think is None or think.data.shape[0] == 0:
-        return x_hat
-    return dc.concat_rows([x_hat, think])
 
 
 def bimamba_encode(x_ext: dc.Tensor, packing: Packing, params: ParamStore,

@@ -22,7 +22,7 @@ from .scoring import ASPECTS, WORD_SCORE_NAMES
 
 
 class ConstantInputError(ContractError):
-    """PCC undefined: an input sequence is constant."""
+    """PCC undefined: an input sequence is constant (one point is too)."""
 
 
 class EmptyReferenceError(ContractError):
@@ -35,7 +35,7 @@ def pcc(x, y) -> float:
     if x.shape != y.shape or x.ndim != 1:
         raise ContractError(f"pcc: need equal-length 1-D inputs, got {x.shape} and {y.shape}")
     if x.size < 2:
-        raise ContractError("pcc: need at least 2 points")
+        raise ConstantInputError("pcc undefined for fewer than 2 points")
     dx = x - x.mean()
     dy = y - y.mean()
     sx = float(np.sqrt((dx**2).sum()))
@@ -176,13 +176,8 @@ def evaluate(model, records) -> EvalReport:
     utt_pred = np.stack(utt_pred)
     utt_tgt = np.stack(utt_tgt)
     for j, name in enumerate(ASPECTS):
-        if len(records) < 2:
-            report.flags.append(f"pcc_undefined:utterance.{name}")
-            report.utterance_pcc[name] = None
-        else:
-            report.utterance_pcc[name] = _pcc_or_flag(
-                utt_pred[:, j], utt_tgt[:, j], f"utterance.{name}", report.flags
-            )
+        report.utterance_pcc[name] = _pcc_or_flag(utt_pred[:, j], utt_tgt[:, j],
+                                                  f"utterance.{name}", report.flags)
     annotated, predicted = np.concatenate(annotated), np.concatenate(predicted)
     conf = mdd_confusion(np.concatenate(canonical), annotated, predicted)
     re_, pr_, f1_, cd_, flags = mdd_rates(conf)

@@ -184,7 +184,8 @@ class Adam:
 
 def train(records, cfg: TrainConfig, model, log_path=None,
           callback=None) -> list[LossBreakdown]:
-    """Deterministic (given seed) epoch loop; returns per-epoch breakdowns."""
+    """Deterministic (given seed) epoch loop; returns per-epoch breakdowns and
+    overwrites ``log_path``, if given, with this run's per-epoch CSV."""
     cfg.validate()
     if not records:
         raise DatasetError("training on an empty dataset")
@@ -197,12 +198,10 @@ def train(records, cfg: TrainConfig, model, log_path=None,
     rng = np.random.default_rng(cfg.seed)
     opt = Adam(model.params, cfg.lr)
     history: list[LossBreakdown] = []
-    log_file = open(log_path, "a", newline="") if log_path else None
-    writer = None
-    if log_file:
-        writer = csv.writer(log_file)
-        if log_file.tell() == 0:
-            writer.writerow(["epoch", "l_phn", "l_word", "l_utt", "l_mdd", "l_total"])
+    log_file = open(log_path, "w", newline="") if log_path else None
+    writer = csv.writer(log_file) if log_file else None
+    if writer:
+        writer.writerow(["epoch", "l_phn", "l_word", "l_utt", "l_mdd", "l_total"])
     try:
         for epoch in range(cfg.epochs):
             perm = rng.permutation(len(records))

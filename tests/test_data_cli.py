@@ -171,6 +171,45 @@ def test_load_dataset_rejects_malformed_line(tmp_path, field, value):
     assert str(corpus) in str(e.value) and "line 2" in str(e.value)
 
 
+@pytest.mark.parametrize("path,value,field_name", [
+    (("phones", 1, "word"), 0.9, "phones[1].word"),  # truncated, it would join word 0
+    (("phones", 0, "score"), "1.5", "phones[0].score"),
+    (("phones", 0, "score"), True, "phones[0].score"),
+    (("word_scores", 1, 0), "2.0", "word_scores[1]"),
+    (("utterance_scores", "fluency"), "5", "utterance_scores.fluency"),
+])
+def test_load_dataset_rejects_values_that_are_not_numbers(tmp_path, path, value, field_name):
+    rec = make_record("u-typed")
+    rec.phones[1].word_index = 1  # words (0, 1, 1)
+    dm.save_dataset([rec], tmp_path)
+    corpus = tmp_path / dm.CORPUS_FILE
+    obj = json.loads(corpus.read_text())
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    corpus.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(DatasetError) as e:
+        dm.load_dataset(tmp_path)
+    msg = str(e.value)
+    assert str(corpus) in msg and "line 1" in msg
+    assert "'u-typed'" in msg and f"'{field_name}'" in msg and repr(value) in msg
+
+
+def test_load_dataset_reads_integer_scores_as_floats(tmp_path):
+    dm.save_dataset([make_record()], tmp_path)
+    corpus = tmp_path / dm.CORPUS_FILE
+    obj = json.loads(corpus.read_text())
+    obj["phones"][0]["score"] = 2
+    obj["word_scores"][0] = [8, 7, 8]
+    obj["utterance_scores"]["total"] = 5
+    corpus.write_text(json.dumps(obj) + "\n")
+    rec = dm.load_dataset(tmp_path)[0]
+    assert type(rec.phones[0].score) is float and rec.phones[0].score == 2.0
+    assert rec.word_scores[0] == (8.0, 7.0, 8.0) and type(rec.word_scores[0][0]) is float
+    assert type(rec.utterance_scores["total"]) is float
+
+
 def test_load_dataset_rejects_deeply_nested_line(tmp_path):
     # json's decoder recurses once per level and raises RecursionError
     records, _ = dm.synth_records(2, seed=2, ssl_dim=8)
@@ -474,6 +513,21 @@ def test_import_speechocean_deletion_in_any_case(tmp_path, value):
     src.write_bytes(mutated_speechocean(PRONOUNCED_FIELD[0], value))
     assert dm.import_speechocean(src, out) == 1
     assert json.loads(out.read_text())["phones"][3]["realized"] == "<del>"
+
+
+def test_import_speechocean_word_without_phones(tmp_path):
+    # its phone-less word would shift the next word's index: a line load_dataset rejects
+    raw = json.loads(json.dumps(SPEECHOCEAN))
+    raw["000010011"]["words"][0]["phones"] = []
+    del raw["000010011"]["words"][0]["phones-accuracy"]
+    msg = import_error(tmp_path, json.dumps(raw).encode())
+    assert "'000010011'" in msg and "'words[0].phones'" in msg
+
+
+def test_import_speechocean_canonical_not_a_phone(tmp_path):
+    # skipping the utterance would shrink the corpus in silence
+    msg = import_error(tmp_path, mutated_speechocean(("words", 1, "phones", 1), "QQ"))
+    assert "'000010011'" in msg and "'words[1].phones[1]'" in msg and "'QQ'" in msg
 
 
 def test_import_speechocean_score_count_mismatch(tmp_path):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from capt import diffcore as dc
-from capt.encoder import (EncoderConfig, Packing, ParamStore, append_think_tokens,
-                          bimamba_encode, init_encoder_params, mamba_block)
+from capt.encoder import (EncoderConfig, Packing, ParamStore, bimamba_encode,
+                          init_encoder_params, mamba_block)
 from capt.errors import ConfigError, ContractError
 from capt.scan import scan_sequential_values
 
@@ -86,9 +86,9 @@ def test_block_rejects_empty_sequence():
 
 def test_append_think_tokens():
     x = dc.Tensor(np.arange(8.0).reshape(2, 4))
-    assert append_think_tokens(x, None) is x
+    assert Packing([2], 0).place(x, None) is x
     tokens = dc.Tensor(np.random.default_rng(0).normal(size=(3, 4)))
-    out = append_think_tokens(x, tokens)
+    out = Packing([2], 3).place(x, tokens)
     assert out.data.shape == (5, 4)
     np.testing.assert_array_equal(out.data[:2], x.data)
     np.testing.assert_array_equal(out.data[2], tokens.data[0])
@@ -101,7 +101,8 @@ def test_encoder_output_length_is_phone_count(k):
     n = 6
     x = dc.Tensor(np.random.default_rng(4).normal(size=(n, 4)))
     think = store["enc.think"] if k > 0 else None
-    h = bimamba_encode(append_think_tokens(x, think), Packing([n], k), store, cfg)
+    packing = Packing([n], k)
+    h = bimamba_encode(packing.place(x, think), packing, store, cfg)
     assert h.data.shape == (n, 4)
 
 
@@ -118,8 +119,8 @@ def test_think_tokens_receive_gradient():
     x = dc.Tensor(np.random.default_rng(5).normal(size=(5, 4)))
     store.zero_grad()
     with dc.Tape() as tape:
-        h = bimamba_encode(append_think_tokens(x, store["enc.think"]), Packing([5], 4), store,
-                           cfg)
+        packing = Packing([5], 4)
+        h = bimamba_encode(packing.place(x, store["enc.think"]), packing, store, cfg)
         tape.backward(dc.mean(h))
     g = store["enc.think"].grad
     assert g is not None and np.abs(g).max() > 0
@@ -151,8 +152,9 @@ def test_encoder_gradients_full_stack():
     x = np.random.default_rng(7).normal(size=(4, 4))
 
     def f():
-        xt = append_think_tokens(dc.Tensor(x), store["enc.think"])
-        return dc.mean(bimamba_encode(xt, Packing([4], 2), store, cfg))
+        packing = Packing([4], 2)
+        xt = packing.place(dc.Tensor(x), store["enc.think"])
+        return dc.mean(bimamba_encode(xt, packing, store, cfg))
 
     assert dc.grad_check(f, store.tensors(), epsilon=1e-4) < 1e-4
 
@@ -187,6 +189,9 @@ def test_packed_encoder_matches_separate_utterances(k):
     packing = Packing(lengths, k)
     packed = bimamba_encode(packing.place(dc.Tensor(np.concatenate(xs)), think),
                             packing, store, cfg).data
-    separate = [bimamba_encode(append_think_tokens(dc.Tensor(x), think),
-                               Packing([len(x)], k), store, cfg).data for x in xs]
+    separate = []
+    for x in xs:
+        single = Packing([len(x)], k)
+        separate.append(bimamba_encode(single.place(dc.Tensor(x), think), single, store,
+                                       cfg).data)
     np.testing.assert_allclose(packed, np.concatenate(separate), rtol=1e-12, atol=1e-15)

@@ -7,6 +7,7 @@ from capt.encoder import EncoderConfig
 from capt.errors import AlignmentError, CaptError, ContractError, InventoryError, NumericError
 from capt.model import init_model
 from capt.phonology import DEL, DEL_ID
+from capt.scoring import WORD_SCORE_NAMES
 
 
 # --- PCC --------------------------------------------------------------------
@@ -284,3 +285,21 @@ def test_evaluate_single_utterance_flags_utt_pcc():
     report = mx.evaluate(OracleModel(records), records)
     assert all(v is None for v in report.utterance_pcc.values())
     assert any(f.startswith("pcc_undefined:utterance.") for f in report.flags)
+
+
+@pytest.mark.parametrize("n_phones", [1, 3])
+def test_evaluate_one_word_flags_word_pcc(n_phones):
+    # one point is a constant sequence: its PCC is flagged, not an error
+    records, _ = synth_records(1, seed=4, ssl_dim=8)
+    rec = records[0]
+    rec.phones = rec.phones[:n_phones]
+    for p in rec.phones:
+        p.word_index = 0
+    rec.word_scores = rec.word_scores[:1]
+    rec.features = rec.features[:n_phones]
+    report = mx.evaluate(OracleModel(records), records)
+    assert all(v is None for v in report.word_pcc.values())
+    assert [f for f in report.flags if f.startswith("pcc_undefined:word.")] == [
+        f"pcc_undefined:word.{name}" for name in WORD_SCORE_NAMES]
+    assert (report.phone_pcc is None) == (n_phones == 1)
+    assert ("pcc_undefined:phone" in report.flags) == (n_phones == 1)

@@ -204,6 +204,18 @@ def test_train_loss_decreases_and_logs(tmp_path):
     assert float(row[1]) == hist[0].l_phn
 
 
+def test_train_overwrites_an_existing_log(tmp_path):
+    records, _ = synth_records(4, seed=5, ssl_dim=8)
+    log = tmp_path / "loss.csv"
+    log.write_text("epoch,l_phn,l_word,l_utt,l_mdd,l_total\n0,1,1,1,1,1\n")
+    tr.train(records, tr.TrainConfig(epochs=2, batch_size=4), tiny_model(feat_dim=9),
+             log_path=log)
+    lines = log.read_text().splitlines()
+    assert lines[0] == "epoch,l_phn,l_word,l_utt,l_mdd,l_total"
+    assert [row.split(",")[0] for row in lines[1:]] == ["0", "1"]
+    assert "0,1,1,1,1,1" not in lines
+
+
 def test_train_is_deterministic(tmp_path):
     records, _ = synth_records(6, seed=6, ssl_dim=8)
     cfg = tr.TrainConfig(lr=2e-3, epochs=3, batch_size=4, seed=7)
