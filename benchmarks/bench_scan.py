@@ -5,8 +5,7 @@ For each (T, C, S) shape this times forward alone and forward plus
 ``Tape.backward`` (the cost one training step pays per call) of three ops:
 ``scan.selective_scan`` in its B_bar form, which takes a (T, C, S) B_bar;
 ``selective_scan(..., delta=)``, which takes delta and the (T, S) B and is
-the form training runs; and ``encoder.discretize``, which builds A_bar.  The
-associative ``scan_parallel_values`` formulation is timed for comparison.
+the form training runs; and ``encoder.discretize``, which builds A_bar.
 Each time is the best of ``--repeats`` runs, in ms; next to it stand the
 minor page faults per call, averaged over the repeats, which read near 0
 once freed heap memory is kept for reuse.  Discretization's backward starts
@@ -102,14 +101,13 @@ def main():
 
     rng = np.random.default_rng(0)
     header = (f"{'op':>21} {'T x C x S':>16} {'forward (ms)':>13} {'faults':>7} "
-              f"{'fwd+bwd (ms)':>13} {'faults':>7} {'parallel (ms)':>14} {'kept (MiB)':>11}")
+              f"{'fwd+bwd (ms)':>13} {'faults':>7} {'kept (MiB)':>11}")
     print(f"scan.CHUNK_BYTES {scan.CHUNK_BYTES}, scan.KEEP_BYTES {scan.KEEP_BYTES}")
     print(header)
     print("-" * len(header))
     for shape in SHAPES:
         t_len, n_ch, n_st = shape
-        inst = make_instance(rng, *shape)
-        tensors = [dc.Tensor(v) for v in inst]
+        tensors = [dc.Tensor(v) for v in make_instance(rng, *shape)]
         # the delta form: the (T, S) B takes B_bar's place
         delta = dc.Tensor(rng.uniform(0.01, 3.0, size=(t_len, n_ch)))
         delta_form = tensors[:2] + [dc.Tensor(rng.normal(size=(t_len, n_st)))] + tensors[3:]
@@ -123,16 +121,14 @@ def main():
                 discretize(delta, a_neg).grad = g_a.copy()
                 tape.backward(dc.Tensor(0.0))
 
-        rows = [("selective_scan B_bar", *scan_fns(tensors),
-                 lambda: scan.scan_parallel_values(*inst)),
-                ("selective_scan delta", *scan_fns(delta_form, delta=delta), None),
-                ("discretize", lambda: discretize(delta, a_neg), disc_forward_backward, None)]
-        for name, fwd_fn, both_fn, par_fn in rows:
+        rows = [("selective_scan B_bar", *scan_fns(tensors)),
+                ("selective_scan delta", *scan_fns(delta_form, delta=delta)),
+                ("discretize", lambda: discretize(delta, a_neg), disc_forward_backward)]
+        for name, fwd_fn, both_fn in rows:
             fwd, fwd_faults = best_ms(fwd_fn, args.repeats)
             both, both_faults = best_ms(both_fn, args.repeats)
-            par = f"{best_ms(par_fn, args.repeats)[0]:14.3f}" if par_fn else f"{'-':>14}"
             print(f"{name:>21} {str(shape):>16} {fwd:13.3f} {fwd_faults:7.0f} "
-                  f"{both:13.3f} {both_faults:7.0f} {par} {retained_mib(fwd_fn):11.2f}")
+                  f"{both:13.3f} {both_faults:7.0f} {retained_mib(fwd_fn):11.2f}")
 
 
 if __name__ == "__main__":

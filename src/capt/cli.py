@@ -8,7 +8,6 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 from . import data as data_mod
@@ -109,9 +108,8 @@ def _cmd_eval(args) -> int:
     t0 = time.perf_counter()
     report = metrics_mod.evaluate(model, records)
     wall_s = time.perf_counter() - t0
-    # the timing stays out of EvalReport, whose text is deterministic
-    text = json.dumps({**asdict(report), "wall_s": wall_s,
-                       "utts_per_s": len(records) / wall_s}, sort_keys=True, indent=2) + "\n"
+    # the timing stays out of EvalReport, whose own text is deterministic
+    text = report.to_text(wall_s=wall_s, utts_per_s=len(records) / wall_s)
     sys.stdout.write(text)
     if args.out:
         Path(args.out).write_text(text)

@@ -208,6 +208,13 @@ def _record_to_json(rec: UtteranceRecord) -> str:
     }, sort_keys=True) + "\n"
 
 
+def _int_score(value: int, rec_id: str, field_name: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        _fail(rec_id, field_name, "an integer too large for a float")
+
+
 def _record_from_line(line: bytes, features: dict) -> UtteranceRecord:
     """One corpus line -> a validated record holding its feature matrix; a
     score is a float or an int, read as a float, and a word index an int (a
@@ -226,7 +233,7 @@ def _record_from_line(line: bytes, features: dict) -> UtteranceRecord:
             if type(score) is not float:
                 if type(score) is not int:
                     _fail(rec_id, f"phones[{i}].score", f"{score!r} is not a number")
-                score = float(score)
+                score = _int_score(score, rec_id, f"phones[{i}].score")
             if type(word) is not int:
                 _fail(rec_id, f"phones[{i}].word", f"{word!r} is not an integer")
             phones.append(PhoneEntry(p["canonical"], p["realized"], score, word))
@@ -235,7 +242,10 @@ def _record_from_line(line: bytes, features: dict) -> UtteranceRecord:
             if type(t) is not list or any(type(s) is not float and type(s) is not int
                                           for s in t):
                 _fail(rec_id, f"word_scores[{w}]", f"{t!r} is not a list of numbers")
-            word_scores[w] = tuple(map(float, t))
+            try:
+                word_scores[w] = tuple(map(float, t))
+            except OverflowError:
+                _fail(rec_id, f"word_scores[{w}]", "an integer too large for a float")
         utt_scores = obj["utterance_scores"]
         if not isinstance(utt_scores, dict):
             raise TypeError(f"utterance_scores {utt_scores!r} is not an object")
@@ -243,9 +253,9 @@ def _record_from_line(line: bytes, features: dict) -> UtteranceRecord:
             if type(v) is not float:
                 if type(v) is not int:
                     _fail(rec_id, f"utterance_scores.{a}", f"{v!r} is not a number")
-                utt_scores[a] = float(v)
+                utt_scores[a] = _int_score(v, rec_id, f"utterance_scores.{a}")
         rec = UtteranceRecord(rec_id, phones, word_scores, utt_scores)
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise DatasetError(f"malformed record: {e}") from e
     key = obj.get("features", rec.id)
     if not isinstance(key, str) or key not in features:
@@ -475,9 +485,9 @@ def import_speechocean(scores_json_path, out_corpus_path) -> int:
     must be supplied separately; only the jsonl file is written, one line
     per record as ``save_dataset`` writes it.  Returns the number of
     converted records; an utterance without words, or with a canonical
-    ``<del>``/``<unk>``, is skipped.  A malformed file raises
-    ``DatasetError`` naming the file, the utterance and the field, and
-    nothing is written.
+    ``<del>``/``<unk>``, is skipped.  Every score field of a converted
+    utterance must be present.  A malformed file raises ``DatasetError``
+    naming the file, the utterance and the field, and nothing is written.
     """
     path = Path(scores_json_path)
     try:
@@ -501,6 +511,11 @@ def import_speechocean(scores_json_path, out_corpus_path) -> int:
             if not isinstance(v, kind) or isinstance(v, bool):
                 fail(uid, f"{field_name}[{i}]", f"a {type(v).__name__}, not a {kind.__name__}")
         return value
+
+    def required(obj, key, uid, field_name):
+        if key not in obj:
+            fail(uid, field_name, "missing")
+        return obj[key]
 
     def score(value, hi, uid, field_name):
         """A finite number, clipped to [0, hi]."""
@@ -549,18 +564,20 @@ def import_speechocean(scores_json_path, out_corpus_path) -> int:
                     fail(uid, f"{mis_at}[{mi}].pronounced-phone", "missing" if said is None
                          else f"{said!r} is not a phone, <del> or <unk>")
                 realized[idx] = phone
-            accs = word.get("phones-accuracy", [PHONE_SCORE_MAX] * len(canon))
+            acc_at = f"{at}.phones-accuracy"
+            accs = required(word, "phones-accuracy", uid, acc_at)
             if not isinstance(accs, list) or len(accs) != len(canon):
-                fail(uid, f"{at}.phones-accuracy", f"{accs!r} is not {len(canon)} scores")
-            phones += [PhoneEntry(c, r, score(s, PHONE_SCORE_MAX, uid, f"{at}.phones-accuracy"),
-                                  wi) for c, r, s in zip(canon, realized, accs)]
-            word_scores.append(tuple(score(word.get(k, 0.0), WORD_SCORE_MAX, uid, f"{at}.{k}")
-                                     for k in ("accuracy", "stress", "total")))
+                fail(uid, acc_at, f"{accs!r} is not {len(canon)} scores")
+            phones += [PhoneEntry(c, r, score(s, PHONE_SCORE_MAX, uid, acc_at), wi)
+                       for c, r, s in zip(canon, realized, accs)]
+            word_scores.append(tuple(
+                score(required(word, k, uid, f"{at}.{k}"), WORD_SCORE_MAX, uid, f"{at}.{k}")
+                for k in ("accuracy", "stress", "total")))
         if skip or not phones:
             continue
         keys = {a: a for a in ASPECTS} | {"prosody": "prosodic" if "prosodic" in u else "prosody"}
         records.append(UtteranceRecord(uid, phones, word_scores, {
-            a: score(u.get(k, 0.0), UTT_SCORE_MAX, uid, k) for a, k in keys.items()}))
+            a: score(required(u, k, uid, k), UTT_SCORE_MAX, uid, k) for a, k in keys.items()}))
     out_path = Path(out_corpus_path)
     try:
         out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -5,12 +5,12 @@ differentiable operand of an op is a ``Tensor``, and ``Tensor(data)`` is the
 one place an array becomes one.  Constant operands (loss targets, row weights,
 labels, indices, segment positions) stay plain arrays and get no gradient.  An
 operation executed while a ``Tape`` is active records a backward closure with
-its outputs, ``_record(bwd, *outs)``.  ``Tape.backward(loss)`` replays the
-records in exact reverse recording order, calls ``bwd(*grads)`` with the
-outputs' gradients only when at least one of them is not None, and drops each
-record once it has run, so a tape is replayed once.  A closure adds into its
-inputs' gradients with ``_acc``.  Everything runs in float64 so the
-finite-difference checker is meaningful at 1e-4 relative tolerance.
+its one output, ``_record(bwd, out)``.  ``Tape.backward(loss)`` replays the
+records in exact reverse recording order, calls ``bwd(out.grad)`` only when
+that gradient is not None, and drops each record once it has run, so a tape
+is replayed once.  A closure adds into its inputs' gradients with ``_acc``.
+Everything runs in float64 so the finite-difference checker is meaningful at
+1e-4 relative tolerance.
 """
 
 from __future__ import annotations
@@ -96,15 +96,14 @@ class Tape:
         # drop each closure once it has run, so the activations and gradients
         # it holds are freed as the pass goes rather than with the tape
         while self._ops:
-            bwd, outs = self._ops.pop()
-            grads = [t.grad for t in outs]
-            if any(g is not None for g in grads):
-                bwd(*grads)
+            bwd, out = self._ops.pop()
+            if out.grad is not None:
+                bwd(out.grad)
 
 
-def _record(fn, *outs):
+def _record(fn, out):
     if _TAPES:
-        _TAPES[-1]._ops.append((fn, outs))
+        _TAPES[-1]._ops.append((fn, out))
 
 
 def _acc(t: Tensor, g: np.ndarray, owned: bool = False, at=None):

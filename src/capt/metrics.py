@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .data import PHONE_SCORE_MAX, UTT_SCORE_MAX, WORD_SCORE_MAX
-from .errors import AlignmentError, ContractError
+from .errors import AlignmentError, CaptError, ContractError
 from .phonology import DEL_ID
 from .scoring import ASPECTS, WORD_SCORE_NAMES
 
@@ -127,8 +127,10 @@ class EvalReport:
     n_utterances: int = 0
     n_phones: int = 0
 
-    def to_text(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
+    def to_text(self, **extra) -> str:
+        """Sorted, indented JSON of the report, with ``extra`` keys (such as
+        a run's timing) added beside its fields."""
+        return json.dumps({**asdict(self), **extra}, sort_keys=True, indent=2) + "\n"
 
 
 def _pcc_or_flag(x, y, name: str, flags: list[str]):
@@ -150,8 +152,8 @@ def evaluate(model, records) -> EvalReport:
     for rec in records:
         try:
             pred = model.predict(rec.features, rec.canonical_ids(), rec.word_spans())
-        except Exception as e:
-            raise ContractError(f"evaluate: utterance {rec.id!r}: {e}") from e
+        except CaptError as e:
+            raise type(e)(f"evaluate: utterance {rec.id!r}: {e}") from e
         phone_pred.append(pred.phone_scores * PHONE_SCORE_MAX)
         phone_tgt.append(rec.phone_targets_norm() * PHONE_SCORE_MAX)
         word_pred.append(pred.word_scores * WORD_SCORE_MAX)

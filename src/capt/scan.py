@@ -23,12 +23,8 @@ delta=delta)`` with the (T, S) projection B, as Mamba's ``selective_scan_fn``
 (Gu & Dao 2023, section 3.3.2) takes delta and B: the states start from
 (delta * x) (x) B, so the (T, C, S) B_bar = delta (x) B is never built.  The
 B_bar form, with a (T, C, S) b and no delta, stays for perfbench's kernel
-replay and the value-level functions below.
-
-A parallel formulation via the associative composition
-(a2, b2) o (a1, b1) = (a2*a1, a2*b1 + b2) is provided as
-``scan_parallel_values``, the reference the sequential kernel must agree
-with to 1e-9; training and inference use the sequential kernel only.
+replay and the gradient suite.  ``selective_scan`` is the one entry point;
+outside a tape it records nothing.
 """
 
 from __future__ import annotations
@@ -190,7 +186,7 @@ def _scan_bwd(x, a_bar, b, c, d, saved, dy, delta=None):
 
 
 # ---------------------------------------------------------------------------
-# value-level entry points (plain ndarrays)
+# differentiable op
 
 
 def _check_streams(x, a_bar, b, c, d, delta=None):
@@ -210,35 +206,6 @@ def _check_streams(x, a_bar, b, c, d, delta=None):
             f"selective_scan: stream shapes disagree: x {x.shape}, {streams}, "
             f"C {c.shape}, D {d.shape}"
         )
-
-
-def scan_sequential_values(x, a_bar, b_bar, c, d):
-    """Sequential recurrence, values only.  Returns y (T, C)."""
-    x, a_bar, b_bar, c, d = (np.asarray(v, dtype=np.float64) for v in (x, a_bar, b_bar, c, d))
-    _check_streams(x, a_bar, b_bar, c, d)
-    y, _ = _scan_fwd(x, a_bar, b_bar, c, d)
-    return y
-
-
-def scan_parallel_values(x, a_bar, b_bar, c, d):
-    """Associative prefix-scan formulation (Hillis-Steele doubling)."""
-    x, a_bar, b_bar, c, d = (np.asarray(v, dtype=np.float64) for v in (x, a_bar, b_bar, c, d))
-    _check_streams(x, a_bar, b_bar, c, d)
-    t_len = x.shape[0]
-    a = a_bar.copy()
-    b = b_bar * x[:, :, None]
-    offset = 1
-    while offset < t_len:
-        # RHS reads pre-update values in full before assignment
-        b[offset:] = b[offset:] + a[offset:] * b[:-offset]
-        a[offset:] = a[offset:] * a[:-offset]
-        offset *= 2
-    h = b
-    return np.einsum("tcs,ts->tc", h, c) + d * x
-
-
-# ---------------------------------------------------------------------------
-# differentiable op
 
 
 def selective_scan(x, a_bar, b, c, d, delta=None):

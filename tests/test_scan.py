@@ -7,6 +7,7 @@ from capt import diffcore as dc
 from capt import scan
 from capt.encoder import discretize
 from capt.errors import ContractError, ShapeError
+from scan_reference import parallel_values, sequential_values
 
 
 def rand_instance(rng, t_len, n_ch=3, n_st=2, a_max=1.0):
@@ -64,7 +65,7 @@ def test_scan_memoryless():
     x, _, b_bar, c, _ = rand_instance(rng, 6)
     a_bar = np.zeros_like(b_bar)
     d = np.zeros(3)
-    y = scan.scan_sequential_values(x, a_bar, b_bar, c, d)
+    y = sequential_values(x, a_bar, b_bar, c, d)
     expect = np.einsum("ts,tcs->tc", c, b_bar * x[:, :, None])
     np.testing.assert_allclose(y, expect, atol=1e-12)
 
@@ -76,7 +77,7 @@ def test_scan_geometric_impulse():
     a_bar = np.full((t_len, 1, 1), a)
     b_bar = np.full((t_len, 1, 1), b)
     c = np.ones((t_len, 1))
-    y = scan.scan_sequential_values(x, a_bar, b_bar, c, np.zeros(1))
+    y = sequential_values(x, a_bar, b_bar, c, np.zeros(1))
     expect = np.array([b * a ** (t - 1) if t >= 1 else 0 for t in range(1, t_len + 1)])
     # y_t = b * a^(t-1) for the impulse at t=1
     np.testing.assert_allclose(y[:, 0], b * (a ** np.arange(t_len)), atol=1e-12)
@@ -86,7 +87,7 @@ def test_scan_geometric_impulse():
 def test_scan_zero_input():
     rng = np.random.default_rng(2)
     x, a_bar, b_bar, c, d = rand_instance(rng, 5)
-    y = scan.scan_sequential_values(np.zeros_like(x), a_bar, b_bar, c, d)
+    y = sequential_values(np.zeros_like(x), a_bar, b_bar, c, d)
     np.testing.assert_array_equal(y, 0.0)
 
 
@@ -94,7 +95,7 @@ def test_scan_stream_length_mismatch():
     rng = np.random.default_rng(3)
     x, a_bar, b_bar, c, d = rand_instance(rng, 5)
     with pytest.raises(ContractError):
-        scan.scan_sequential_values(x, a_bar[:4], b_bar, c, d)
+        sequential_values(x, a_bar[:4], b_bar, c, d)
 
 
 def test_delta_form_shape_mismatch_names_every_stream():
@@ -118,16 +119,16 @@ def test_parallel_matches_sequential_small():
     for _ in range(25):
         t_len = int(rng.integers(1, 257))
         inst = rand_instance(rng, t_len)
-        y_seq = scan.scan_sequential_values(*inst)
-        y_par = scan.scan_parallel_values(*inst)
+        y_seq = sequential_values(*inst)
+        y_par = parallel_values(*inst)
         assert np.abs(y_seq - y_par).max() < 1e-9
 
 
 def test_parallel_single_step():
     rng = np.random.default_rng(5)
     inst = rand_instance(rng, 1)
-    np.testing.assert_array_equal(scan.scan_parallel_values(*inst),
-                                  scan.scan_sequential_values(*inst))
+    np.testing.assert_array_equal(parallel_values(*inst),
+                                  sequential_values(*inst))
 
 
 def test_parallel_running_sum():
@@ -136,7 +137,7 @@ def test_parallel_running_sum():
     a_bar = np.ones((t_len, 1, 1))
     b_bar = np.ones((t_len, 1, 1))
     c = np.ones((t_len, 1))
-    y = scan.scan_parallel_values(x, a_bar, b_bar, c, np.zeros(1))
+    y = parallel_values(x, a_bar, b_bar, c, np.zeros(1))
     np.testing.assert_allclose(y[:, 0], np.arange(1, t_len + 1), atol=1e-12)
 
 
@@ -473,9 +474,9 @@ def test_discretize_rejects_mismatched_shapes():
 
 
 # --- the delta-form scan vs the B_bar form it replaced in training ---------
-# A copy of discretize as it was when it also built B_bar = delta (x) B as a
-# second (T, C, S) output, one tape op; with the B_bar scan it is the oracle
-# of discretize plus selective_scan(..., delta=delta).
+# A copy of discretize as it was when it also built B_bar = delta (x) B, here
+# as two single-output tape ops; with the B_bar scan it is the oracle of
+# discretize plus selective_scan(..., delta=delta).
 
 def oracle_discretize_b_bar(delta, a, b_t, starts=None):
     dd, ad, bd = delta.data, a.data, b_t.data
@@ -483,20 +484,20 @@ def oracle_discretize_b_bar(delta, a, b_t, starts=None):
     np.exp(a_bar.data, out=a_bar.data)
     if starts is not None:
         a_bar.data[starts] = 0.0
+
+    def bwd_a(g_a):
+        g_a *= a_bar.data
+        dc._acc(delta, np.einsum("tcs,cs->tc", g_a, ad), owned=True)
+        dc._acc(a, np.einsum("tcs,tc->cs", g_a, dd), owned=True)
+
+    dc._record(bwd_a, a_bar)
     b_bar = dc.Tensor(np.einsum("tc,ts->tcs", dd, bd))
 
-    def bwd(g_a, g_b):
-        d_delta = np.zeros_like(dd)
-        if g_a is not None:
-            g_a *= a_bar.data
-            d_delta += np.einsum("tcs,cs->tc", g_a, ad)
-            dc._acc(a, np.einsum("tcs,tc->cs", g_a, dd), owned=True)
-        if g_b is not None:
-            d_delta += np.matmul(g_b, bd[:, :, None])[:, :, 0]
-            dc._acc(b_t, np.matmul(dd[:, None, :], g_b)[:, 0, :], owned=True)
-        dc._acc(delta, d_delta, owned=True)
+    def bwd_b(g_b):
+        dc._acc(delta, np.matmul(g_b, bd[:, :, None])[:, :, 0], owned=True)
+        dc._acc(b_t, np.matmul(dd[:, None, :], g_b)[:, 0, :], owned=True)
 
-    dc._record(bwd, a_bar, b_bar)
+    dc._record(bwd_b, b_bar)
     return a_bar, b_bar
 
 
