@@ -208,17 +208,18 @@ def _record_to_json(rec: UtteranceRecord) -> str:
     }, sort_keys=True) + "\n"
 
 
-def _int_score(value: int, rec_id: str, field_name: str) -> float:
+def _number(value, rec_id: str, field: str, key) -> float:
+    """A float or an int (not a bool) as a float; ``field.format(key)`` only on error."""
+    if type(value) is not float and type(value) is not int:
+        _fail(rec_id, field.format(key), f"{value!r} is not a number")
     try:
         return float(value)
     except OverflowError:
-        _fail(rec_id, field_name, "an integer too large for a float")
+        _fail(rec_id, field.format(key), "an integer too large for a float")
 
 
 def _record_from_line(line: bytes, features: dict) -> UtteranceRecord:
-    """One corpus line -> a validated record holding its feature matrix; a
-    score is a float or an int, read as a float, and a word index an int (a
-    JSON true or false has type bool, so it is neither)."""
+    """One corpus line -> a validated record holding its feature matrix."""
     try:
         obj = json.loads(line.decode("utf-8"))
     except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, or nested too deep
@@ -230,30 +231,20 @@ def _record_from_line(line: bytes, features: dict) -> UtteranceRecord:
         phones = []
         for i, p in enumerate(obj["phones"]):
             score, word = p["score"], p["word"]
-            if type(score) is not float:
-                if type(score) is not int:
-                    _fail(rec_id, f"phones[{i}].score", f"{score!r} is not a number")
-                score = _int_score(score, rec_id, f"phones[{i}].score")
+            score = _number(score, rec_id, "phones[{}].score", i)
             if type(word) is not int:
                 _fail(rec_id, f"phones[{i}].word", f"{word!r} is not an integer")
             phones.append(PhoneEntry(p["canonical"], p["realized"], score, word))
         word_scores = obj["word_scores"]
         for w, t in enumerate(word_scores):
-            if type(t) is not list or any(type(s) is not float and type(s) is not int
-                                          for s in t):
+            if type(t) is not list:
                 _fail(rec_id, f"word_scores[{w}]", f"{t!r} is not a list of numbers")
-            try:
-                word_scores[w] = tuple(map(float, t))
-            except OverflowError:
-                _fail(rec_id, f"word_scores[{w}]", "an integer too large for a float")
+            word_scores[w] = tuple(_number(s, rec_id, "word_scores[{}]", w) for s in t)
         utt_scores = obj["utterance_scores"]
         if not isinstance(utt_scores, dict):
             raise TypeError(f"utterance_scores {utt_scores!r} is not an object")
         for a, v in utt_scores.items():
-            if type(v) is not float:
-                if type(v) is not int:
-                    _fail(rec_id, f"utterance_scores.{a}", f"{v!r} is not a number")
-                utt_scores[a] = _int_score(v, rec_id, f"utterance_scores.{a}")
+            utt_scores[a] = _number(v, rec_id, "utterance_scores.{}", a)
         rec = UtteranceRecord(rec_id, phones, word_scores, utt_scores)
     except (KeyError, TypeError, ValueError) as e:
         raise DatasetError(f"malformed record: {e}") from e
@@ -484,10 +475,12 @@ def import_speechocean(scores_json_path, out_corpus_path) -> int:
     Acoustic feature matrices are not derivable from the annotations and
     must be supplied separately; only the jsonl file is written, one line
     per record as ``save_dataset`` writes it.  Returns the number of
-    converted records; an utterance without words, or with a canonical
-    ``<del>``/``<unk>``, is skipped.  Every score field of a converted
-    utterance must be present.  A malformed file raises ``DatasetError``
-    naming the file, the utterance and the field, and nothing is written.
+    converted records.  Every word's ``phones`` list is checked first; then
+    an utterance without words, or with a canonical ``<del>``/``<unk>`` in
+    any word, is skipped before its mispronunciations and scores are read.
+    Every score field of a converted utterance must be present.  A malformed
+    file raises ``DatasetError`` naming the file, the utterance and the
+    field, and nothing is written.
     """
     path = Path(scores_json_path)
     try:
@@ -533,21 +526,24 @@ def import_speechocean(scores_json_path, out_corpus_path) -> int:
         if not isinstance(u, dict):
             raise DatasetError(f"{path}: utterance {uid!r} is a {type(u).__name__}, "
                                "not an object")
-        phones = []
-        word_scores = []
-        skip = False
-        for wi, word in enumerate(entries(u, "words", dict, uid, "words")):
-            at = f"words[{wi}]"
-            symbols = entries(word, "phones", str, uid, f"{at}.phones")
+        words = entries(u, "words", dict, uid, "words")
+        canons = []
+        for wi, word in enumerate(words):
+            at = f"words[{wi}].phones"
+            symbols = entries(word, "phones", str, uid, at)
             if not symbols:
-                fail(uid, f"{at}.phones", "empty: a word needs a phone")
+                fail(uid, at, "empty: a word needs a phone")
             canon = [_strip_phone(p) for p in symbols]
             if None in canon:
                 j = canon.index(None)
-                fail(uid, f"{at}.phones[{j}]", f"{symbols[j]!r} is not a phone, <del> or <unk>")
-            if DEL in canon or UNK in canon:
-                skip = True  # no canonical phone to score against
-                break
+                fail(uid, f"{at}[{j}]", f"{symbols[j]!r} is not a phone, <del> or <unk>")
+            canons.append(canon)
+        if not canons or any(DEL in c or UNK in c for c in canons):
+            continue  # no word, or a phone with no canonical symbol to score against
+        phones = []
+        word_scores = []
+        for wi, (word, canon) in enumerate(zip(words, canons)):
+            at = f"words[{wi}]"
             realized = list(canon)
             mis_at = f"{at}.mispronunciations"
             for mi, mis in enumerate(entries(word, "mispronunciations", dict, uid, mis_at)):
@@ -573,8 +569,6 @@ def import_speechocean(scores_json_path, out_corpus_path) -> int:
             word_scores.append(tuple(
                 score(required(word, k, uid, f"{at}.{k}"), WORD_SCORE_MAX, uid, f"{at}.{k}")
                 for k in ("accuracy", "stress", "total")))
-        if skip or not phones:
-            continue
         keys = {a: a for a in ASPECTS} | {"prosody": "prosodic" if "prosodic" in u else "prosody"}
         records.append(UtteranceRecord(uid, phones, word_scores, {
             a: score(required(u, k, uid, k), UTT_SCORE_MAX, uid, k) for a, k in keys.items()}))

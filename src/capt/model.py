@@ -112,13 +112,11 @@ def init_model(cfg: EncoderConfig, feat_dim: int, seed: int) -> Model:
     feat.init_feature_params(feat_dim, cfg.d_model, rng, store)
     init_encoder_params(cfg, rng, store)
     scoring.init_scoring_params(cfg.d_model, cfg.attn_dim, rng, store)
-    table_text = phonology.default_table_text()
-    attr = phonology.load_attribute_table(table_text)
+    attr, checksum = phonology.packaged_table()
     onehot_attr = feat.build_onehot_attr_matrix(attr)
     feat.check_embedding_injective(onehot_attr, store["embed.w"].data)
     return Model(cfg=cfg, feat_dim=feat_dim, params=store,
-                 onehot_attr=onehot_attr,
-                 table_checksum=phonology.table_checksum(table_text))
+                 onehot_attr=onehot_attr, table_checksum=checksum)
 
 
 def save_model(model: Model, path) -> None:
@@ -171,13 +169,6 @@ def load_model(path) -> Model:
             raise PersistenceError(
                 f"{path}: model metadata field {field!r} is not a {kind.__name__}"
             )
-    current = phonology.table_checksum()
-    if meta["table_checksum"] != current:
-        raise PersistenceError(
-            f"{path}: phonological table checksum mismatch "
-            f"(model {meta['table_checksum'][:12]}..., active {current[:12]}...); "
-            "refusing to load against a different table"
-        )
     config = dict(meta["config"])
     config.pop("scan_impl", None)  # an option that older model files still record
     defaults = asdict(EncoderConfig())
@@ -191,6 +182,13 @@ def load_model(path) -> Model:
         model = init_model(EncoderConfig(**config), meta["feat_dim"], seed=0)
     except (ConfigError, ValueError) as e:
         raise PersistenceError(f"{path}: bad model configuration: {e}") from e
+    if meta["table_checksum"] != model.table_checksum:
+        raise PersistenceError(
+            f"{path}: phonological table checksum mismatch "
+            f"(model {meta['table_checksum'][:12]}..., "
+            f"active {model.table_checksum[:12]}...); "
+            "refusing to load against a different table"
+        )
     names = set(model.params.names())
     if names != set(arrays):
         raise PersistenceError(f"{path}: parameter set does not match configuration")

@@ -51,16 +51,18 @@ def default_table_text() -> str:
     return resources.files("capt").joinpath("data_fixtures/phonology.txt").read_text()
 
 
-def table_checksum(text: str | None = None) -> str:
-    if text is None:
-        text = default_table_text()
+def packaged_table() -> tuple[np.ndarray, str]:
+    """The packaged table and its checksum, from one read of the file."""
+    text = default_table_text()
+    return load_attribute_table(text), table_checksum(text)
+
+
+def table_checksum(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def load_attribute_table(text: str | None = None) -> np.ndarray:
+def load_attribute_table(text: str) -> np.ndarray:
     """Parse and validate the table; returns a (41, 24) float matrix."""
-    if text is None:
-        text = default_table_text()
     rows: dict[str, np.ndarray] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

@@ -533,6 +533,27 @@ def test_import_speechocean_deletion_in_any_case(tmp_path, value):
     assert json.loads(out.read_text())["phones"][3]["realized"] == "<del>"
 
 
+UNK_WORD = {"phones": ["<unk>"], "phones-accuracy": [0.0]}
+UNSCORED_WORD = {"phones": ["K"], "phones-accuracy": [2.0], "stress": 10, "total": 10}
+
+
+def test_import_speechocean_skips_before_reading_scores(tmp_path):
+    # the <unk> word skips the utterance in either word order, so the score
+    # its other word lacks is never read
+    src, out = tmp_path / "scores.json", tmp_path / "corpus.jsonl"
+    for words in ([UNK_WORD, UNSCORED_WORD], [UNSCORED_WORD, UNK_WORD]):
+        src.write_text(json.dumps({"u1": {"words": words}}))
+        assert dm.import_speechocean(src, out) == 0
+        assert out.read_text() == ""
+
+
+def test_import_speechocean_checks_every_word_before_a_skip(tmp_path):
+    bad = {"phones": ["K", 5], "phones-accuracy": [2.0, 2.0]}
+    for wi, words in enumerate(([bad, UNK_WORD], [UNK_WORD, bad])):
+        msg = import_error(tmp_path, json.dumps({"u1": {"words": words}}).encode())
+        assert "'u1'" in msg and f"'words[{wi}].phones[1]'" in msg
+
+
 def test_import_speechocean_word_without_phones(tmp_path):
     # its phone-less word would shift the next word's index: a line load_dataset rejects
     raw = json.loads(json.dumps(SPEECHOCEAN))

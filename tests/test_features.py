@@ -3,12 +3,13 @@ import pytest
 
 from capt import diffcore as dc
 from capt import phonology as ph
-from capt.encoder import ParamStore
+from capt.encoder import EncoderConfig, ParamStore
 from capt.errors import ContractError, InventoryError, ShapeError
 from capt.features import (assemble_utterance_features,
                            build_onehot_attr_matrix,
                            check_embedding_injective, compute_gop,
                            init_feature_params)
+from capt.model import init_model, load_model, save_model
 
 
 # --- inventory and attribute table -----------------------------------------
@@ -24,7 +25,7 @@ def test_inventory_size_and_specials():
 
 
 def test_attribute_table_loads_and_validates():
-    table = ph.load_attribute_table()
+    table = ph.packaged_table()[0]
     assert table.shape == (41, 24)
     assert set(np.unique(table)) <= {0.0, 1.0}
     # <del> and <unk> are all-zero
@@ -36,7 +37,7 @@ def test_attribute_table_loads_and_validates():
 
 
 def test_attribute_table_vowel_constraints():
-    table = ph.load_attribute_table()
+    table = ph.packaged_table()[0]
     names = ph.ATTRIBUTE_NAMES
     vowel = names.index("vowel")
     height = [names.index(a) for a in ("high", "mid", "low")]
@@ -64,12 +65,36 @@ def test_attribute_table_rejects_bad_rows():
 
 
 def test_table_checksum_is_stable_and_content_sensitive():
-    assert ph.table_checksum() == ph.table_checksum(ph.default_table_text())
+    assert ph.packaged_table()[1] == ph.table_checksum(ph.default_table_text())
     assert ph.table_checksum("x") != ph.table_checksum("y")
 
 
+def test_each_init_or_load_reads_and_parses_the_table_once(tmp_path, monkeypatch):
+    reads, parses = [], []
+    read, parse = ph.default_table_text, ph.load_attribute_table
+    monkeypatch.setattr(ph, "default_table_text", lambda: reads.append(1) or read())
+    monkeypatch.setattr(ph, "load_attribute_table", lambda text: parses.append(1) or parse(text))
+    cfg = EncoderConfig(d_model=4, d_state=2, n_layers=1, n_think=1)
+    for seed in range(3):
+        save_model(init_model(cfg, feat_dim=3, seed=seed), tmp_path / f"{seed}.capt")
+    for seed in range(2):
+        load_model(tmp_path / f"{seed}.capt")
+    assert (len(reads), len(parses)) == (5, 5)
+
+
+def test_broken_packaged_table_raises_from_init_and_load(tmp_path, monkeypatch):
+    cfg = EncoderConfig(d_model=4, d_state=2, n_layers=1, n_think=1)
+    save_model(init_model(cfg, feat_dim=3, seed=0), tmp_path / "m.capt")
+    broken = ph.default_table_text().replace("AA", "QQ", 1)
+    monkeypatch.setattr(ph, "default_table_text", lambda: broken)
+    with pytest.raises(InventoryError, match="unknown symbol 'QQ'"):
+        init_model(cfg, feat_dim=3, seed=0)
+    with pytest.raises(InventoryError, match="unknown symbol 'QQ'"):
+        load_model(tmp_path / "m.capt")
+
+
 def test_known_phone_attributes():
-    table = ph.load_attribute_table()
+    table = ph.packaged_table()[0]
     names = ph.ATTRIBUTE_NAMES
     b = table[ph.phone_id("B")]
     assert b[names.index("voiced")] == 1
@@ -140,7 +165,7 @@ def test_gop_contract_errors():
 # --- embeddings and fusion --------------------------------------------------
 
 def test_onehot_attr_matrix_shape_and_content():
-    table = ph.load_attribute_table()
+    table = ph.packaged_table()[0]
     mat = build_onehot_attr_matrix(table)
     assert mat.shape == (41, 65)
     np.testing.assert_array_equal(mat[:, :41], np.eye(41))
@@ -151,7 +176,7 @@ def test_embeddings_are_injective_at_init():
     rng = np.random.default_rng(0)
     store = ParamStore()
     init_feature_params(feat_dim=9, d_model=16, rng=rng, store=store)
-    mat = build_onehot_attr_matrix(ph.load_attribute_table())
+    mat = build_onehot_attr_matrix(ph.packaged_table()[0])
     check_embedding_injective(mat, store["embed.w"].data)
     # a rank-destroying projection must be rejected
     with pytest.raises(ContractError):
@@ -162,7 +187,7 @@ def test_assemble_features_shape_and_grad():
     rng = np.random.default_rng(1)
     store = ParamStore()
     init_feature_params(feat_dim=5, d_model=6, rng=rng, store=store)
-    mat = build_onehot_attr_matrix(ph.load_attribute_table())
+    mat = build_onehot_attr_matrix(ph.packaged_table()[0])
     rows = rng.normal(size=(4, 5))
     ids = np.array([0, 5, 12, 40])
     out = assemble_utterance_features(rows, ids, mat, store)
@@ -181,7 +206,7 @@ def test_assemble_features_rejects_bad_rows():
     rng = np.random.default_rng(2)
     store = ParamStore()
     init_feature_params(feat_dim=5, d_model=6, rng=rng, store=store)
-    mat = build_onehot_attr_matrix(ph.load_attribute_table())
+    mat = build_onehot_attr_matrix(ph.packaged_table()[0])
     with pytest.raises(ShapeError):
         assemble_utterance_features(np.zeros((3, 5)), np.array([0, 1]), mat, store)
     with pytest.raises(ContractError):
