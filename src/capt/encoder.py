@@ -66,6 +66,8 @@ class EncoderConfig:
             raise ConfigError("think token count must be >= 0")
         if self.d_attn < 0:
             raise ConfigError(f"d_attn {self.d_attn} must be >= 0 (0: d_model // 2)")
+        if feat_dim < 0:
+            raise ConfigError(f"feat_dim {feat_dim} must be >= 0")
         n = self.n_params(feat_dim)
         if n > MAX_PARAMS:
             sizes = ", ".join(f"{k} {getattr(self, k)}" for k in (
@@ -74,74 +76,72 @@ class EncoderConfig:
                               f"{n:,} parameters, more than MAX_PARAMS ({MAX_PARAMS:,})")
 
 
-class ParamStore:
+class ParamStore(dict):
     """Flat name -> Tensor registry for every learnable parameter."""
 
-    def __init__(self):
-        self._params: dict[str, dc.Tensor] = {}
-
     def add(self, name: str, value: np.ndarray) -> dc.Tensor:
-        if name in self._params:
+        if name in self:
             raise ContractError(f"duplicate parameter {name!r}")
-        t = dc.Tensor(value)
-        self._params[name] = t
+        self[name] = t = dc.Tensor(value)
         return t
 
-    def __getitem__(self, name: str) -> dc.Tensor:
-        return self._params[name]
-
-    def __contains__(self, name):
-        return name in self._params
-
-    def names(self):
-        return list(self._params)
-
     def tensors(self):
-        return list(self._params.values())
-
-    def items(self):
-        return self._params.items()
+        return list(self.values())
 
     def zero_grad(self):
-        for t in self._params.values():
+        for t in self.values():
             t.zero_grad()
 
 
-def he_uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
-    bound = np.sqrt(6.0 / max(fan_in, 1))
+def he_uniform(rng: np.random.Generator, shape) -> np.ndarray:
+    """Uniform in +-sqrt(6 / fan_in), fan_in = shape[0]."""
+    bound = np.sqrt(6.0 / max(shape[0], 1))
     return rng.uniform(-bound, bound, size=shape)
 
 
-def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
-    bound = np.sqrt(6.0 / max(fan_in + fan_out, 1))
+def xavier_uniform(rng: np.random.Generator, shape) -> np.ndarray:
+    """Uniform in +-sqrt(6 / (fan_in + fan_out)) for a (fan_in, fan_out) shape."""
+    bound = np.sqrt(6.0 / max(shape[0] + shape[1], 1))
     return rng.uniform(-bound, bound, size=shape)
 
 
-def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator, store: ParamStore) -> None:
-    cfg.validate()
+def normal(std: float):
+    return lambda rng, shape: rng.normal(0.0, std, size=shape)
+
+
+def init_params(entries: list, rng: np.random.Generator) -> ParamStore:
+    """A store of (name, shape, init) entries drawn in order from ``rng``; init
+    is a fill value or a function ``init(rng, shape)`` returning the array."""
+    store = ParamStore()
+    for name, shape, init in entries:
+        store.add(name, init(rng, shape) if callable(init) else np.full(shape, init))
+    return store
+
+
+def encoder_params(cfg: EncoderConfig) -> list:
     dm, di, ds, w = cfg.d_model, cfg.d_inner, cfg.d_state, cfg.conv_width
-    if cfg.n_think > 0:
-        store.add("enc.think", rng.normal(0.0, 0.02, size=(cfg.n_think, dm)))
+    entries = [("enc.think", (cfg.n_think, dm), normal(0.02))] if cfg.n_think > 0 else []
     for layer in range(cfg.n_layers):
-        for direction in ("fwd", "bwd"):
-            p = f"enc.l{layer}.{direction}"
-            store.add(f"{p}.in_proj.w", xavier_uniform(rng, dm, 2 * di, (dm, 2 * di)))
-            store.add(f"{p}.in_proj.b", np.zeros(2 * di))
-            store.add(f"{p}.conv.k", he_uniform(rng, w, (w, di)))
-            store.add(f"{p}.conv.b", np.zeros(di))
-            store.add(f"{p}.delta_proj.w", xavier_uniform(rng, di, di, (di, di)))
-            # softplus(0.54) ~ 1.0: start with a mid-range step size
-            store.add(f"{p}.delta_proj.b", np.full(di, 0.54))
-            store.add(f"{p}.b_proj.w", xavier_uniform(rng, di, ds, (di, ds)))
-            store.add(f"{p}.c_proj.w", xavier_uniform(rng, di, ds, (di, ds)))
-            # A = -exp(raw); raw 0 gives A = -1
-            store.add(f"{p}.a_raw", np.zeros((di, ds)))
-            store.add(f"{p}.d_skip", np.ones(di))
-            # small output projection: blocks start near the identity map
-            store.add(f"{p}.out_proj.w", 0.1 * xavier_uniform(rng, di, dm, (di, dm)))
-            store.add(f"{p}.out_proj.b", np.zeros(dm))
-        store.add(f"enc.l{layer}.comb.w", xavier_uniform(rng, 2 * dm, dm, (2 * dm, dm)))
-        store.add(f"enc.l{layer}.comb.b", np.zeros(dm))
+        for p in (f"enc.l{layer}.fwd", f"enc.l{layer}.bwd"):
+            entries += [(f"{p}.in_proj.w", (dm, 2 * di), xavier_uniform),
+                        (f"{p}.in_proj.b", (2 * di,), 0.0),
+                        (f"{p}.conv.k", (w, di), he_uniform),
+                        (f"{p}.conv.b", (di,), 0.0),
+                        (f"{p}.delta_proj.w", (di, di), xavier_uniform),
+                        # softplus(0.54) ~ 1.0: start with a mid-range step size
+                        (f"{p}.delta_proj.b", (di,), 0.54),
+                        (f"{p}.b_proj.w", (di, ds), xavier_uniform),
+                        (f"{p}.c_proj.w", (di, ds), xavier_uniform),
+                        # A = -exp(raw); raw 0 gives A = -1
+                        (f"{p}.a_raw", (di, ds), 0.0),
+                        (f"{p}.d_skip", (di,), 1.0),
+                        # small output projection: blocks start near the identity map
+                        (f"{p}.out_proj.w", (di, dm),
+                         lambda rng, shape: 0.1 * xavier_uniform(rng, shape)),
+                        (f"{p}.out_proj.b", (dm,), 0.0)]
+        entries += [(f"enc.l{layer}.comb.w", (2 * dm, dm), xavier_uniform),
+                    (f"enc.l{layer}.comb.b", (dm,), 0.0)]
+    return entries
 
 
 def discretize(delta: dc.Tensor, a: dc.Tensor, starts=None) -> dc.Tensor:

@@ -54,12 +54,10 @@ def build_onehot_attr_matrix(attr_table: np.ndarray) -> np.ndarray:
     return np.concatenate([np.eye(N_PHONES), attr_table], axis=1)
 
 
-def init_feature_params(feat_dim: int, d_model: int, rng: np.random.Generator,
-                        store: ParamStore) -> None:
-    store.add("feat.proj.w", he_uniform(rng, feat_dim, (feat_dim, d_model)))
-    store.add("feat.proj.b", np.zeros(d_model))
-    store.add("embed.w", he_uniform(rng, N_PHONES + N_ATTRIBUTES,
-                                    (N_PHONES + N_ATTRIBUTES, d_model)))
+def feature_params(feat_dim: int, d_model: int) -> list:
+    return [("feat.proj.w", (feat_dim, d_model), he_uniform),
+            ("feat.proj.b", (d_model,), 0.0),
+            ("embed.w", (N_PHONES + N_ATTRIBUTES, d_model), he_uniform)]
 
 
 def check_embedding_injective(onehot_attr: np.ndarray, embed_w: np.ndarray) -> None:

@@ -14,7 +14,7 @@ from . import diffcore as dc
 from . import model as model_mod
 from . import scoring
 from .data import synth_records
-from .encoder import EncoderConfig, ParamStore, discretize, init_encoder_params, mamba_block
+from .encoder import EncoderConfig, discretize, encoder_params, init_params, mamba_block
 from .scan import selective_scan
 from .training import TrainConfig, batch_loss
 
@@ -97,8 +97,7 @@ def _layer_checks(rng):
 
     cfg = EncoderConfig(d_model=4, d_state=3, expand=2, n_layers=1,
                         conv_width=3, n_think=0)
-    store = ParamStore()
-    init_encoder_params(cfg, rng, store)
+    store = init_params(encoder_params(cfg), rng)
     xin = rng.normal(size=(6, 4))
 
     def block_loss():
@@ -106,8 +105,7 @@ def _layer_checks(rng):
 
     checks.append(("mamba_block", block_loss, store.tensors()))
 
-    pool_store = ParamStore()
-    scoring.init_scoring_params(d_model=5, d_attn=3, rng=rng, store=pool_store)
+    pool_store = init_params(scoring.scoring_params(d_model=5, d_attn=3), rng)
     h = rng.normal(size=(4, 5))
     spans = [(0, 2), (2, 4)]
     phone_tgt = rng.uniform(size=4)

@@ -19,7 +19,8 @@ import numpy as np
 from . import features as feat
 from . import phonology, scoring
 from .data import PHONE_SCORE_MAX, UTT_SCORE_MAX, WORD_SCORE_MAX
-from .encoder import EncoderConfig, Packing, ParamStore, bimamba_encode, init_encoder_params
+from .encoder import (EncoderConfig, Packing, ParamStore, bimamba_encode, encoder_params,
+                      init_params)
 from .errors import (ConfigError, ContractError, InventoryError, NumericError, PersistenceError,
                      ShapeError)
 
@@ -105,13 +106,15 @@ class Model:
         return self.forward(feature_rows, phone_ids, word_spans).detach()
 
 
+def param_entries(cfg: EncoderConfig, feat_dim: int) -> list:
+    """Every parameter of a model, in the order ``init_model`` draws them."""
+    return (feat.feature_params(feat_dim, cfg.d_model) + encoder_params(cfg)
+            + scoring.scoring_params(cfg.d_model, cfg.attn_dim))
+
+
 def init_model(cfg: EncoderConfig, feat_dim: int, seed: int) -> Model:
     cfg.validate(feat_dim)
-    rng = np.random.default_rng(seed)
-    store = ParamStore()
-    feat.init_feature_params(feat_dim, cfg.d_model, rng, store)
-    init_encoder_params(cfg, rng, store)
-    scoring.init_scoring_params(cfg.d_model, cfg.attn_dim, rng, store)
+    store = init_params(param_entries(cfg, feat_dim), np.random.default_rng(seed))
     attr, checksum = phonology.packaged_table()
     onehot_attr = feat.build_onehot_attr_matrix(attr)
     feat.check_embedding_injective(onehot_attr, store["embed.w"].data)
@@ -178,28 +181,29 @@ def load_model(path) -> Model:
         if type(value) is not type(defaults[key]):
             raise PersistenceError(f"{path}: model config field {key!r} is {value!r}, "
                                    f"not a {type(defaults[key]).__name__}")
+    cfg, feat_dim = EncoderConfig(**config), meta["feat_dim"]
     try:
-        model = init_model(EncoderConfig(**config), meta["feat_dim"], seed=0)
-    except (ConfigError, ValueError) as e:
+        cfg.validate(feat_dim)
+    except ConfigError as e:
         raise PersistenceError(f"{path}: bad model configuration: {e}") from e
-    if meta["table_checksum"] != model.table_checksum:
-        raise PersistenceError(
-            f"{path}: phonological table checksum mismatch "
-            f"(model {meta['table_checksum'][:12]}..., "
-            f"active {model.table_checksum[:12]}...); "
-            "refusing to load against a different table"
-        )
-    names = set(model.params.names())
-    if names != set(arrays):
+    attr, checksum = phonology.packaged_table()
+    if meta["table_checksum"] != checksum:
+        raise PersistenceError(f"{path}: phonological table checksum mismatch (model "
+                               f"{meta['table_checksum'][:12]}..., active {checksum[:12]}...); "
+                               "refusing to load against a different table")
+    entries = param_entries(cfg, feat_dim)
+    if {name for name, _, _ in entries} != set(arrays):
         raise PersistenceError(f"{path}: parameter set does not match configuration")
-    for name in names:
+    store = ParamStore()
+    for name, shape, _ in entries:
         stored = arrays[name]
         if stored.dtype != np.float64:
             raise PersistenceError(f"{path}: parameter {name} has dtype {stored.dtype}, "
                                    "not float64")
-        if stored.shape != model.params[name].data.shape:
+        if stored.shape != shape:
             raise PersistenceError(f"{path}: shape mismatch for parameter {name}")
         if not np.isfinite(stored).all():
             raise PersistenceError(f"{path}: parameter {name} holds non-finite values")
-        model.params[name].data = stored
-    return model
+        store.add(name, stored)
+    return Model(cfg=cfg, feat_dim=feat_dim, params=store,
+                 onehot_attr=feat.build_onehot_attr_matrix(attr), table_checksum=checksum)

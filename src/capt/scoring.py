@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore as dc
-from .encoder import ParamStore, he_uniform
+from .encoder import ParamStore, he_uniform, normal
 from .errors import AlignmentError, ContractError
 from .phonology import N_PHONES
 
@@ -51,21 +51,21 @@ class GraphOutputs:
         )
 
 
-def init_scoring_params(d_model: int, d_attn: int, rng: np.random.Generator,
-                        store: ParamStore) -> None:
+def scoring_params(d_model: int, d_attn: int) -> list:
     # heads start small: keeps initial losses O(1) and the MDD softmax
     # unsaturated regardless of how much the residual stack grows activations
+    entries = []
     for a in ASPECTS:
-        store.add(f"pool.{a}.w_proj", he_uniform(rng, d_model, (d_model, d_attn)))
-        store.add(f"pool.{a}.w_score", rng.normal(0.0, 0.2, size=d_attn))
-        store.add(f"head.utt.{a}.w", rng.normal(0.0, 0.02, size=d_model))
-        store.add(f"head.utt.{a}.b", np.asarray(0.5))
-    store.add("head.phone.w", rng.normal(0.0, 0.02, size=d_model))
-    store.add("head.phone.b", np.asarray(0.5))
-    store.add("head.mdd.w", rng.normal(0.0, 0.02, size=(d_model, N_PHONES)))
-    store.add("head.mdd.b", np.zeros(N_PHONES))
-    store.add("head.word.w", rng.normal(0.0, 0.02, size=(d_model, 3)))
-    store.add("head.word.b", np.full(3, 0.5))
+        entries += [(f"pool.{a}.w_proj", (d_model, d_attn), he_uniform),
+                    (f"pool.{a}.w_score", (d_attn,), normal(0.2)),
+                    (f"head.utt.{a}.w", (d_model,), normal(0.02)),
+                    (f"head.utt.{a}.b", (), 0.5)]
+    return entries + [("head.phone.w", (d_model,), normal(0.02)),
+                      ("head.phone.b", (), 0.5),
+                      ("head.mdd.w", (d_model, N_PHONES), normal(0.02)),
+                      ("head.mdd.b", (N_PHONES,), 0.0),
+                      ("head.word.w", (d_model, 3), normal(0.02)),
+                      ("head.word.b", (3,), 0.5)]
 
 
 def phone_level_outputs(h: dc.Tensor, params: ParamStore):

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from capt import diffcore as dc
-from capt.encoder import (EncoderConfig, Packing, ParamStore, bimamba_encode,
-                          init_encoder_params, mamba_block)
+from capt.encoder import (EncoderConfig, Packing, bimamba_encode, encoder_params,
+                          init_params, mamba_block)
 from capt.errors import ConfigError, ContractError
 from scan_reference import sequential_values
 
@@ -15,9 +17,7 @@ def small_cfg(**kw):
 
 
 def build(cfg, seed=0):
-    store = ParamStore()
-    init_encoder_params(cfg, np.random.default_rng(seed), store)
-    return store
+    return init_params(encoder_params(cfg), np.random.default_rng(seed))
 
 
 def test_config_validation():
@@ -25,6 +25,8 @@ def test_config_validation():
         EncoderConfig(d_model=0).validate()
     with pytest.raises(ConfigError):
         EncoderConfig(n_think=-1).validate()
+    with pytest.raises(ConfigError, match="feat_dim -3 must be >= 0"):
+        EncoderConfig().validate(-3)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -33,11 +35,10 @@ def test_config_validation():
     EncoderConfig(n_layers=3, expand=3, conv_width=2, n_think=0, d_attn=7),
 ])
 def test_n_params_counts_the_width_set_arrays(cfg):
-    from capt.model import init_model
+    from capt.model import param_entries
 
     feat_dim = 33
-    params = init_model(cfg, feat_dim, seed=0).params
-    sized = [t.data.size for name, t in params.items()
+    sized = [math.prod(shape) for name, shape, _ in param_entries(cfg, feat_dim)
              if name.startswith("enc.") or name == "feat.proj.w"
              or (name.startswith("pool.") and name.endswith(".w_proj"))]
     assert cfg.n_params(feat_dim) == sum(sized)

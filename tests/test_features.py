@@ -3,12 +3,12 @@ import pytest
 
 from capt import diffcore as dc
 from capt import phonology as ph
-from capt.encoder import EncoderConfig, ParamStore
+from capt.encoder import EncoderConfig, init_params
 from capt.errors import ContractError, InventoryError, ShapeError
 from capt.features import (assemble_utterance_features,
                            build_onehot_attr_matrix,
                            check_embedding_injective, compute_gop,
-                           init_feature_params)
+                           feature_params)
 from capt.model import init_model, load_model, save_model
 
 
@@ -174,8 +174,7 @@ def test_onehot_attr_matrix_shape_and_content():
 
 def test_embeddings_are_injective_at_init():
     rng = np.random.default_rng(0)
-    store = ParamStore()
-    init_feature_params(feat_dim=9, d_model=16, rng=rng, store=store)
+    store = init_params(feature_params(feat_dim=9, d_model=16), rng)
     mat = build_onehot_attr_matrix(ph.packaged_table()[0])
     check_embedding_injective(mat, store["embed.w"].data)
     # a rank-destroying projection must be rejected
@@ -185,8 +184,7 @@ def test_embeddings_are_injective_at_init():
 
 def test_assemble_features_shape_and_grad():
     rng = np.random.default_rng(1)
-    store = ParamStore()
-    init_feature_params(feat_dim=5, d_model=6, rng=rng, store=store)
+    store = init_params(feature_params(feat_dim=5, d_model=6), rng)
     mat = build_onehot_attr_matrix(ph.packaged_table()[0])
     rows = rng.normal(size=(4, 5))
     ids = np.array([0, 5, 12, 40])
@@ -204,8 +202,7 @@ def test_assemble_features_shape_and_grad():
 
 def test_assemble_features_rejects_bad_rows():
     rng = np.random.default_rng(2)
-    store = ParamStore()
-    init_feature_params(feat_dim=5, d_model=6, rng=rng, store=store)
+    store = init_params(feature_params(feat_dim=5, d_model=6), rng)
     mat = build_onehot_attr_matrix(ph.packaged_table()[0])
     with pytest.raises(ShapeError):
         assemble_utterance_features(np.zeros((3, 5)), np.array([0, 1]), mat, store)

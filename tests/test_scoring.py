@@ -3,17 +3,15 @@ import pytest
 
 from capt import diffcore as dc
 from capt import scoring
-from capt.encoder import EncoderConfig, ParamStore
-from capt.errors import (AlignmentError, CaptError, ContractError, PersistenceError,
-                         ShapeError)
+from capt.encoder import EncoderConfig, init_params
+from capt.errors import (AlignmentError, CaptError, ConfigError, ContractError,
+                         PersistenceError, ShapeError)
 from capt.model import init_model, load_model, save_model
 from pooler_reference import attention_weights, pool
 
 
 def make_store(d_model=6, d_attn=4, seed=0):
-    store = ParamStore()
-    scoring.init_scoring_params(d_model, d_attn, np.random.default_rng(seed), store)
-    return store
+    return init_params(scoring.scoring_params(d_model, d_attn), np.random.default_rng(seed))
 
 
 def test_aspect_set():
@@ -289,6 +287,34 @@ def test_load_rejects_model_too_large_to_allocate(tmp_path, field, value):
         load_model(path)
     assert str(path) in str(e.value) and f"{field} {value}" in str(e.value)
     assert "MAX_PARAMS" in str(e.value)
+
+
+def test_negative_feat_dim_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="feat_dim -3"):
+        init_model(EncoderConfig(), -3, seed=0)
+    path = tmp_path / "m.capt"
+    save_model(tiny_model(), path)
+    _rewrite_meta(path, lambda meta: meta.update(feat_dim=-3))
+    with pytest.raises(PersistenceError) as e:
+        load_model(path)
+    assert str(path) in str(e.value) and "feat_dim -3" in str(e.value)
+
+
+@pytest.mark.parametrize("target", ["numpy.random.default_rng",
+                                    "capt.features.check_embedding_injective"])
+def test_load_draws_nothing_and_checks_no_random_embedding(tmp_path, monkeypatch, target):
+    model = tiny_model(seed=3)
+    path = tmp_path / "m.capt"
+    save_model(model, path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"load_model called {target}")
+
+    monkeypatch.setattr(target, refuse)
+    loaded = load_model(path)
+    assert list(loaded.params) == list(model.params)
+    for name, t in model.params.items():
+        np.testing.assert_array_equal(loaded.params[name].data, t.data)
 
 
 @pytest.mark.parametrize("case", ["string_param", "nan_param", "config_type",

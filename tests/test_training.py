@@ -299,8 +299,8 @@ def test_adam_updates_moments_in_place_bit_identically():
         for n, t in store.items():
             np.testing.assert_array_equal(t.data, ref[n])
         # the flat buffers hold each parameter's moments in store order
-        np.testing.assert_array_equal(opt._m, np.concatenate([m[n].ravel() for n in store.names()]))
-        np.testing.assert_array_equal(opt._v, np.concatenate([v[n].ravel() for n in store.names()]))
+        np.testing.assert_array_equal(opt._m, np.concatenate([m[n].ravel() for n in store]))
+        np.testing.assert_array_equal(opt._v, np.concatenate([v[n].ravel() for n in store]))
     assert opt._m is buffers[0] and opt._v is buffers[1]
 
 
@@ -425,7 +425,7 @@ def test_adam_matches_buffered_adam_bit_identically():
             for n, t in store.items():
                 t.grad = grads[n].copy()
             opt.step()
-        for n in stores[0].names():
+        for n in stores[0]:
             np.testing.assert_array_equal(stores[0][n].data, stores[1][n].data)
         np.testing.assert_array_equal(opts[0]._m, opts[1]._m)
         np.testing.assert_array_equal(opts[0]._v, opts[1]._v)
