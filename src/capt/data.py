@@ -108,7 +108,8 @@ def validate_record(rec: UtteranceRecord) -> None:
             _fail(rec.id, f"phones[{i}].realized", f"not in inventory: {p.realized!r}")
         if not (0.0 <= p.score <= PHONE_SCORE_MAX):
             _fail(rec.id, f"phones[{i}].score", f"{p.score} outside [0, {PHONE_SCORE_MAX}]")
-        if p.word_index not in (prev, prev + 1):
+        # prev starts at -1, so only the first phone could be at word -1
+        if p.word_index not in (prev, prev + 1) or p.word_index < 0:
             _fail(rec.id, f"phones[{i}].word", "word indices must be contiguous nondecreasing from 0")
         prev = p.word_index
     n_words = prev + 1
@@ -298,26 +299,6 @@ def load_dataset(path) -> list[UtteranceRecord]:
 # synthetic corpus with a planted generative rule
 
 
-@dataclass
-class PlantedRule:
-    """Hidden maps tying features to scores and realized phones."""
-
-    ssl_dim: int
-    emb_realized: np.ndarray  # (41, ssl_dim)
-    v_quality: np.ndarray  # (ssl_dim,)
-    sub_map: np.ndarray  # (39,) substitution target per canonical phone
-
-    @classmethod
-    def make(cls, rule_seed: int, ssl_dim: int) -> "PlantedRule":
-        rng = np.random.default_rng(rule_seed)
-        emb = rng.normal(0.0, 1.0, size=(len(PHONES), ssl_dim))
-        v_q = rng.normal(0.0, 1.0, size=ssl_dim)
-        # fixed derangement: substitute each phone with its cyclic neighbor
-        shift = int(rng.integers(1, len(ARPABET_39)))
-        sub = (np.arange(len(ARPABET_39)) + shift) % len(ARPABET_39)
-        return cls(ssl_dim, emb, v_q, sub)
-
-
 def synth_records(n: int, seed: int, rule_seed: int = 0, ssl_dim: int = 32):
     """Generate n learnable utterances; returns (records, meta).
 
@@ -332,7 +313,13 @@ def synth_records(n: int, seed: int, rule_seed: int = 0, ssl_dim: int = 32):
     for name, value in (("seed", seed), ("rule_seed", rule_seed), ("ssl_dim", ssl_dim)):
         if value < 0:
             raise DatasetError(f"synthetic corpus: {name} {value} must be >= 0")
-    rule = PlantedRule.make(rule_seed, ssl_dim)
+    # the planted rule: hidden maps tying features to scores and realized phones
+    rule_rng = np.random.default_rng(rule_seed)
+    emb_realized = rule_rng.normal(0.0, 1.0, size=(len(PHONES), ssl_dim))
+    v_quality = rule_rng.normal(0.0, 1.0, size=ssl_dim)
+    # fixed derangement: substitute each phone with its cyclic neighbor
+    shift = int(rule_rng.integers(1, len(ARPABET_39)))
+    sub_map = (np.arange(len(ARPABET_39)) + shift) % len(ARPABET_39)
     rng = np.random.default_rng(seed)
     records = []
     sq_err_sum = 0.0
@@ -348,12 +335,12 @@ def synth_records(n: int, seed: int, rule_seed: int = 0, ssl_dim: int = 32):
         canonical = rng.integers(0, len(ARPABET_39), size=n_ph)
         q = rng.uniform(0.15, 0.85, size=n_ph)
         realized = canonical.copy()
-        realized[q < 0.4] = rule.sub_map[canonical[q < 0.4]]
+        realized[q < 0.4] = sub_map[canonical[q < 0.4]]
         realized[q < 0.2] = DEL_ID
         scores = 2.0 * q + rng.uniform(-0.3, 0.3, size=n_ph)
         gop = 2.5 * (q - 1.0)
-        ssl = (rule.emb_realized[realized]
-               + np.outer(q, rule.v_quality)
+        ssl = (emb_realized[realized]
+               + np.outer(q, v_quality)
                + rng.normal(0.0, 0.05, size=(n_ph, ssl_dim)))
         feats = np.concatenate([gop[:, None], ssl], axis=1)
 

@@ -150,8 +150,9 @@ def evaluate(model, records) -> EvalReport:
     utt_pred, utt_tgt = [], []
     canonical, annotated, predicted = [], [], []
     for rec in records:
+        canon = rec.canonical_ids()
         try:
-            pred = model.predict(rec.features, rec.canonical_ids(), rec.word_spans())
+            pred = model.predict(rec.features, canon, rec.word_spans())
         except CaptError as e:
             raise type(e)(f"evaluate: utterance {rec.id!r}: {e}") from e
         phone_pred.append(pred.phone_scores * PHONE_SCORE_MAX)
@@ -160,7 +161,7 @@ def evaluate(model, records) -> EvalReport:
         word_tgt.append(rec.word_targets_norm() * WORD_SCORE_MAX)
         utt_pred.append(pred.utterance_scores * UTT_SCORE_MAX)
         utt_tgt.append(rec.utt_targets_norm() * UTT_SCORE_MAX)
-        canonical.append(rec.canonical_ids())
+        canonical.append(canon)
         annotated.append(rec.realized_ids())
         predicted.append(pred.mdd_logits.argmax(axis=1))
 

@@ -240,6 +240,29 @@ def test_load_dataset_rejects_deeply_nested_line(tmp_path):
     assert str(corpus) in str(e.value) and "line 2" in str(e.value)
 
 
+
+@pytest.mark.parametrize("all_phones", [True, False], ids=["every_phone", "first_phone"])
+def test_load_dataset_rejects_first_phone_outside_word_0(tmp_path, all_phones):
+    records, _ = dm.synth_records(3, seed=2, ssl_dim=8)
+    dm.save_dataset(records, tmp_path)
+    corpus = tmp_path / dm.CORPUS_FILE
+    lines = corpus.read_text().splitlines(keepends=True)
+    obj = json.loads(lines[1])
+    if all_phones:  # a consistent record of one word numbered -1, with no word scores
+        for p in obj["phones"]:
+            p["word"] = -1
+        obj["word_scores"] = []
+    else:
+        obj["phones"][0]["word"] = -1
+    lines[1] = json.dumps(obj) + "\n"
+    corpus.write_text("".join(lines))
+    with pytest.raises(DatasetError) as e:
+        dm.load_dataset(tmp_path)
+    msg = str(e.value)
+    assert str(corpus) in msg and "line 2" in msg and repr(records[1].id) in msg
+    assert "'phones[0].word'" in msg
+
+
 # --- synthetic generator ----------------------------------------------------
 
 def test_synth_records_planted_rule_consistency():
