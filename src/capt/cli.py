@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 import time
 from pathlib import Path
@@ -13,21 +11,11 @@ from pathlib import Path
 from . import data as data_mod
 from . import metrics as metrics_mod
 from . import model as model_mod
-from .errors import CaptError, ConfigError
+from .errors import CaptError, DatasetError
 from .gradsuite import run_suite
 from .phonology import PHONES
 from .scoring import ASPECTS
 from .training import overfit_sanity, train
-
-
-_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
-
-
-def _setup_logging():
-    value = os.environ.get("CAPT_LOG", "WARNING")
-    if value.upper() not in _LOG_LEVELS:
-        raise ConfigError(f"CAPT_LOG {value!r} is not one of {', '.join(_LOG_LEVELS)}")
-    logging.basicConfig(level=value.upper(), format="%(levelname)s %(name)s: %(message)s")
 
 
 def _load_cfg(args) -> data_mod.RunConfig:
@@ -121,7 +109,7 @@ def _cmd_score(args) -> int:
     records = data_mod.load_dataset(args.data)
     by_id = {r.id: r for r in records}
     if args.id not in by_id:
-        raise CaptError(f"utterance id {args.id!r} not in corpus")
+        raise DatasetError(f"{args.data}: utterance id {args.id!r} not in corpus")
     rec = by_id[args.id]
     pred = model.predict(rec.features, rec.canonical_ids(), rec.word_spans())
     out = {
@@ -166,7 +154,6 @@ def main(argv=None) -> int:
         "gradcheck": _cmd_gradcheck,
     }
     try:
-        _setup_logging()
         return handlers[args.command](args)
     except CaptError as e:
         print(f"error: {e}", file=sys.stderr)

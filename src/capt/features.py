@@ -1,4 +1,4 @@
-"""Per-phone input vectors: GOP, canonical/phonological embedding, fusion.
+"""Per-phone input vectors: projected feature rows plus phone embeddings.
 
 The acoustic side of each phone is a precomputed feature row
 (GOP scalar followed by an SSL-style embedding) projected to d_model.
@@ -8,43 +8,12 @@ The two are fused by elementwise addition to form the encoder input.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from . import diffcore as dc
 from .encoder import ParamStore, he_uniform
 from .errors import ContractError, ShapeError
 from .phonology import N_ATTRIBUTES, N_PHONES
-
-log = logging.getLogger("capt")
-
-GOP_FLOOR = 1e-10  # posterior clamp when the canonical phone gets zero mass
-
-
-def compute_gop(frame_posteriors: np.ndarray, canonical_id: int) -> float:
-    """Mean log posterior of the canonical phone over its aligned frames.
-
-    Always <= 0; exactly 0 only when every frame puts all mass on the
-    canonical phone.  Zero posteriors are clamped at log(1e-10) and logged
-    rather than raised.
-    """
-    post = np.asarray(frame_posteriors, dtype=np.float64)
-    if post.ndim != 2 or post.shape[1] != N_PHONES:
-        raise ShapeError(f"compute_gop: expected (T, {N_PHONES}) posteriors, got {post.shape}")
-    if post.shape[0] < 1:
-        raise ContractError("compute_gop: empty phone segment")
-    if not (0 <= canonical_id < N_PHONES):
-        raise ContractError(f"compute_gop: canonical id {canonical_id} out of range")
-    sums = post.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-6):
-        raise ContractError("compute_gop: posterior rows must sum to 1 (+-1e-6)")
-    p = post[:, canonical_id]
-    if np.any(p < GOP_FLOOR):
-        log.warning("compute_gop: clamped %d zero posterior(s) on canonical phone %d",
-                    int((p < GOP_FLOOR).sum()), canonical_id)
-        p = np.maximum(p, GOP_FLOOR)
-    return float(np.log(p).mean())
 
 
 def build_onehot_attr_matrix(attr_table: np.ndarray) -> np.ndarray:

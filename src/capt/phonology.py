@@ -79,10 +79,9 @@ def load_attribute_table(text: str) -> np.ndarray:
             raise InventoryError(f"phonology table line {lineno}: unknown symbol {sym!r}")
         if sym in rows:
             raise InventoryError(f"phonology table line {lineno}: duplicate symbol {sym!r}")
-        bits = [int(b) for b in parts[1:]]
-        if any(b not in (0, 1) for b in bits):
+        if any(b not in ("0", "1") for b in parts[1:]):
             raise InventoryError(f"phonology table line {lineno}: non-binary attribute")
-        rows[sym] = np.array(bits, dtype=np.float64)
+        rows[sym] = np.array([b == "1" for b in parts[1:]], dtype=np.float64)
     missing = [p for p in PHONES if p not in rows]
     if missing:
         raise InventoryError(f"phonology table missing phones: {missing}")

@@ -266,18 +266,21 @@ def overfit_sanity(n_utts: int, encoder_cfg, train_cfg: TrainConfig,
     feat_dim = records[0].features.shape[1]
     model = model_mod.init_model(encoder_cfg, feat_dim, seed=train_cfg.seed)
 
-    state = {"epochs": 0}
+    # the callback evaluates at the last epoch train runs, whether it stops
+    # there or reaches max_epochs; that evaluation is the final one
+    state = {"epochs": 0, "stats": None}
 
     def stop(epoch, bd):
         state["epochs"] = epoch + 1
         if (epoch + 1) % 25 == 0 or epoch + 1 == max_epochs:
-            mse_now, acc_now = training_set_stats(model, records)
+            state["stats"] = training_set_stats(model, records)
+            mse_now, acc_now = state["stats"]
             return mse_now < mse_threshold and acc_now > acc_threshold
         return False
 
     cfg = replace(train_cfg, epochs=max_epochs, batch_size=min(train_cfg.batch_size, n_utts))
     train(records, cfg, model, callback=stop)
-    mse_final, acc_final = training_set_stats(model, records)
+    mse_final, acc_final = state["stats"] or training_set_stats(model, records)
     return {
         "n_utterances": n_utts,
         "epochs_run": state["epochs"],

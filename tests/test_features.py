@@ -7,8 +7,7 @@ from capt.encoder import EncoderConfig, init_params
 from capt.errors import ContractError, InventoryError, ShapeError
 from capt.features import (assemble_utterance_features,
                            build_onehot_attr_matrix,
-                           check_embedding_injective, compute_gop,
-                           feature_params)
+                           check_embedding_injective, feature_params)
 from capt.model import init_model, load_model, save_model
 
 
@@ -64,6 +63,14 @@ def test_attribute_table_rejects_bad_rows():
         ph.load_attribute_table(dropped)  # missing phone
 
 
+@pytest.mark.parametrize("token", ["x", "2", "01", "1.0", "-0"])
+def test_attribute_table_rejects_non_binary_token(token):
+    # AA's row is line 8 of the packaged table; its first bit (voiced) is 1
+    text = ph.default_table_text().replace("\nAA 1 ", f"\nAA {token} ", 1)
+    with pytest.raises(InventoryError, match="phonology table line 8: non-binary attribute"):
+        ph.load_attribute_table(text)
+
+
 def test_table_checksum_is_stable_and_content_sensitive():
     assert ph.packaged_table()[1] == ph.table_checksum(ph.default_table_text())
     assert ph.table_checksum("x") != ph.table_checksum("y")
@@ -107,59 +114,6 @@ def test_known_phone_attributes():
     assert iy[names.index("vowel")] == 1
     assert iy[names.index("high")] == 1
     assert iy[names.index("front")] == 1
-
-
-# --- GOP --------------------------------------------------------------------
-
-def test_gop_perfect_posterior_is_zero():
-    post = np.zeros((4, 41))
-    post[:, 7] = 1.0
-    assert compute_gop(post, 7) == 0.0
-
-
-def test_gop_uniform_posterior():
-    post = np.full((3, 41), 1.0 / 41)
-    assert abs(compute_gop(post, 0) - np.log(1.0 / 41)) < 1e-12
-
-
-def test_gop_is_mean_over_frames():
-    post = np.full((2, 41), 1e-3)
-    post[0, 5] = 1.0 - 40e-3
-    post[1, 5] = 1e-3
-    post[1, 6] = 1.0 - 40e-3
-    expect = 0.5 * (np.log(post[0, 5]) + np.log(post[1, 5]))
-    assert abs(compute_gop(post, 5) - expect) < 1e-12
-
-
-def test_gop_nonpositive_on_random_posteriors():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        t = int(rng.integers(1, 6))
-        post = rng.uniform(size=(t, 41))
-        post /= post.sum(axis=1, keepdims=True)
-        assert compute_gop(post, int(rng.integers(0, 41))) <= 0.0
-
-
-def test_gop_clamps_zero_posterior(caplog):
-    post = np.zeros((2, 41))
-    post[:, 3] = 1.0
-    with caplog.at_level("WARNING", logger="capt"):
-        g = compute_gop(post, 4)
-    assert abs(g - np.log(1e-10)) < 1e-9
-    assert "clamped" in caplog.text
-
-
-def test_gop_contract_errors():
-    with pytest.raises(ShapeError):
-        compute_gop(np.ones((2, 40)), 0)
-    with pytest.raises(ContractError):
-        compute_gop(np.zeros((0, 41)), 0)
-    with pytest.raises(ContractError):
-        compute_gop(np.full((1, 41), 1.0 / 41), 41)
-    bad = np.full((1, 41), 1.0 / 41)
-    bad[0, 0] += 0.01
-    with pytest.raises(ContractError):
-        compute_gop(bad, 0)
 
 
 # --- embeddings and fusion --------------------------------------------------

@@ -1,9 +1,10 @@
 """Byte-level fuzzing of the file loaders.
 
 Any mutation or truncation of a run config, a corpus line, a feature
-container, a model file or a speechocean762 scores.json either loads or
-raises a ``CaptError``; no other exception may escape.  The examples are derandomized, so every run tests
-the same inputs.
+container, a model file, a speechocean762 scores.json or the phonological
+attribute table either loads or raises a ``CaptError``; no other exception
+may escape.  The examples are derandomized, so every run tests the same
+inputs.
 """
 
 import json
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from capt import data as dm
+from capt import phonology as ph
 from capt.encoder import EncoderConfig
 from capt.errors import CaptError
 from capt.model import init_model, load_model, save_model
@@ -54,6 +56,7 @@ SCORES_JSON = (b'{"0001": {"accuracy": 8, "completeness": 10.0, "fluency": 9, '
                b'"prosodic": 9, "total": 8, "words": [{"phones": ["K", "AO1"], '
                b'"phones-accuracy": [2.0, 0.4], "accuracy": 6, "stress": 10, '
                b'"total": 6, "mispronunciations": [{"index": 1, "pronounced-phone": "AA"}]}]}}')
+TABLE = ph.default_table_text().encode()
 
 
 def mutated(blob: bytes):
@@ -135,6 +138,13 @@ def test_fuzz_speechocean_mispronunciation_index(tmp_path, index):
         assert 0 <= index < 2 and realized[index] == "AA"
 
 
+@FUZZ
+@given(blob=mutated(TABLE))
+def test_fuzz_phonology_table(blob):
+    # latin-1 maps every byte to one character, so each byte edit is a text edit
+    loads_or_capt_error(ph.load_attribute_table, blob.decode("latin-1"))
+
+
 def test_unmutated_files_load(tmp_path):
     (tmp_path / "run.ini").write_bytes(INI)
     assert dm.load_run_config(tmp_path / "run.ini").encoder.d_model == 8
@@ -143,4 +153,5 @@ def test_unmutated_files_load(tmp_path):
     assert len(dm.load_dataset(tmp_path)) == 2
     (tmp_path / "scores.json").write_bytes(SCORES_JSON)
     assert dm.import_speechocean(tmp_path / "scores.json", tmp_path / "so.jsonl") == 1
+    assert ph.load_attribute_table(TABLE.decode("latin-1")).shape == (41, 24)
     assert np.isfinite(load_model(tmp_path / "m.capt").params["enc.l0.fwd.a_raw"].data).all()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from capt import diffcore as dc
+from capt import metrics
 from capt import training as tr
 from capt.data import synth_records
 from capt.encoder import EncoderConfig, ParamStore
@@ -273,6 +274,29 @@ def test_overfit_sanity_rejects_bad_sizes():
         tr.overfit_sanity(0, cfg, tr.TrainConfig())
     with pytest.raises(ContractError):
         tr.overfit_sanity(65, cfg, tr.TrainConfig())
+
+
+@pytest.mark.parametrize("max_epochs,threshold,epochs_run", [
+    (3, 0.0, 3), (30, np.inf, 25), (0, 0.0, 0),
+], ids=["runs_to_max_epochs", "stops_at_25", "no_epochs"])
+def test_overfit_sanity_evaluates_once(monkeypatch, max_epochs, threshold, epochs_run):
+    # the callback's evaluation at the last epoch run is the final one; only
+    # with no epoch run does overfit_sanity evaluate after training
+    reports = []
+    evaluate = metrics.evaluate
+
+    def counted(*args):
+        reports.append(evaluate(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(metrics, "evaluate", counted)
+    cfg = EncoderConfig(d_model=8, d_state=4, n_layers=1)
+    result = tr.overfit_sanity(2, cfg, tr.TrainConfig(), max_epochs=max_epochs,
+                               mse_threshold=threshold, acc_threshold=-threshold)
+    assert len(reports) == 1
+    assert result["epochs_run"] == epochs_run
+    assert result["phone_mse"] == reports[0].phone_mse / metrics.PHONE_SCORE_MAX**2
+    assert result["passed"] == (threshold == np.inf)
 
 
 def test_adam_updates_moments_in_place_bit_identically():
