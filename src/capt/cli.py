@@ -11,7 +11,7 @@ from pathlib import Path
 from . import data as data_mod
 from . import metrics as metrics_mod
 from . import model as model_mod
-from .errors import CaptError, DatasetError
+from .errors import CaptError, DatasetError, PersistenceError
 from .gradsuite import run_suite
 from .phonology import PHONES
 from .scoring import ASPECTS
@@ -90,9 +90,17 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
+def _load_model_and_corpus(args):
+    """The --model file and the --data corpus, checked to agree on the
+    feature width."""
     model = model_mod.load_model(args.model)
     records = data_mod.load_dataset(args.data)
+    model.check_feature_width(records, f"{args.data} against model {args.model}: ")
+    return model, records
+
+
+def _cmd_eval(args) -> int:
+    model, records = _load_model_and_corpus(args)
     t0 = time.perf_counter()
     report = metrics_mod.evaluate(model, records)
     wall_s = time.perf_counter() - t0
@@ -100,13 +108,15 @@ def _cmd_eval(args) -> int:
     text = report.to_text(wall_s=wall_s, utts_per_s=len(records) / wall_s)
     sys.stdout.write(text)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as e:
+            raise PersistenceError(f"{args.out}: cannot write eval report: {e}") from e
     return 0
 
 
 def _cmd_score(args) -> int:
-    model = model_mod.load_model(args.model)
-    records = data_mod.load_dataset(args.data)
+    model, records = _load_model_and_corpus(args)
     by_id = {r.id: r for r in records}
     if args.id not in by_id:
         raise DatasetError(f"{args.data}: utterance id {args.id!r} not in corpus")
@@ -128,13 +138,15 @@ def _cmd_score(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     cfg = _load_cfg(args)
+    # the harness runs first, so a bad N fails before the suite's seconds
+    report = (None if args.overfit is None
+              else overfit_sanity(args.overfit, cfg.encoder, cfg.training))
     results = run_suite(seed=cfg.training.seed)
     ok = True
     for name, err, passed in results:
         print(f"{'PASS' if passed else 'FAIL'} {name:24s} max rel err {err:.3e}")
         ok = ok and passed
-    if args.overfit:
-        report = overfit_sanity(args.overfit, cfg.encoder, cfg.training)
+    if report is not None:
         print(f"{'PASS' if report['passed'] else 'FAIL'} overfit_sanity "
               f"phone_mse={report['phone_mse']:.5f} "
               f"mdd_accuracy={report['mdd_accuracy']:.4f} "

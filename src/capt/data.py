@@ -259,12 +259,15 @@ def _record_from_line(line: bytes, features: dict) -> UtteranceRecord:
 
 def save_dataset(records: list[UtteranceRecord], out_dir) -> None:
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / CORPUS_FILE, "w") as f:
-        for rec in records:
-            f.write(_record_to_json(rec))
-    write_feature_file(out_dir / FEATURE_FILE,
-                       {rec.id: rec.features for rec in records})
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with open(out_dir / CORPUS_FILE, "w") as f:
+            for rec in records:
+                f.write(_record_to_json(rec))
+        write_feature_file(out_dir / FEATURE_FILE,
+                           {rec.id: rec.features for rec in records})
+    except OSError as e:
+        raise DatasetError(f"{out_dir}: cannot write corpus: {e}") from e
 
 
 def load_dataset(path) -> list[UtteranceRecord]:
@@ -387,9 +390,11 @@ def synth_records(n: int, seed: int, rule_seed: int = 0, ssl_dim: int = 32):
 def synth_corpus(n: int, seed: int, out_dir, rule_seed: int = 0, ssl_dim: int = 32) -> dict:
     records, meta = synth_records(n, seed, rule_seed, ssl_dim)
     save_dataset(records, out_dir)
-    with open(Path(out_dir) / META_FILE, "w") as f:
-        json.dump(meta, f, sort_keys=True, indent=2)
-        f.write("\n")
+    meta_path = Path(out_dir) / META_FILE
+    try:
+        meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    except OSError as e:
+        raise DatasetError(f"{meta_path}: cannot write corpus metadata: {e}") from e
     return meta
 
 
@@ -406,9 +411,8 @@ class RunConfig:
 # INI section -> (RunConfig attribute, {INI key: attribute of that config});
 # each value is parsed as the type of the attribute's default
 _INI_KEYS = {
-    "model": ("encoder", {"d_model": "d_model", "d_state": "d_state", "expand": "expand",
-                          "n_layers": "n_layers", "conv_width": "conv_width",
-                          "think_tokens": "n_think", "d_attn": "d_attn"}),
+    "model": ("encoder", {"d_model": "d_model", "d_state": "d_state", "n_layers": "n_layers",
+                          "conv_width": "conv_width", "think_tokens": "n_think"}),
     "training": ("training", {k: k for k in ("alpha", "lr", "epochs", "batch_size", "seed")}),
 }
 

@@ -12,7 +12,8 @@ utterances run as one sequence packed along time (``Packing``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -31,48 +32,44 @@ MAX_PARAMS = 50_000_000
 class EncoderConfig:
     d_model: int = 64
     d_state: int = 16
-    expand: int = 2
     n_layers: int = 2
     conv_width: int = 4
     n_think: int = 4
-    d_attn: int = 0  # 0 -> d_model // 2; read it through attn_dim
 
     @property
     def d_inner(self) -> int:
-        return self.d_model * self.expand
+        return 2 * self.d_model  # Mamba's expansion factor E = 2 (Gu & Dao 2023)
 
     @property
     def attn_dim(self) -> int:
-        """The attention pooler width: d_attn, or d_model // 2 when that is 0."""
-        return self.d_attn if self.d_attn > 0 else max(self.d_model // 2, 1)
+        """The attention pooler width."""
+        return max(self.d_model // 2, 1)
 
     def n_params(self, feat_dim: int = 0) -> int:
         """Parameters of every array whose size a width sets: the encoder, the
         projection from feat_dim input features and the five aspect poolers of
         width ``attn_dim``.  The fixed-size embedding and heads, small beside
         these, are left out."""
-        dm, di, ds, w = self.d_model, self.d_inner, self.d_state, self.conv_width
-        block = di * (3 * dm + di + w + 3 * ds + 5) + dm  # one direction of one layer
-        layer = 2 * block + 2 * dm * dm + dm  # plus the direction combiner
-        pools = 5 * dm * self.attn_dim  # one projection per aspect
-        return self.n_layers * layer + self.n_think * dm + feat_dim * dm + pools
+        # one layer's entries times n_layers, so that a huge n_layers is
+        # counted without listing its entries
+        one = replace(self, n_layers=1, n_think=0)
+        layer = sum(math.prod(shape) for _, shape, _ in encoder_params(one))
+        # think rows, feature projection, one pooler projection per aspect
+        return self.n_layers * layer + (self.n_think + feat_dim + 5 * self.attn_dim) * self.d_model
 
     def validate(self, feat_dim: int = 0):
         """Check the fields; a model built with ``feat_dim`` input features
         must fit in MAX_PARAMS."""
-        if min(self.d_model, self.d_state, self.expand, self.n_layers, self.conv_width) < 1:
+        if min(self.d_model, self.d_state, self.n_layers, self.conv_width) < 1:
             raise ConfigError("encoder dimensions must all be >= 1")
         if self.n_think < 0:
             raise ConfigError("think token count must be >= 0")
-        if self.d_attn < 0:
-            raise ConfigError(f"d_attn {self.d_attn} must be >= 0 (0: d_model // 2)")
         if feat_dim < 0:
             raise ConfigError(f"feat_dim {feat_dim} must be >= 0")
         n = self.n_params(feat_dim)
         if n > MAX_PARAMS:
-            sizes = ", ".join(f"{k} {getattr(self, k)}" for k in (
-                "d_model", "d_state", "expand", "n_layers", "conv_width", "n_think"))
-            raise ConfigError(f"{sizes}, d_attn {self.attn_dim}, feat_dim {feat_dim}: "
+            sizes = ", ".join(f"{f.name} {getattr(self, f.name)}" for f in fields(self))
+            raise ConfigError(f"{sizes}, feat_dim {feat_dim}: "
                               f"{n:,} parameters, more than MAX_PARAMS ({MAX_PARAMS:,})")
 
 

@@ -34,4 +34,5 @@ class AlignmentError(CaptError):
 
 
 class PersistenceError(CaptError):
-    """Model file cannot be loaded (version, checksum, truncation)."""
+    """Model file cannot be loaded (version, checksum, truncation), or a model
+    file or run output cannot be written."""

@@ -20,8 +20,7 @@ from .training import TrainConfig, batch_loss
 
 TOLERANCE = 1e-4
 
-TINY_CFG = EncoderConfig(d_model=8, d_state=4, expand=2, n_layers=1,
-                         conv_width=4, n_think=2, d_attn=4)
+TINY_CFG = EncoderConfig(d_model=8, d_state=4, n_layers=1, conv_width=4, n_think=2)
 
 
 def _p(rng, shape):
@@ -95,8 +94,7 @@ def _primitive_checks(rng):
 def _layer_checks(rng):
     checks = []
 
-    cfg = EncoderConfig(d_model=4, d_state=3, expand=2, n_layers=1,
-                        conv_width=3, n_think=0)
+    cfg = EncoderConfig(d_model=4, d_state=3, n_layers=1, conv_width=3, n_think=0)
     store = init_params(encoder_params(cfg), rng)
     xin = rng.normal(size=(6, 4))
 

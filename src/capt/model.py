@@ -18,11 +18,10 @@ import numpy as np
 
 from . import features as feat
 from . import phonology, scoring
-from .data import PHONE_SCORE_MAX, UTT_SCORE_MAX, WORD_SCORE_MAX
 from .encoder import (EncoderConfig, Packing, ParamStore, bimamba_encode, encoder_params,
                       init_params)
-from .errors import (ConfigError, ContractError, InventoryError, NumericError, PersistenceError,
-                     ShapeError)
+from .errors import (ConfigError, ContractError, DatasetError, InventoryError, NumericError,
+                     PersistenceError, ShapeError)
 
 MODEL_FORMAT_VERSION = 1
 # metadata fields load_model reads, with the JSON type each must have
@@ -105,6 +104,15 @@ class Model:
     def predict(self, feature_rows, phone_ids, word_spans) -> scoring.PredictionBundle:
         return self.forward(feature_rows, phone_ids, word_spans).detach()
 
+    def check_feature_width(self, records, where: str = "") -> None:
+        """Raise ``DatasetError``, its message prefixed by ``where``, naming
+        the first record whose features are not feat_dim wide."""
+        for rec in records:
+            if rec.features.shape[1] != self.feat_dim:
+                raise DatasetError(
+                    f"{where}record {rec.id!r}, field 'features': {rec.features.shape[1]} "
+                    f"wide, model feat_dim is {self.feat_dim}")
+
 
 def param_entries(cfg: EncoderConfig, feat_dim: int) -> list:
     """Every parameter of a model, in the order ``init_model`` draws them."""
@@ -128,20 +136,21 @@ def save_model(model: Model, path) -> None:
         "config": asdict(model.cfg),
         "feat_dim": model.feat_dim,
         "table_checksum": model.table_checksum,
-        "score_ranges": {"phone": PHONE_SCORE_MAX, "word": WORD_SCORE_MAX,
-                         "utterance": UTT_SCORE_MAX},
     }
     arrays = {f"param/{name}": t.data for name, t in model.params.items()}
     arrays["__meta__"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(),
                                        dtype=np.uint8)
     # plain zipfile with a pinned timestamp so identical models are
     # byte-identical files (np.savez stamps the current time)
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
-        for name in sorted(arrays):
-            buf = io.BytesIO()
-            np.lib.format.write_array(buf, np.asanyarray(arrays[name]))
-            info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
-            zf.writestr(info, buf.getvalue())
+    try:
+        with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
+            for name in sorted(arrays):
+                buf = io.BytesIO()
+                np.lib.format.write_array(buf, np.asanyarray(arrays[name]))
+                info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
+                zf.writestr(info, buf.getvalue())
+    except OSError as e:
+        raise PersistenceError(f"{path}: cannot write model file: {e}") from e
 
 
 def load_model(path) -> Model:
@@ -173,7 +182,8 @@ def load_model(path) -> Model:
                 f"{path}: model metadata field {field!r} is not a {kind.__name__}"
             )
     config = dict(meta["config"])
-    config.pop("scan_impl", None)  # an option that older model files still record
+    for key in ("scan_impl", "expand", "d_attn"):  # retired fields older files record
+        config.pop(key, None)
     defaults = asdict(EncoderConfig())
     for key, value in config.items():
         if key not in defaults:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .encoder import ParamStore
-from .errors import ConfigError, ContractError, DatasetError, NumericError
+from .errors import ConfigError, ContractError, DatasetError, NumericError, PersistenceError
 from .scoring import GraphOutputs
 
 
@@ -189,16 +189,14 @@ def train(records, cfg: TrainConfig, model, log_path=None,
     cfg.validate()
     if not records:
         raise DatasetError("training on an empty dataset")
-    for rec in records:
-        if rec.features.shape[1] != model.feat_dim:
-            raise DatasetError(
-                f"record {rec.id!r}, field 'features': {rec.features.shape[1]} wide, "
-                f"model feat_dim is {model.feat_dim}"
-            )
+    model.check_feature_width(records)
     rng = np.random.default_rng(cfg.seed)
     opt = Adam(model.params, cfg.lr)
     history: list[LossBreakdown] = []
-    log_file = open(log_path, "w", newline="") if log_path else None
+    try:
+        log_file = open(log_path, "w", newline="") if log_path else None
+    except OSError as e:
+        raise PersistenceError(f"{log_path}: cannot write loss log: {e}") from e
     writer = csv.writer(log_file) if log_file else None
     if writer:
         writer.writerow(["epoch", "l_phn", "l_word", "l_utt", "l_mdd", "l_total"])

@@ -8,8 +8,9 @@ import pytest
 
 from capt import cli, metrics
 from capt import data as dm
+from capt.encoder import EncoderConfig
 from capt.errors import ConfigError, DatasetError
-from capt.model import load_model
+from capt.model import init_model, load_model, save_model
 
 
 def make_record(uid="u0"):
@@ -339,7 +340,7 @@ def test_ini_keys_match_config_fields():
     # every config field has exactly one INI key and every key sets a field
     cfg = dm.RunConfig()
     assert [attr for attr, _ in dm._INI_KEYS.values()] == [f.name for f in dataclasses.fields(cfg)]
-    for (attr, keys), n in zip(dm._INI_KEYS.values(), (7, 5)):
+    for (attr, keys), n in zip(dm._INI_KEYS.values(), (5, 5)):
         fields = [f.name for f in dataclasses.fields(getattr(cfg, attr))]
         assert len(fields) == len(keys) == n
         assert sorted(keys.values()) == sorted(fields)
@@ -379,6 +380,9 @@ def test_load_run_config_malformed_files(tmp_path, text):
     ("[trianing]\nepochs = 3\n", ["[trianing]"]),
     ("[data]\ntrain = /tmp/train\n", ["[data]"]),
     ("[training]\noptimizer = adam\n", ["[training]", "'optimizer'"]),
+    # widths derived from d_model: 2 * d_model inner, d_model // 2 pooler
+    ("[model]\nexpand = 2\n", ["[model]", "'expand'"]),
+    ("[model]\nd_attn = 0\n", ["[model]", "'d_attn'"]),
 ])
 def test_load_run_config_rejects_unknown_names(tmp_path, text, names):
     path = tmp_path / "run.ini"
@@ -392,7 +396,8 @@ def test_load_run_config_rejects_unknown_names(tmp_path, text, names):
 @pytest.mark.parametrize("line,named", [
     # init_model would ask for ~47 billion GB; the limit is checked first
     ("d_model = 1000000000", ["d_model 1000000000", "MAX_PARAMS"]),
-    ("d_attn = -5", ["d_attn -5"]),  # was read as d_model // 2
+    # counted from one layer's entries, without listing a billion layers
+    ("n_layers = 1000000000", ["n_layers 1000000000", "MAX_PARAMS"]),
 ])
 def test_load_run_config_rejects_bad_model_size(tmp_path, line, named):
     path = tmp_path / "run.ini"
@@ -722,3 +727,72 @@ def test_cli_score_unknown_id(tmp_path, capsys):
     code, _, err = run_cli(["score", "--model", str(model_path),
                             "--data", str(corpus), "--id", "nope"], capsys)
     assert code == 1 and "nope" in err and str(corpus) in err
+
+
+def test_cli_gradcheck_overfit_zero_fails_before_the_suite(capsys):
+    # 0 reaches overfit_sanity's size check; the harness runs before the suite
+    code, out, err = run_cli(["gradcheck", "--overfit", "0"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "at least 1 utterance" in err
+
+
+@pytest.fixture
+def narrow_corpus_and_model(tmp_path, capsys):
+    """A corpus with 1-wide features and a saved model expecting 5."""
+    corpus = tmp_path / "narrow"
+    run_cli(["synth", "--n", "2", "--seed", "1", "--out", str(corpus), "--ssl-dim", "0"], capsys)
+    model_path = tmp_path / "m.capt"
+    save_model(init_model(EncoderConfig(d_model=4, d_state=2, n_layers=1, n_think=1),
+                          feat_dim=5, seed=0), model_path)
+    first = json.loads((corpus / "corpus.jsonl").read_text().splitlines()[0])["id"]
+    return corpus, model_path, first
+
+
+@pytest.mark.parametrize("command", ["eval", "score"])
+def test_cli_names_both_files_on_feature_width_mismatch(narrow_corpus_and_model, capsys,
+                                                        command):
+    corpus, model_path, first = narrow_corpus_and_model
+    argv = [command, "--model", str(model_path), "--data", str(corpus)]
+    code, out, err = run_cli(argv + (["--id", first] if command == "score" else []), capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    for name in (str(corpus), str(model_path), repr(first), "1 wide", "feat_dim is 5"):
+        assert name in err
+
+
+def test_save_dataset_unwritable_dir(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with pytest.raises(DatasetError) as e:
+        dm.save_dataset([make_record()], blocker / "corpus")
+    assert str(blocker / "corpus") in str(e.value)
+
+
+def test_synth_corpus_unwritable_meta(tmp_path):
+    (tmp_path / dm.META_FILE).mkdir()  # the metadata path is taken by a directory
+    with pytest.raises(DatasetError) as e:
+        dm.synth_corpus(2, seed=1, out_dir=tmp_path, ssl_dim=2)
+    assert str(tmp_path / dm.META_FILE) in str(e.value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--config", "{ini}", "--data", "{corpus}", "--out", "{tmp}/m2", "--log", "{bad}"],
+    ["train", "--config", "{ini}", "--data", "{corpus}", "--out", "{bad}"],
+    ["eval", "--model", "{model}", "--data", "{corpus}", "--out", "{bad}"],
+    ["synth", "--n", "2", "--out", "{bad}"],
+], ids=["train_log", "train_out", "eval_out", "synth_out"])
+def test_cli_unwritable_output_names_the_path(tmp_path, capsys, argv):
+    corpus = tmp_path / "c"
+    run_cli(["synth", "--n", "2", "--seed", "1", "--out", str(corpus), "--ssl-dim", "2"], capsys)
+    ini = tmp_path / "run.ini"
+    ini.write_text("[model]\nd_model = 4\nd_state = 2\nn_layers = 1\n[training]\nepochs = 1\n")
+    model_path = tmp_path / "m.capt"
+    run_cli(["train", "--config", str(ini), "--data", str(corpus), "--out", str(model_path)],
+            capsys)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    bad = str(blocker / "out")  # a path under a regular file
+    code, _, err = run_cli([a.format(ini=ini, corpus=corpus, tmp=tmp_path, model=model_path,
+                                     bad=bad) for a in argv], capsys)
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1 and bad in err

@@ -11,7 +11,7 @@ from scan_reference import sequential_values
 
 
 def small_cfg(**kw):
-    base = dict(d_model=4, d_state=3, expand=2, n_layers=1, conv_width=3, n_think=0)
+    base = dict(d_model=4, d_state=3, n_layers=1, conv_width=3, n_think=0)
     base.update(kw)
     return EncoderConfig(**base)
 
@@ -32,7 +32,7 @@ def test_config_validation():
 @pytest.mark.parametrize("cfg", [
     EncoderConfig(),
     EncoderConfig(d_model=48, d_state=8, n_layers=1, conv_width=3, n_think=4),  # criterion 5
-    EncoderConfig(n_layers=3, expand=3, conv_width=2, n_think=0, d_attn=7),
+    EncoderConfig(d_model=14, d_state=5, n_layers=3, conv_width=2, n_think=0),
 ])
 def test_n_params_counts_the_width_set_arrays(cfg):
     from capt.model import param_entries

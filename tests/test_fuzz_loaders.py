@@ -29,7 +29,6 @@ d_model = 8
 d_state = 4
 n_layers = 1
 think_tokens = 2
-d_attn = 0
 
 [training]
 alpha = 0.3

@@ -179,8 +179,7 @@ def test_heads_gradients():
 # --- full model forward + persistence --------------------------------------
 
 def tiny_model(seed=0):
-    cfg = EncoderConfig(d_model=8, d_state=4, expand=2, n_layers=1,
-                        conv_width=3, n_think=2)
+    cfg = EncoderConfig(d_model=8, d_state=4, n_layers=1, conv_width=3, n_think=2)
     return init_model(cfg, feat_dim=5, seed=seed)
 
 
@@ -375,18 +374,61 @@ def test_load_ignores_older_d_attn_key(tmp_path):
     assert "pool.total.w_proj" in str(e.value)
 
 
-def test_load_drops_removed_scan_impl_key(tmp_path):
+@pytest.mark.parametrize("key,value", [("scan_impl", "parallel"), ("expand", 2), ("d_attn", 0)],
+                         ids=["scan_impl", "expand", "d_attn"])
+def test_load_drops_retired_config_field(tmp_path, key, value):
+    # retired config fields, with the values older model files record
     model = tiny_model(seed=5)
     path = tmp_path / "m.capt"
     save_model(model, path)
-    _rewrite_meta(path, lambda meta: meta["config"].update(scan_impl="parallel"))
+    _rewrite_meta(path, lambda meta: meta["config"].update({key: value}))
     loaded = load_model(path)
     rows, ids = np.random.default_rng(11).normal(size=(3, 5)), np.array([4, 5, 6])
-    np.testing.assert_array_equal(model.predict(rows, ids, [(0, 3)]).mdd_logits,
-                                  loaded.predict(rows, ids, [(0, 3)]).mdd_logits)
+    want, got = (m.predict(rows, ids, [(0, 3)]) for m in (model, loaded))
+    for field in ("phone_scores", "mdd_logits", "word_scores", "utterance_scores"):
+        np.testing.assert_array_equal(getattr(want, field), getattr(got, field))
     _rewrite_meta(path, lambda meta: meta["config"].update(warp=1))
     with pytest.raises(PersistenceError):
         load_model(path)
+
+
+def test_load_ignores_older_score_ranges_key(tmp_path):
+    model = tiny_model(seed=7)
+    path = tmp_path / "m.capt"
+    save_model(model, path)
+    _rewrite_meta(path, lambda meta: meta.update(
+        score_ranges={"phone": 2.0, "word": 10.0, "utterance": 10.0}))
+    loaded = load_model(path)
+    rows, ids = np.random.default_rng(13).normal(size=(3, 5)), np.array([4, 5, 6])
+    np.testing.assert_array_equal(model.predict(rows, ids, [(0, 3)]).utterance_scores,
+                                  loaded.predict(rows, ids, [(0, 3)]).utterance_scores)
+
+
+def test_load_rejects_pooler_wider_than_half_d_model(tmp_path):
+    # a file whose config set d_attn above d_model // 2: its pooler arrays no
+    # longer have the width the config gives
+    model = tiny_model(seed=8)
+    path = tmp_path / "m.capt"
+    save_model(model, path)
+    dm, wide = model.cfg.d_model, model.cfg.attn_dim + 2
+    rng = np.random.default_rng(14)
+    params = {}
+    for a in scoring.ASPECTS:
+        params[f"pool.{a}.w_proj"] = rng.normal(size=(dm, wide))
+        params[f"pool.{a}.w_score"] = rng.normal(size=wide)
+    _rewrite_meta(path, lambda meta: meta["config"].update(d_attn=wide), params)
+    with pytest.raises(PersistenceError) as e:
+        load_model(path)
+    assert str(path) in str(e.value)
+    assert f"pool.{scoring.ASPECTS[0]}.w_proj" in str(e.value)
+
+
+def test_save_model_unwritable_path(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with pytest.raises(PersistenceError) as e:
+        save_model(tiny_model(), blocker / "m.capt")
+    assert str(blocker / "m.capt") in str(e.value)
 
 
 def test_load_rejects_truncated_file(tmp_path):

@@ -17,8 +17,7 @@ from capt.scoring import GraphOutputs
 
 
 def tiny_model(seed=0, feat_dim=33):
-    cfg = EncoderConfig(d_model=8, d_state=4, expand=2, n_layers=1,
-                        conv_width=3, n_think=2)
+    cfg = EncoderConfig(d_model=8, d_state=4, n_layers=1, conv_width=3, n_think=2)
     return init_model(cfg, feat_dim=feat_dim, seed=seed)
 
 
@@ -141,8 +140,7 @@ def test_batch_loss_pinned_breakdown():
 
 def test_packed_batch_loss_gradcheck():
     # 1 phone, 2 phones (< conv_width 4) and 4 phones, each with K = 2
-    cfg = EncoderConfig(d_model=2, d_state=2, expand=2, n_layers=1, conv_width=4,
-                        n_think=2, d_attn=1)
+    cfg = EncoderConfig(d_model=2, d_state=2, n_layers=1, conv_width=4, n_think=2)
     records, _ = synth_records(6, seed=17, ssl_dim=3)
     batch = []
     for rec, n in zip(records, (1, 2, 4)):
@@ -377,8 +375,7 @@ def test_batch_loss_gives_every_parameter_a_gradient(n_think, n_utts, alpha):
     # Adam.step requires a gradient for every parameter; scale(., 0) at the
     # ends of alpha's range still hands its input a zero gradient
     records, _ = synth_records(n_utts, seed=12, ssl_dim=8)
-    cfg = EncoderConfig(d_model=8, d_state=4, expand=2, n_layers=2, conv_width=3,
-                        n_think=n_think)
+    cfg = EncoderConfig(d_model=8, d_state=4, n_layers=2, conv_width=3, n_think=n_think)
     model = init_model(cfg, feat_dim=9, seed=1)
     model.params.zero_grad()
     with dc.Tape() as tape:
