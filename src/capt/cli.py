@@ -26,6 +26,16 @@ def _load_cfg(args) -> data_mod.RunConfig:
     return cfg
 
 
+def _write(path, what: str, data: bytes = b""):
+    """Write ``data`` to ``path``, raising a PersistenceError that names it.
+    With no data this empties the path before the work that fills it, so an
+    unwritable path fails before the first epoch or evaluation."""
+    try:
+        Path(path).write_bytes(data)
+    except OSError as e:
+        raise PersistenceError(f"{path}: cannot write {what}: {e}") from e
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="capt",
                                  description="Joint pronunciation assessment and "
@@ -80,6 +90,7 @@ def _cmd_train(args) -> int:
     feat_dim = records[0].features.shape[1]
     model = model_mod.init_model(cfg.encoder, feat_dim, seed=cfg.training.seed)
     log_path = args.log or (str(args.out) + ".loss.csv")
+    _write(args.out, "model file")
     history = train(records, cfg.training, model, log_path=log_path)
     model_mod.save_model(model, args.out)
     final = history[-1] if history else None
@@ -101,6 +112,8 @@ def _load_model_and_corpus(args):
 
 def _cmd_eval(args) -> int:
     model, records = _load_model_and_corpus(args)
+    if args.out:
+        _write(args.out, "eval report")
     t0 = time.perf_counter()
     report = metrics_mod.evaluate(model, records)
     wall_s = time.perf_counter() - t0
@@ -108,10 +121,7 @@ def _cmd_eval(args) -> int:
     text = report.to_text(wall_s=wall_s, utts_per_s=len(records) / wall_s)
     sys.stdout.write(text)
     if args.out:
-        try:
-            Path(args.out).write_text(text)
-        except OSError as e:
-            raise PersistenceError(f"{args.out}: cannot write eval report: {e}") from e
+        _write(args.out, "eval report", text.encode())
     return 0
 
 

@@ -418,7 +418,9 @@ _INI_KEYS = {
 
 
 def load_run_config(path) -> RunConfig:
-    cp = configparser.ConfigParser(interpolation=None)
+    # no header can name the default section, so [DEFAULT] is read as a plain
+    # section, and an unknown one, instead of being merged into every other
+    cp = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
         read = cp.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as e:

@@ -289,84 +289,42 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # shape plumbing
 
 
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    out = Tensor(a.data[start:stop])
-
-    def bwd(g):
-        _acc(a, g, at=slice(start, stop))
-
-    _record(bwd, out)
-    return out
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"slice_cols: expected 2-D, got {a.data.shape}")
-    out = Tensor(a.data[:, start:stop])
-
-    def bwd(g):
-        _acc(a, g, at=(slice(None), slice(start, stop)))
-
-    _record(bwd, out)
-    return out
-
-
-def reverse_rows(a: Tensor) -> Tensor:
-    out = Tensor(a.data[::-1])
-
-    def bwd(g):
-        _acc(a, g[::-1])
-
-    _record(bwd, out)
-    return out
-
-
-def concat_rows(parts) -> Tensor:
-    out = Tensor(np.concatenate([p.data for p in parts], axis=0))
-    sizes = [p.data.shape[0] for p in parts]
-
-    def bwd(g):
-        ofs = 0
-        for p, n in zip(parts, sizes):
-            _acc(p, g[ofs : ofs + n])
-            ofs += n
-
-    _record(bwd, out)
-    return out
-
-
-def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape[0] != b.data.shape[0]:
-        raise ShapeError(f"concat_cols: row counts differ {a.data.shape} vs {b.data.shape}")
-    na = a.data.shape[1]
-    out = Tensor(np.concatenate([a.data, b.data], axis=1))
-
-    def bwd(g):
-        _acc(a, g[:, :na])
-        _acc(b, g[:, na:])
-
-    _record(bwd, out)
-    return out
-
-
-def gather_rows(a: Tensor, index) -> Tensor:
-    """out[i] = a[index[i]] for an int index array; an index may repeat.
-
-    The adjoint scatter-adds each output row's gradient back onto the row
-    it was read from.
-    """
-    index = np.asarray(index, dtype=np.int64)
-    out = Tensor(a.data[index])
-    # without repeats the scatter is one indexed add, far faster than add.at
-    repeats = np.unique(index).size < index.size
+def index(a: Tensor, at) -> Tensor:
+    """out = a.data[at] for a slice, a tuple of slices (views) or a 1-D int
+    array of rows, which may repeat one.  The adjoint adds each output
+    element's gradient back onto the element it was read from."""
+    if isinstance(at, (slice, tuple)):
+        repeats = False
+    else:
+        at = np.asarray(at, dtype=np.int64)
+        # without repeats the scatter is one indexed add, far faster than add.at
+        repeats = np.unique(at).size < at.size
+    out = Tensor(a.data[at])
 
     def bwd(g):
         if not repeats:
-            _acc(a, g, at=index)
+            _acc(a, g, at=at)
             return
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
-        np.add.at(a.grad, index, g)
+        np.add.at(a.grad, at, g)
+
+    _record(bwd, out)
+    return out
+
+
+def concat(parts, axis: int = 0) -> Tensor:
+    """The 2-D parts joined along ``axis``; each gets its slice of the gradient."""
+    shapes = [p.data.shape for p in parts]
+    if any(len(s) != 2 or s[1 - axis] != shapes[0][1 - axis] for s in shapes):
+        raise ShapeError(f"concat: parts {shapes} differ off axis {axis}")
+    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
+
+    def bwd(g):
+        ofs = 0
+        for p, s in zip(parts, shapes):
+            _acc(p, g[(slice(None),) * axis + (slice(ofs, ofs + s[axis]),)])
+            ofs += s[axis]
 
     _record(bwd, out)
     return out

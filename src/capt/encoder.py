@@ -179,8 +179,8 @@ class Packing:
     segments stay exactly separate: the scan state and the causal conv reset
     at each segment's first row, and the backward direction reverses rows
     within each segment.  With one segment the layout is the plain
-    [phones; think] sequence: no mask, per-segment reversal or gather is
-    built, and each method below is the single-utterance op.
+    [phones; think] sequence: no mask or gather is built, and the reversal
+    and the phone rows are slices, which select views.
     """
 
     def __init__(self, n_phones, n_think: int):
@@ -194,6 +194,8 @@ class Packing:
             self.n_rows = int(n[0]) + n_think
             self.phone_starts = (0,)
             self.pos = self.starts = None
+            self._reverse = slice(None, None, -1)
+            self._phone_rows = slice(0, int(n[0]))
             return
         lengths = n + n_think
         self.n_rows = int(lengths.sum())
@@ -216,20 +218,16 @@ class Packing:
         ``think`` is None when K = 0."""
         if think is None:
             return x_hat
-        ext = dc.concat_rows([x_hat, think])
-        return ext if self.single else dc.gather_rows(ext, self._place)
+        ext = dc.concat([x_hat, think])
+        return ext if self.single else dc.index(ext, self._place)
 
     def reverse(self, h: dc.Tensor) -> dc.Tensor:
         """Reverse the rows of each segment in place."""
-        return dc.reverse_rows(h) if self.single else dc.gather_rows(h, self._reverse)
+        return dc.index(h, self._reverse)
 
     def phones(self, h: dc.Tensor) -> dc.Tensor:
         """The sum(N_b) phone rows of the packed rows, in order."""
-        if self.n_think == 0:
-            return h
-        if self.single:
-            return dc.slice_rows(h, 0, int(self.n_phones[0]))
-        return dc.gather_rows(h, self._phone_rows)
+        return h if self.n_think == 0 else dc.index(h, self._phone_rows)
 
 
 def mamba_block(x: dc.Tensor, params: ParamStore, prefix: str,
@@ -241,10 +239,9 @@ def mamba_block(x: dc.Tensor, params: ParamStore, prefix: str,
     if x.data.shape[0] < 1:
         raise ContractError("mamba_block: empty sequence")
     pos, starts = (None, None) if packing is None else (packing.pos, packing.starts)
-    di = cfg.d_inner
     xz = dc.linear(x, params[f"{prefix}.in_proj.w"], params[f"{prefix}.in_proj.b"])
-    main = dc.slice_cols(xz, 0, di)
-    gate = dc.slice_cols(xz, di, 2 * di)
+    main = dc.index(xz, np.s_[:, :cfg.d_inner])
+    gate = dc.index(xz, np.s_[:, cfg.d_inner:])
 
     u = dc.conv1d_causal_silu(main, params[f"{prefix}.conv.k"], params[f"{prefix}.conv.b"], pos)
     delta = dc.softplus(dc.linear(u, params[f"{prefix}.delta_proj.w"],
@@ -273,5 +270,5 @@ def bimamba_encode(x_ext: dc.Tensor, packing: Packing, params: ParamStore,
         p = f"enc.l{layer}"
         f = mamba_block(h, params, f"{p}.fwd", cfg, packing)
         b = packing.reverse(mamba_block(packing.reverse(h), params, f"{p}.bwd", cfg, packing))
-        h = dc.linear(dc.concat_cols(f, b), params[f"{p}.comb.w"], params[f"{p}.comb.b"])
+        h = dc.linear(dc.concat([f, b], axis=1), params[f"{p}.comb.w"], params[f"{p}.comb.b"])
     return packing.phones(h)

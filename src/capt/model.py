@@ -155,7 +155,8 @@ def save_model(model: Model, path) -> None:
 
 def load_model(path) -> Model:
     try:
-        with np.load(path) as z:
+        # np.load(path) would leave the file open when the zip fails to parse
+        with open(path, "rb") as f, np.load(f) as z:
             if "__meta__" not in z:
                 raise PersistenceError(f"{path}: not a model file (missing metadata)")
             meta = json.loads(bytes(z["__meta__"]).decode())

@@ -9,7 +9,7 @@ import pytest
 from capt import cli, metrics
 from capt import data as dm
 from capt.encoder import EncoderConfig
-from capt.errors import ConfigError, DatasetError
+from capt.errors import ConfigError, DatasetError, PersistenceError
 from capt.model import init_model, load_model, save_model
 
 
@@ -383,6 +383,10 @@ def test_load_run_config_malformed_files(tmp_path, text):
     # widths derived from d_model: 2 * d_model inner, d_model // 2 pooler
     ("[model]\nexpand = 2\n", ["[model]", "'expand'"]),
     ("[model]\nd_attn = 0\n", ["[model]", "'d_attn'"]),
+    # configparser would merge [DEFAULT] into every other section
+    ("[DEFAULT]\nd_model = 8\n", ["[DEFAULT]"]),
+    ("[DEFAULT]\nepochs = 3\n[training]\nlr = 0.1\n", ["[DEFAULT]"]),
+    ("[DEFAULT]\nepochs = 3\n[model]\nd_model = 8\n", ["[DEFAULT]"]),
 ])
 def test_load_run_config_rejects_unknown_names(tmp_path, text, names):
     path = tmp_path / "run.ini"
@@ -776,11 +780,12 @@ def test_synth_corpus_unwritable_meta(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["train", "--config", "{ini}", "--data", "{corpus}", "--out", "{tmp}/m2", "--log", "{bad}"],
+    ["train", "--config", "{ini}", "--data", "{corpus}", "--out", "{model}", "--log", "{bad}"],
     ["train", "--config", "{ini}", "--data", "{corpus}", "--out", "{bad}"],
+    ["train", "--config", "{ini}", "--data", "{corpus}", "--out", "{bad}", "--log", "{tmp}/ok.csv"],
     ["eval", "--model", "{model}", "--data", "{corpus}", "--out", "{bad}"],
     ["synth", "--n", "2", "--out", "{bad}"],
-], ids=["train_log", "train_out", "eval_out", "synth_out"])
+], ids=["train_log", "train_out", "train_out_log_ok", "eval_out", "synth_out"])
 def test_cli_unwritable_output_names_the_path(tmp_path, capsys, argv):
     corpus = tmp_path / "c"
     run_cli(["synth", "--n", "2", "--seed", "1", "--out", str(corpus), "--ssl-dim", "2"], capsys)
@@ -792,7 +797,13 @@ def test_cli_unwritable_output_names_the_path(tmp_path, capsys, argv):
     blocker = tmp_path / "file"
     blocker.write_text("")
     bad = str(blocker / "out")  # a path under a regular file
-    code, _, err = run_cli([a.format(ini=ini, corpus=corpus, tmp=tmp_path, model=model_path,
-                                     bad=bad) for a in argv], capsys)
+    argv = [a.format(ini=ini, corpus=corpus, tmp=tmp_path, model=model_path, bad=bad)
+            for a in argv]
+    code, out, err = run_cli(argv, capsys)
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1 and bad in err
+    # the paths are tried before the first epoch or evaluation
+    assert out == "" and not (tmp_path / "ok.csv").exists()
+    if argv[0] == "train":  # a failed run leaves no model that loads
+        with pytest.raises(PersistenceError):
+            load_model(argv[argv.index("--out") + 1])

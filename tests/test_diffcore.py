@@ -104,6 +104,7 @@ def test_backward_rejects_empty_tape():
     ("mul", (dc.Tensor(np.zeros(3)), dc.Tensor(np.zeros(4)))),
     ("add", (dc.Tensor(np.zeros((2, 3))), dc.Tensor(np.zeros((3, 2))))),
     ("mse", (dc.Tensor(np.zeros(3)), np.zeros(2))),
+    ("concat", ([dc.Tensor(np.zeros((2, 3))), dc.Tensor(np.zeros((2, 4)))],)),
 ])
 def test_shape_errors_name_primitive(op, args):
     with pytest.raises(ShapeError) as e:
@@ -405,7 +406,7 @@ def test_packed_ops_gradcheck():
     # rows 0 and 5 are read twice, row 3 never
     index = np.array([5, 0, 2, 0, 1, 4, 5])
     wg = rng.normal(size=(7, 3))
-    assert dc.grad_check(lambda: dc.mean(dc.mul(dc.gather_rows(h, index), dc.Tensor(wg))),
+    assert dc.grad_check(lambda: dc.mean(dc.mul(dc.index(h, index), dc.Tensor(wg))),
                          [h]) < 1e-4
     pos = np.array([0, 0, 1, 2, 0, 1])
     kern = dc.Tensor(rng.normal(size=(3, 3)))
@@ -456,26 +457,41 @@ def test_tape_skips_closure_of_output_without_gradient():
 
 
 PARTIAL_OPS = {
-    # name: (op, the part of the input its output reads, whether it repeats)
-    "slice_rows": (lambda a: dc.slice_rows(a, 2, 5), np.s_[2:5], False),
-    "slice_cols": (lambda a: dc.slice_cols(a, 1, 4), np.s_[:, 1:4], False),
-    "gather_rows": (lambda a: dc.gather_rows(a, [4, 0, 6, 2]), np.array([4, 0, 6, 2]), False),
-    "gather_rows_repeats": (lambda a: dc.gather_rows(a, [4, 0, 4, 2, 0, 0]),
-                            np.array([4, 0, 4, 2, 0, 0]), True),
+    # name: (the part of the input dc.index reads, whether it repeats an element)
+    "rows": (np.s_[2:5], False),
+    "cols": (np.s_[:, 1:4], False),
+    "reversed": (np.s_[::-1], False),
+    "gather": ([4, 0, 6, 2], False),
+    "gather_repeats": ([4, 0, 4, 2, 0, 0], True),
 }
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_concat_matches_numpy(axis):
+    rng = np.random.default_rng(15)
+    shapes = [(3, 4), (1, 4), (2, 4)] if axis == 0 else [(4, 3), (4, 1), (4, 2)]
+    parts = [dc.Tensor(rng.normal(size=s)) for s in shapes]
+    with dc.Tape() as tape:
+        out = dc.concat(parts, axis=axis)
+        g = rng.normal(size=out.shape)
+        tape.backward(dc.total_sum(dc.mul(out, dc.Tensor(g))))
+    np.testing.assert_array_equal(out.data, np.concatenate([p.data for p in parts], axis=axis))
+    stops = np.cumsum([s[axis] for s in shapes])
+    for p, g_part in zip(parts, np.split(g, stops[:-1], axis=axis)):
+        np.testing.assert_array_equal(p.grad, g_part)
 
 
 @pytest.mark.parametrize("existing", [False, True], ids=["fresh", "existing"])
 @pytest.mark.parametrize("name", sorted(PARTIAL_OPS))
 def test_partial_gradient_matches_zero_fill(name, existing):
-    op, at, repeats = PARTIAL_OPS[name]
+    at, repeats = PARTIAL_OPS[name]
     rng = np.random.default_rng(14)
     a = dc.Tensor(rng.normal(size=(7, 5)))
     prior = rng.normal(size=(7, 5))
     if existing:
         a.grad = prior.copy()
     with dc.Tape() as tape:
-        out = op(a)
+        out = dc.index(a, at)
         g = rng.normal(size=out.shape)
         tape.backward(dc.total_sum(dc.mul(out, dc.Tensor(g))))
     # the formula it replaces: a zero array of the input's size, written and added

@@ -1,3 +1,6 @@
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -131,7 +134,7 @@ def test_utterance_pooler_matches_per_aspect_chain(n_rows, starts):
         w_b = w.reshape(len(starts), 5)
         values, loss = [], None
         for b, (s, e) in enumerate(zip(starts, [*starts[1:], n_rows])):
-            scores = oracle_aspect_scores(dc.slice_rows(h, s, e), store)
+            scores = oracle_aspect_scores(dc.index(h, np.s_[s:e]), store)
             values.append([t.data for t in scores])
             for i, t in enumerate(scores):
                 term = dc.total_sum(dc.mul(t, dc.Tensor(w_b[b, i])))
@@ -442,3 +445,16 @@ def test_load_rejects_truncated_file(tmp_path):
         with pytest.raises(PersistenceError) as e:
             load_model(path)
         assert str(path) in str(e.value)
+
+
+def test_load_closes_a_file_that_is_not_a_zip(tmp_path):
+    path = tmp_path / "cut.capt"
+    save_model(tiny_model(), path)
+    path.write_bytes(path.read_bytes()[:30])  # the zip magic, then no directory
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always", ResourceWarning)
+        for _ in range(20):
+            with pytest.raises(PersistenceError):
+                load_model(path)
+        gc.collect()  # a file still open when it is freed warns "unclosed file"
+    assert [str(w.message) for w in seen if w.category is ResourceWarning] == []
