@@ -12,10 +12,10 @@ from . import data as data_mod
 from . import metrics as metrics_mod
 from . import model as model_mod
 from .errors import CaptError, DatasetError, PersistenceError
-from .gradsuite import run_suite
+from .gradsuite import overfit_sanity, run_suite
 from .phonology import PHONES
 from .scoring import ASPECTS
-from .training import overfit_sanity, train
+from .training import train
 
 
 def _load_cfg(args) -> data_mod.RunConfig:

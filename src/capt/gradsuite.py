@@ -1,22 +1,29 @@
-"""Finite-difference verification of every layer and the full tiny model.
+"""Finite-difference verification of every layer and the full tiny model,
+and the overfit harness.
 
-Each entry builds a small random instance, wires it into a scalar loss and
-compares the tape gradients against central differences.  The CLI
-``gradcheck`` subcommand runs this suite and exits 0 iff every entry stays
-within the 1e-4 relative tolerance.
+Each suite entry builds a small random instance, wires it into a scalar loss
+and compares the tape gradients against central differences.  The harness
+trains a fresh model on N synthetic utterances, for at most 500 epochs, until
+it memorizes them.  The CLI ``gradcheck`` subcommand runs the suite, and with
+``--overfit N`` the harness first; it exits 0 iff every suite entry stays
+within the 1e-4 relative tolerance and the harness passes.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import diffcore as dc
+from . import metrics
 from . import model as model_mod
 from . import scoring
-from .data import synth_records
+from .data import PHONE_SCORE_MAX, synth_records
 from .encoder import EncoderConfig, discretize, encoder_params, init_params, mamba_block
+from .errors import ContractError, DatasetError
 from .scan import selective_scan
-from .training import TrainConfig, batch_loss
+from .training import TrainConfig, batch_loss, train
 
 TOLERANCE = 1e-4
 
@@ -151,3 +158,46 @@ def run_suite(seed: int = 0):
         err = dc.grad_check(f, params, epsilon=eps)
         results.append((name, err, err <= TOLERANCE))
     return results
+
+
+def training_set_stats(model, records) -> tuple[float, float]:
+    """(phone MSE in normalized space, MDD classification accuracy)."""
+    rep = metrics.evaluate(model, records)
+    hits = rep.mdd_confusion["ta"] + rep.mdd_confusion["cd"]  # predicted as annotated
+    return rep.phone_mse / PHONE_SCORE_MAX**2, hits / rep.n_phones
+
+
+def overfit_sanity(n_utts: int, encoder_cfg, train_cfg: TrainConfig,
+                   max_epochs: int = 500, mse_threshold: float = 0.01,
+                   acc_threshold: float = 0.99) -> dict:
+    """Memorization check on a tiny synthetic set."""
+    if n_utts < 1:
+        raise DatasetError("overfit sanity needs at least 1 utterance")
+    if n_utts > 64:
+        raise ContractError("overfit sanity is meant for <= 64 utterances")
+    records, _ = synth_records(n_utts, seed=train_cfg.seed, rule_seed=0)
+    feat_dim = records[0].features.shape[1]
+    model = model_mod.init_model(encoder_cfg, feat_dim, seed=train_cfg.seed)
+
+    # the callback evaluates at the last epoch train runs, whether it stops
+    # there or reaches max_epochs; that evaluation is the final one
+    state = {"epochs": 0, "stats": None}
+
+    def stop(epoch, bd):
+        state["epochs"] = epoch + 1
+        if (epoch + 1) % 25 == 0 or epoch + 1 == max_epochs:
+            state["stats"] = training_set_stats(model, records)
+            mse_now, acc_now = state["stats"]
+            return mse_now < mse_threshold and acc_now > acc_threshold
+        return False
+
+    cfg = replace(train_cfg, epochs=max_epochs, batch_size=min(train_cfg.batch_size, n_utts))
+    train(records, cfg, model, callback=stop)
+    mse_final, acc_final = state["stats"] or training_set_stats(model, records)
+    return {
+        "n_utterances": n_utts,
+        "epochs_run": state["epochs"],
+        "phone_mse": mse_final,
+        "mdd_accuracy": acc_final,
+        "passed": mse_final < mse_threshold and acc_final > acc_threshold,
+    }

@@ -10,7 +10,7 @@ does not reweight the objective.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,18 +60,9 @@ def apa_loss(out: GraphOutputs, phone_t, word_t, utt_t, phone_w=None, word_w=Non
     """Per-level MSE terms; returns (l_phn, l_word, l_utt, l_apa) tensors.
 
     ``phone_w`` and ``word_w`` weight the phone and word rows (see ``dc.mse``);
-    by default every row counts the same.
+    by default every row counts the same.  ``dc.mse`` raises ``ShapeError``
+    for a missing or mismatched target.
     """
-    for name, pred, tgt in (("phone", out.phone_scores, phone_t),
-                            ("word", out.word_scores, word_t),
-                            ("utterance", out.utterance_scores, utt_t)):
-        if tgt is None:
-            raise DatasetError(f"missing {name}-level target scores")
-        if pred.data.shape != np.asarray(tgt).shape:
-            raise DatasetError(
-                f"{name}-level arity mismatch: prediction {pred.data.shape} "
-                f"vs target {np.asarray(tgt).shape}"
-            )
     l_phn = dc.mse(out.phone_scores, phone_t, phone_w)
     l_word = dc.mse(out.word_scores, word_t, word_w)
     l_utt = dc.mse(out.utterance_scores, utt_t)
@@ -235,54 +226,3 @@ def train(records, cfg: TrainConfig, model, log_path=None,
             log_file.close()
     return history
 
-
-# ---------------------------------------------------------------------------
-# overfit / capacity harness
-
-
-def training_set_stats(model, records) -> tuple[float, float]:
-    """(phone MSE in normalized space, MDD classification accuracy)."""
-    from .metrics import PHONE_SCORE_MAX, evaluate
-
-    rep = evaluate(model, records)
-    hits = rep.mdd_confusion["ta"] + rep.mdd_confusion["cd"]  # predicted as annotated
-    return rep.phone_mse / PHONE_SCORE_MAX**2, hits / rep.n_phones
-
-
-def overfit_sanity(n_utts: int, encoder_cfg, train_cfg: TrainConfig,
-                   max_epochs: int = 500, mse_threshold: float = 0.01,
-                   acc_threshold: float = 0.99) -> dict:
-    """Memorization check on a tiny synthetic set."""
-    if n_utts < 1:
-        raise DatasetError("overfit sanity needs at least 1 utterance")
-    if n_utts > 64:
-        raise ContractError("overfit sanity is meant for <= 64 utterances")
-    from . import model as model_mod
-    from .data import synth_records
-
-    records, _ = synth_records(n_utts, seed=train_cfg.seed, rule_seed=0)
-    feat_dim = records[0].features.shape[1]
-    model = model_mod.init_model(encoder_cfg, feat_dim, seed=train_cfg.seed)
-
-    # the callback evaluates at the last epoch train runs, whether it stops
-    # there or reaches max_epochs; that evaluation is the final one
-    state = {"epochs": 0, "stats": None}
-
-    def stop(epoch, bd):
-        state["epochs"] = epoch + 1
-        if (epoch + 1) % 25 == 0 or epoch + 1 == max_epochs:
-            state["stats"] = training_set_stats(model, records)
-            mse_now, acc_now = state["stats"]
-            return mse_now < mse_threshold and acc_now > acc_threshold
-        return False
-
-    cfg = replace(train_cfg, epochs=max_epochs, batch_size=min(train_cfg.batch_size, n_utts))
-    train(records, cfg, model, callback=stop)
-    mse_final, acc_final = state["stats"] or training_set_stats(model, records)
-    return {
-        "n_utterances": n_utts,
-        "epochs_run": state["epochs"],
-        "phone_mse": mse_final,
-        "mdd_accuracy": acc_final,
-        "passed": mse_final < mse_threshold and acc_final > acc_threshold,
-    }

@@ -18,10 +18,11 @@ from capt import diffcore as dc
 from capt import metrics as mx
 from capt.data import synth_records
 from capt.encoder import EncoderConfig
+from capt.gradsuite import overfit_sanity
 from capt.model import init_model, load_model, save_model
 from capt.phonology import DEL_ID
 from capt.scoring import ASPECTS
-from capt.training import Adam, TrainConfig, batch_loss, overfit_sanity, train
+from capt.training import Adam, TrainConfig, batch_loss, train
 from pooler_reference import attention_weights
 from scan_reference import parallel_values, sequential_values
 

@@ -181,8 +181,8 @@ def test_heads_gradients():
 
 # --- full model forward + persistence --------------------------------------
 
-def tiny_model(seed=0):
-    cfg = EncoderConfig(d_model=8, d_state=4, n_layers=1, conv_width=3, n_think=2)
+def tiny_model(seed=0, n_think=2):
+    cfg = EncoderConfig(d_model=8, d_state=4, n_layers=1, conv_width=3, n_think=n_think)
     return init_model(cfg, feat_dim=5, seed=seed)
 
 
@@ -198,8 +198,11 @@ def test_model_forward_shapes():
     assert out.utterance_scores.shape == (5,)
 
 
-def test_save_load_round_trip_bit_exact(tmp_path):
-    model = tiny_model(seed=3)
+@pytest.mark.parametrize("n_think", [2, 0], ids=["n_think2", "n_think0"])
+def test_save_load_round_trip_bit_exact(tmp_path, n_think):
+    # with K = 0 the model has no enc.think and Packing.place adds no rows
+    model = tiny_model(seed=3, n_think=n_think)
+    assert ("enc.think" in model.params) == (n_think > 0)
     rng = np.random.default_rng(10)
     rows = rng.normal(size=(3, 5))
     ids = np.array([7, 8, 9])

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from capt import diffcore as dc
-from capt import metrics
+from capt import gradsuite, metrics
 from capt import training as tr
 from capt.data import synth_records
 from capt.encoder import EncoderConfig, ParamStore
-from capt.errors import ConfigError, ContractError, DatasetError, NumericError
+from capt.errors import ConfigError, ContractError, DatasetError, NumericError, ShapeError
 from capt.gradsuite import TOLERANCE
 from capt.model import init_model
 from capt.scoring import GraphOutputs
@@ -52,9 +52,9 @@ def test_apa_loss_is_sum_of_level_mses():
 def test_apa_loss_arity_and_missing_targets():
     rng = np.random.default_rng(1)
     out = fake_outputs(rng, 4, 2)
-    with pytest.raises(DatasetError):
+    with pytest.raises(ShapeError):
         tr.apa_loss(out, None, rng.uniform(size=(2, 3)), rng.uniform(size=5))
-    with pytest.raises(DatasetError):
+    with pytest.raises(ShapeError):
         tr.apa_loss(out, rng.uniform(size=3), rng.uniform(size=(2, 3)),
                     rng.uniform(size=5))
 
@@ -252,7 +252,7 @@ def oracle_training_set_stats(model, records):
 def test_training_set_stats_ranges():
     records, _ = synth_records(4, seed=9, ssl_dim=8)
     model = tiny_model(feat_dim=9)
-    mse, acc = tr.training_set_stats(model, records)
+    mse, acc = gradsuite.training_set_stats(model, records)
     assert mse >= 0.0
     assert 0.0 <= acc <= 1.0
     # the statistics metrics.evaluate reports are the per-utterance ones,
@@ -260,7 +260,7 @@ def test_training_set_stats_ranges():
     for epochs in (0, 3):
         if epochs:
             tr.train(records, tr.TrainConfig(epochs=epochs, batch_size=4, lr=0.02), model)
-        mse, acc = tr.training_set_stats(model, records)
+        mse, acc = gradsuite.training_set_stats(model, records)
         want_mse, want_acc = oracle_training_set_stats(model, records)
         assert abs(mse - want_mse) <= 1e-15
         assert acc == want_acc
@@ -269,9 +269,9 @@ def test_training_set_stats_ranges():
 def test_overfit_sanity_rejects_bad_sizes():
     cfg = EncoderConfig(d_model=8, d_state=4, n_layers=1)
     with pytest.raises(DatasetError):
-        tr.overfit_sanity(0, cfg, tr.TrainConfig())
+        gradsuite.overfit_sanity(0, cfg, tr.TrainConfig())
     with pytest.raises(ContractError):
-        tr.overfit_sanity(65, cfg, tr.TrainConfig())
+        gradsuite.overfit_sanity(65, cfg, tr.TrainConfig())
 
 
 @pytest.mark.parametrize("max_epochs,threshold,epochs_run", [
@@ -289,8 +289,8 @@ def test_overfit_sanity_evaluates_once(monkeypatch, max_epochs, threshold, epoch
 
     monkeypatch.setattr(metrics, "evaluate", counted)
     cfg = EncoderConfig(d_model=8, d_state=4, n_layers=1)
-    result = tr.overfit_sanity(2, cfg, tr.TrainConfig(), max_epochs=max_epochs,
-                               mse_threshold=threshold, acc_threshold=-threshold)
+    result = gradsuite.overfit_sanity(2, cfg, tr.TrainConfig(), max_epochs=max_epochs,
+                                      mse_threshold=threshold, acc_threshold=-threshold)
     assert len(reports) == 1
     assert result["epochs_run"] == epochs_run
     assert result["phone_mse"] == reports[0].phone_mse / metrics.PHONE_SCORE_MAX**2
