@@ -19,11 +19,7 @@ from .training import train
 
 
 def _load_cfg(args) -> data_mod.RunConfig:
-    cfg = data_mod.load_run_config(args.config) if args.config else data_mod.RunConfig()
-    if args.seed is not None:
-        cfg.training.seed = args.seed
-        cfg.training.validate()
-    return cfg
+    return data_mod.load_run_config(args.config) if args.config else data_mod.RunConfig()
 
 
 def _write(path, what: str, data: bytes = b""):
@@ -42,19 +38,14 @@ def build_parser() -> argparse.ArgumentParser:
                                              "mispronunciation detection toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="INI run configuration file")
-        p.add_argument("--seed", type=int, help="override the training seed")
-
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0, help="generator seed")
-    p.add_argument("--rule-seed", type=int, default=0)
     p.add_argument("--ssl-dim", type=int, default=32)
 
     p = sub.add_parser("train", help="fit a model and save it")
-    common(p)
+    p.add_argument("--config", help="INI run configuration file")
     p.add_argument("--data", required=True, help="corpus directory")
     p.add_argument("--out", required=True, help="model output path")
     p.add_argument("--log", help="loss log CSV path (default: <out>.loss.csv)")
@@ -70,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", required=True, help="utterance id")
 
     p = sub.add_parser("gradcheck", help="run the finite-difference gradient suite")
-    common(p)
+    p.add_argument("--config", help="INI run configuration file")
     p.add_argument("--overfit", type=int, metavar="N",
                    help="additionally run the overfit sanity harness on N utterances")
 
@@ -78,8 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
-    meta = data_mod.synth_corpus(args.n, args.seed, args.out,
-                                 rule_seed=args.rule_seed, ssl_dim=args.ssl_dim)
+    meta = data_mod.synth_corpus(args.n, args.seed, args.out, ssl_dim=args.ssl_dim)
     print(json.dumps(meta, sort_keys=True))
     return 0
 

@@ -245,6 +245,8 @@ def _record_from_line(line: bytes, features: dict) -> UtteranceRecord:
         if not isinstance(utt_scores, dict):
             raise TypeError(f"utterance_scores {utt_scores!r} is not an object")
         for a, v in utt_scores.items():
+            if a not in ASPECTS:
+                _fail(rec_id, f"utterance_scores.{a}", f"not an aspect of {ASPECTS}")
             utt_scores[a] = _number(v, rec_id, "utterance_scores.{}", a)
         rec = UtteranceRecord(rec_id, phones, word_scores, utt_scores)
     except (KeyError, TypeError, ValueError) as e:
@@ -278,21 +280,24 @@ def load_dataset(path) -> list[UtteranceRecord]:
     features = read_feature_file(corpus_path.parent / FEATURE_FILE)
     records = []
     first_line = {}  # utterance id -> corpus line it first appeared on
-    with open(corpus_path, "rb") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = _record_from_line(line, features)
-            except DatasetError as e:
-                raise DatasetError(f"{corpus_path}: line {lineno}: {e}") from e
-            if rec.id in first_line:
-                raise DatasetError(
-                    f"{corpus_path}: line {lineno}: duplicate utterance id {rec.id!r} "
-                    f"(first on line {first_line[rec.id]})"
-                )
-            first_line[rec.id] = lineno
-            records.append(rec)
+    try:
+        with open(corpus_path, "rb") as f:
+            for lineno, line in enumerate(f, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    rec = _record_from_line(line, features)
+                except DatasetError as e:
+                    raise DatasetError(f"{corpus_path}: line {lineno}: {e}") from e
+                if rec.id in first_line:
+                    raise DatasetError(
+                        f"{corpus_path}: line {lineno}: duplicate utterance id {rec.id!r} "
+                        f"(first on line {first_line[rec.id]})"
+                    )
+                first_line[rec.id] = lineno
+                records.append(rec)
+    except OSError as e:
+        raise DatasetError(f"{corpus_path}: cannot read corpus file: {e}") from e
     if not records:
         raise DatasetError(f"{corpus_path}: empty corpus")
     return records
@@ -387,8 +392,8 @@ def synth_records(n: int, seed: int, rule_seed: int = 0, ssl_dim: int = 32):
     return records, meta
 
 
-def synth_corpus(n: int, seed: int, out_dir, rule_seed: int = 0, ssl_dim: int = 32) -> dict:
-    records, meta = synth_records(n, seed, rule_seed, ssl_dim)
+def synth_corpus(n: int, seed: int, out_dir, ssl_dim: int = 32) -> dict:
+    records, meta = synth_records(n, seed, ssl_dim=ssl_dim)
     save_dataset(records, out_dir)
     meta_path = Path(out_dir) / META_FILE
     try:

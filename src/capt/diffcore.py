@@ -127,23 +127,14 @@ def _acc(t: Tensor, g: np.ndarray, owned: bool = False, at=None):
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; b may also be a scalar () or a last-axis vector."""
-    if not (
-        b.data.shape == a.data.shape
-        or b.data.shape == ()
-        or (a.data.ndim >= 1 and b.data.shape == a.data.shape[-1:])
-    ):
+    """Elementwise sum; b may also be a scalar ()."""
+    if b.data.shape not in (a.data.shape, ()):
         raise ShapeError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}")
     out = Tensor(a.data + b.data)
 
     def bwd(g):
         _acc(a, g)
-        if b.data.shape == a.data.shape:
-            _acc(b, g)
-        elif b.data.shape == ():
-            _acc(b, np.asarray(g.sum()))
-        else:
-            _acc(b, g.reshape(-1, b.data.shape[0]).sum(axis=0))
+        _acc(b, g if b.data.shape == a.data.shape else np.asarray(g.sum()))
 
     _record(bwd, out)
     return out

@@ -45,7 +45,7 @@ class Model:
     table_checksum: str
 
     def forward(self, feature_rows, phone_ids, word_spans,
-                n_phones=None) -> scoring.GraphOutputs:
+                n_phones=None) -> scoring.PredictionBundle:
         """Predictions in normalized [0, 1] score space.
 
         The rows are one utterance unless ``n_phones`` lists the phone
@@ -99,7 +99,7 @@ class Model:
         word_scores = scoring.word_level_outputs(h, word_spans, self.params,
                                                  packing.phone_starts)
         utt_scores = scoring.utterance_level_outputs(h, self.params, packing.phone_starts)
-        return scoring.GraphOutputs(phone_scores, mdd_logits, word_scores, utt_scores)
+        return scoring.PredictionBundle(phone_scores, mdd_logits, word_scores, utt_scores)
 
     def predict(self, feature_rows, phone_ids, word_spans) -> scoring.PredictionBundle:
         return self.forward(feature_rows, phone_ids, word_spans).detach()

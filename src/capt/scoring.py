@@ -25,22 +25,13 @@ WORD_SCORE_NAMES = ("accuracy", "stress", "total")
 
 @dataclass
 class PredictionBundle:
-    """Detached (numpy) predictions for one utterance, normalized scale."""
+    """Predictions for one utterance or a packed batch, normalized scale:
+    graph tensors from ``Model.forward``, numpy arrays after ``detach``."""
 
-    phone_scores: np.ndarray  # (N,)
-    mdd_logits: np.ndarray  # (N, 41)
-    word_scores: np.ndarray  # (W, 3)
-    utterance_scores: np.ndarray  # (5,)
-
-
-@dataclass
-class GraphOutputs:
-    """Same fields as PredictionBundle but as live graph tensors."""
-
-    phone_scores: dc.Tensor
-    mdd_logits: dc.Tensor
-    word_scores: dc.Tensor
-    utterance_scores: dc.Tensor
+    phone_scores: dc.Tensor | np.ndarray  # (N,)
+    mdd_logits: dc.Tensor | np.ndarray  # (N, 41)
+    word_scores: dc.Tensor | np.ndarray  # (W, 3)
+    utterance_scores: dc.Tensor | np.ndarray  # (5,), or (B, 5) for a batch
 
     def detach(self) -> PredictionBundle:
         return PredictionBundle(

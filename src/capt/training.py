@@ -17,7 +17,7 @@ import numpy as np
 from . import diffcore as dc
 from .encoder import ParamStore
 from .errors import ConfigError, ContractError, DatasetError, NumericError, PersistenceError
-from .scoring import GraphOutputs
+from .scoring import PredictionBundle
 
 
 @dataclass
@@ -56,7 +56,7 @@ class LossBreakdown:
 # loss terms
 
 
-def apa_loss(out: GraphOutputs, phone_t, word_t, utt_t, phone_w=None, word_w=None):
+def apa_loss(out: PredictionBundle, phone_t, word_t, utt_t, phone_w=None, word_w=None):
     """Per-level MSE terms; returns (l_phn, l_word, l_utt, l_apa) tensors.
 
     ``phone_w`` and ``word_w`` weight the phone and word rows (see ``dc.mse``);
@@ -74,8 +74,7 @@ def mdd_loss(mdd_logits: dc.Tensor, realized_ids, phone_w=None) -> dc.Tensor:
 
 
 def total_loss(l_apa: dc.Tensor, l_mdd: dc.Tensor, alpha: float) -> dc.Tensor:
-    if not (0.0 <= alpha <= 1.0):
-        raise ConfigError(f"alpha {alpha} outside [0, 1]")
+    """(1 - alpha) * l_apa + alpha * l_mdd; ``TrainConfig.validate`` checks alpha."""
     return dc.add(dc.scale(l_apa, 1.0 - alpha), dc.scale(l_mdd, alpha))
 
 

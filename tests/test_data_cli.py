@@ -215,6 +215,23 @@ def test_load_dataset_rejects_integer_score_too_large_for_a_float(tmp_path, path
     assert f"'{field_name}'" in msg and "too large for a float" in msg
 
 
+@pytest.mark.parametrize("key", ["Fluency", "prosodic"])
+def test_load_dataset_rejects_unknown_aspect(tmp_path, key):
+    # save_dataset writes only the five aspects, so the key would be lost
+    msg = mutated_line_error(tmp_path, ("utterance_scores", key), 5.0)
+    assert f"'utterance_scores.{key}'" in msg and "not an aspect" in msg
+
+
+def test_load_dataset_corpus_file_is_a_directory(tmp_path):
+    dm.save_dataset([make_record()], tmp_path)
+    corpus = tmp_path / dm.CORPUS_FILE
+    corpus.unlink()
+    corpus.mkdir()
+    with pytest.raises(DatasetError) as e:
+        dm.load_dataset(tmp_path)
+    assert str(e.value).startswith(f"{corpus}: cannot read corpus file")
+
+
 def test_load_dataset_reads_integer_scores_as_floats(tmp_path):
     dm.save_dataset([make_record()], tmp_path)
     corpus = tmp_path / dm.CORPUS_FILE
@@ -693,10 +710,15 @@ def test_cli_errors_exit_codes(tmp_path, capsys):
     ["eval", "--model", "m.capt", "--data", "c", "--seed", "1"],
     ["score", "--model", "m.capt", "--data", "c", "--id", "u", "--config", "x.ini"],
     ["synth", "--n", "2", "--out", "c", "--config", "x.ini"],
-], ids=["eval_seed", "score_config", "synth_config"])
+    ["train", "--data", "c", "--out", "m.capt", "--seed", "1"],
+    ["gradcheck", "--seed", "1"],
+    ["synth", "--n", "2", "--out", "c", "--rule-seed", "1"],
+], ids=["eval_seed", "score_config", "synth_config", "train_seed", "gradcheck_seed",
+        "synth_rule_seed"])
 def test_cli_rejects_flags_a_command_does_not_read(capsys, argv):
     # eval and score load a saved model: no run config or seed applies;
-    # synth reads a seed and sizes, no run config
+    # train and gradcheck take their seed from the run config's [training] seed;
+    # synth reads a generator seed and sizes, no run config
     with pytest.raises(SystemExit) as e:
         cli.main(argv)
     assert e.value.code == 2
@@ -706,10 +728,8 @@ def test_cli_rejects_flags_a_command_does_not_read(capsys, argv):
 @pytest.mark.parametrize("argv,named", [
     (["train", "--config", "{ini}", "--data", "{tmp}", "--out", "{tmp}/m.capt"], "seed"),
     (["synth", "--n", "2", "--out", "{tmp}/c", "--seed", "-1"], "seed"),
-    (["gradcheck", "--seed", "-1"], "seed"),
-    (["synth", "--n", "2", "--out", "{tmp}/c", "--rule-seed", "-1"], "rule_seed"),
     (["synth", "--n", "2", "--out", "{tmp}/c", "--ssl-dim", "-1"], "ssl_dim"),
-], ids=["train_ini_seed", "synth_seed", "gradcheck_seed", "synth_rule_seed", "synth_ssl_dim"])
+], ids=["train_ini_seed", "synth_seed", "synth_ssl_dim"])
 def test_cli_rejects_negative_seed_or_size(tmp_path, capsys, argv, named):
     ini = tmp_path / "run.ini"
     ini.write_text("[training]\nseed = -1\n")

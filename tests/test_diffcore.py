@@ -105,6 +105,7 @@ def test_backward_rejects_empty_tape():
     ("add", (dc.Tensor(np.zeros((2, 3))), dc.Tensor(np.zeros((3, 2))))),
     ("mse", (dc.Tensor(np.zeros(3)), np.zeros(2))),
     ("concat", ([dc.Tensor(np.zeros((2, 3))), dc.Tensor(np.zeros((2, 4)))],)),
+    ("add", (dc.Tensor(np.zeros((2, 3))), dc.Tensor(np.zeros(3)))),  # a last-axis vector
 ])
 def test_shape_errors_name_primitive(op, args):
     with pytest.raises(ShapeError) as e:
@@ -325,8 +326,8 @@ def test_conv1d_causal_silu_matches_op_chain(case):
     tensors = [dc.Tensor(rng.normal(size=shape)) for shape in ((t_len, n_ch), (w, n_ch), n_ch)]
     pos = None if lengths is None else np.concatenate([np.arange(n) for n in lengths])
     fused = _values_and_grads(lambda x, k, b: dc.conv1d_causal_silu(x, k, b, pos), tensors, 1)
-    chain = _values_and_grads(
-        lambda x, k, b: dc.silu(dc.add(oracle_conv1d_causal(x, k, pos), b)), tensors, 1)
+    chain = _values_and_grads(lambda x, k, b: dc.silu(dc.linear(
+        oracle_conv1d_causal(x, k, pos), dc.Tensor(np.eye(n_ch)), b)), tensors, 1)
     _assert_same(fused, chain)
     # the forward values are the same sums in the same order
     np.testing.assert_array_equal(fused[0], chain[0])
@@ -346,8 +347,8 @@ def test_conv1d_causal_silu_packed_equals_per_segment_calls(lengths, w, n_ch, se
     np.testing.assert_array_equal(packed, np.concatenate(alone))
     tensors = [dc.Tensor(a) for a in (x, k, b)]
     fused = _values_and_grads(lambda x, k, b: dc.conv1d_causal_silu(x, k, b, pos), tensors, seed)
-    chain = _values_and_grads(
-        lambda x, k, b: dc.silu(dc.add(oracle_conv1d_causal(x, k, pos), b)), tensors, seed)
+    chain = _values_and_grads(lambda x, k, b: dc.silu(dc.linear(
+        oracle_conv1d_causal(x, k, pos), dc.Tensor(np.eye(n_ch)), b)), tensors, seed)
     _assert_same(fused[1:], chain[1:])
 
 
@@ -391,7 +392,9 @@ def test_linear_matches_op_chain():
     rng = np.random.default_rng(16)
     tensors = [dc.Tensor(rng.normal(size=shape)) for shape in ((7, 4), (4, 3), 3)]
     fused = _values_and_grads(dc.linear, tensors, 2)
-    chain = _values_and_grads(lambda x, w, b: dc.add(dc.matmul(x, w), b), tensors, 2)
+    # the bias row is broadcast over the 7 rows by a product with a ones column
+    chain = _values_and_grads(lambda x, w, b: dc.add(dc.matmul(x, w), dc.matmul(
+        dc.Tensor(np.ones((7, 1))), dc.index(b, (None, slice(None))))), tensors, 2)
     _assert_same(fused, chain)
     with pytest.raises(ShapeError):
         dc.linear(tensors[0], tensors[1], dc.Tensor(np.zeros(4)))

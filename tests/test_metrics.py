@@ -8,7 +8,7 @@ from capt.errors import (AlignmentError, ContractError, InventoryError, NumericE
                          ShapeError)
 from capt.model import init_model
 from capt.phonology import DEL, DEL_ID
-from capt.scoring import WORD_SCORE_NAMES
+from capt.scoring import WORD_SCORE_NAMES, PredictionBundle
 
 
 # --- PCC --------------------------------------------------------------------
@@ -142,7 +142,6 @@ class OracleModel:
             self._by_feat[rec.features.tobytes()] = rec
 
     def predict(self, features, canonical_ids, word_spans):
-        from capt.scoring import PredictionBundle
         rec = self._by_feat[np.asarray(features).tobytes()]
         n = rec.n_phones
         logits = np.zeros((n, 41))
