@@ -31,6 +31,7 @@ UTT_SCORE_MAX = 10.0
 
 FEATURE_MAGIC = b"CAPTFEA\x01"
 FEATURE_VERSION = 1
+FLOAT32_MAX = float(np.finfo(np.float32).max)  # the largest feature value the container holds
 
 CORPUS_FILE = "corpus.jsonl"
 FEATURE_FILE = "features.bin"
@@ -91,13 +92,29 @@ class UtteranceRecord:
 # validation
 
 
-def _fail(rec_id: str, field_name: str, msg: str):
+def _fail(rec_id, field_name: str, msg: str):
     raise DatasetError(f"record {rec_id!r}, field {field_name!r}: {msg}")
 
 
-def validate_record(rec: UtteranceRecord) -> None:
-    if not rec.phones:
-        _fail(rec.id, "phones", "empty phone list")
+def _score(value, hi: float, rec_id, field: str, key) -> float:
+    """An int or a float (numpy's too) in [0, hi], as a float; formats ``field`` lazily."""
+    if type(value) not in (float, int) and not isinstance(value, np.floating):
+        _fail(rec_id, field.format(key), f"{value!r} is not a number")
+    try:
+        value = float(value)
+    except OverflowError:
+        _fail(rec_id, field.format(key), "an integer too large for a float")
+    if not 0.0 <= value <= hi:
+        _fail(rec_id, field.format(key), f"{value} outside [0, {hi}]")
+    return value
+
+
+def _check_fields(rec: UtteranceRecord) -> None:
+    """Every rule of ``validate_record`` but finite feature values."""
+    if not isinstance(rec.id, str):
+        _fail(rec.id, "id", f"{rec.id!r} is not a string")
+    if type(rec.phones) is not list or not rec.phones:
+        _fail(rec.id, "phones", "not a non-empty list")
     prev = -1
     for i, p in enumerate(rec.phones):
         # a symbol that is not a string may not even be hashable
@@ -106,33 +123,50 @@ def validate_record(rec: UtteranceRecord) -> None:
             _fail(rec.id, f"phones[{i}].canonical", f"not a canonical phone: {p.canonical!r}")
         if not isinstance(p.realized, str) or p.realized not in PHONE_TO_ID:
             _fail(rec.id, f"phones[{i}].realized", f"not in inventory: {p.realized!r}")
-        if not (0.0 <= p.score <= PHONE_SCORE_MAX):
-            _fail(rec.id, f"phones[{i}].score", f"{p.score} outside [0, {PHONE_SCORE_MAX}]")
+        p.score = _score(p.score, PHONE_SCORE_MAX, rec.id, "phones[{}].score", i)
+        if type(p.word_index) is not int:
+            _fail(rec.id, f"phones[{i}].word", f"{p.word_index!r} is not an integer")
         # prev starts at -1, so only the first phone could be at word -1
         if p.word_index not in (prev, prev + 1) or p.word_index < 0:
             _fail(rec.id, f"phones[{i}].word", "word indices must be contiguous nondecreasing from 0")
         prev = p.word_index
-    n_words = prev + 1
-    if len(rec.word_scores) != n_words:
-        _fail(rec.id, "word_scores", f"{len(rec.word_scores)} triples for {n_words} words")
-    for w, triple in enumerate(rec.word_scores):
-        if len(triple) != 3 or not all(0.0 <= s <= WORD_SCORE_MAX for s in triple):
-            _fail(rec.id, f"word_scores[{w}]", f"invalid triple {triple}")
+    if type(rec.word_scores) is not list or len(rec.word_scores) != prev + 1:
+        _fail(rec.id, "word_scores", f"not a list of {prev + 1} triples, one per word")
+    for w, t in enumerate(rec.word_scores):
+        if type(t) not in (list, tuple):
+            _fail(rec.id, f"word_scores[{w}]", f"{t!r} is not a list of numbers")
+        t = rec.word_scores[w] = tuple(_score(s, WORD_SCORE_MAX, rec.id, "word_scores[{}]", w)
+                                       for s in t)
+        if len(t) != 3:
+            _fail(rec.id, f"word_scores[{w}]", f"invalid triple {t}")
+    scores = rec.utterance_scores
+    if not isinstance(scores, dict):
+        _fail(rec.id, "utterance_scores", f"{scores!r} is not a dict")
+    for a in scores:  # an unknown key first: the writer would drop it, whatever its value
+        if a not in ASPECTS:
+            _fail(rec.id, f"utterance_scores.{a}", f"not an aspect of {ASPECTS}")
     for a in ASPECTS:
-        if a not in rec.utterance_scores:
+        if a not in scores:
             _fail(rec.id, "utterance_scores", f"missing aspect {a!r}")
-        s = rec.utterance_scores[a]
-        if not (0.0 <= s <= UTT_SCORE_MAX):
-            _fail(rec.id, f"utterance_scores.{a}", f"{s} outside [0, {UTT_SCORE_MAX}]")
-    if rec.features is not None:
-        if rec.features.shape[0] != rec.n_phones:
-            _fail(rec.id, "features",
-                  f"{rec.features.shape[0]} feature rows for {rec.n_phones} phones")
-        if not np.isfinite(rec.features).all():
-            bad = np.argwhere(~np.isfinite(rec.features))
-            row, col = bad[0]
-            _fail(rec.id, f"features[{row}][{col}]",
-                  f"non-finite value {rec.features[row, col]} ({len(bad)} in this record)")
+        scores[a] = _score(scores[a], UTT_SCORE_MAX, rec.id, "utterance_scores.{}", a)
+    f = rec.features
+    if f is not None and not (isinstance(f, np.ndarray) and f.ndim == 2
+                              and f.dtype.kind in "fiu" and len(f) == rec.n_phones):
+        _fail(rec.id, "features", f"{getattr(f, 'shape', type(f))} is not a 2-D array of "
+              f"numbers with {rec.n_phones} rows, one per phone")
+
+
+def validate_record(rec: UtteranceRecord) -> None:
+    """Raise ``DatasetError`` naming the record and the field unless ``rec`` meets
+    every rule of docs/formats.md; stores scores back as floats, triples as tuples."""
+    _check_fields(rec)
+    f = rec.features
+    # nan, inf and a value that float32, the container's type, makes inf all fail this
+    if f is not None and not np.abs(f).max(initial=0.0) <= FLOAT32_MAX:
+        bad = ~(np.abs(f) <= FLOAT32_MAX)
+        row, col = np.argwhere(bad)[0]
+        _fail(rec.id, f"features[{row}][{col}]", f"non-finite value {f[row, col]} as float32 "
+              f"({np.count_nonzero(bad)} in this record)")
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +243,6 @@ def _record_to_json(rec: UtteranceRecord) -> str:
     }, sort_keys=True) + "\n"
 
 
-def _number(value, rec_id: str, field: str, key) -> float:
-    """A float or an int (not a bool) as a float; ``field.format(key)`` only on error."""
-    if type(value) is not float and type(value) is not int:
-        _fail(rec_id, field.format(key), f"{value!r} is not a number")
-    try:
-        return float(value)
-    except OverflowError:
-        _fail(rec_id, field.format(key), "an integer too large for a float")
-
-
 def _record_from_line(line: bytes, features: dict) -> UtteranceRecord:
     """One corpus line -> a validated record holding its feature matrix."""
     try:
@@ -226,30 +250,10 @@ def _record_from_line(line: bytes, features: dict) -> UtteranceRecord:
     except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, or nested too deep
         raise DatasetError(f"not a UTF-8 JSON line: {e}") from e
     try:
-        rec_id = obj["id"]
-        if not isinstance(rec_id, str):
-            raise TypeError(f"id {rec_id!r} is not a string")
-        phones = []
-        for i, p in enumerate(obj["phones"]):
-            score, word = p["score"], p["word"]
-            score = _number(score, rec_id, "phones[{}].score", i)
-            if type(word) is not int:
-                _fail(rec_id, f"phones[{i}].word", f"{word!r} is not an integer")
-            phones.append(PhoneEntry(p["canonical"], p["realized"], score, word))
-        word_scores = obj["word_scores"]
-        for w, t in enumerate(word_scores):
-            if type(t) is not list:
-                _fail(rec_id, f"word_scores[{w}]", f"{t!r} is not a list of numbers")
-            word_scores[w] = tuple(_number(s, rec_id, "word_scores[{}]", w) for s in t)
-        utt_scores = obj["utterance_scores"]
-        if not isinstance(utt_scores, dict):
-            raise TypeError(f"utterance_scores {utt_scores!r} is not an object")
-        for a, v in utt_scores.items():
-            if a not in ASPECTS:
-                _fail(rec_id, f"utterance_scores.{a}", f"not an aspect of {ASPECTS}")
-            utt_scores[a] = _number(v, rec_id, "utterance_scores.{}", a)
-        rec = UtteranceRecord(rec_id, phones, word_scores, utt_scores)
-    except (KeyError, TypeError, ValueError) as e:
+        phones = [PhoneEntry(p["canonical"], p["realized"], p["score"], p["word"])
+                  for p in obj["phones"]]
+        rec = UtteranceRecord(obj["id"], phones, obj["word_scores"], obj["utterance_scores"])
+    except (KeyError, TypeError) as e:
         raise DatasetError(f"malformed record: {e}") from e
     key = obj.get("features", rec.id)
     if not isinstance(key, str) or key not in features:
@@ -260,6 +264,10 @@ def _record_from_line(line: bytes, features: dict) -> UtteranceRecord:
 
 
 def save_dataset(records: list[UtteranceRecord], out_dir) -> None:
+    for rec in records:  # non-finite feature values are written; load_dataset refuses them
+        _check_fields(rec)
+        if rec.features is None:
+            _fail(rec.id, "features", "no feature matrix to write")
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

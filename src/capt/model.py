@@ -106,8 +106,10 @@ class Model:
 
     def check_feature_width(self, records, where: str = "") -> None:
         """Raise ``DatasetError``, its message prefixed by ``where``, naming
-        the first record whose features are not feat_dim wide."""
+        the first record with no feature matrix or one not feat_dim wide."""
         for rec in records:
+            if rec.features is None:
+                raise DatasetError(f"{where}record {rec.id!r}, field 'features': none given")
             if rec.features.shape[1] != self.feat_dim:
                 raise DatasetError(
                     f"{where}record {rec.id!r}, field 'features': {rec.features.shape[1]} "

@@ -5,12 +5,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from capt import cli, metrics
 from capt import data as dm
 from capt.encoder import EncoderConfig
 from capt.errors import ConfigError, DatasetError, PersistenceError
 from capt.model import init_model, load_model, save_model
+from capt.phonology import ARPABET_39, PHONES
+from capt.scoring import ASPECTS
 
 
 def make_record(uid="u0"):
@@ -51,6 +56,14 @@ def test_record_derived_views():
     (lambda r: r.word_scores.pop(), "word_scores"),
     (lambda r: r.utterance_scores.pop("fluency"), "utterance_scores"),
     (lambda r: setattr(r, "features", np.zeros((2, 3))), "features"),
+    # records built in code: each would be written wrongly, or not read back
+    (lambda r: r.utterance_scores.update(Fluency=5.0), "'utterance_scores.Fluency'"),
+    (lambda r: setattr(r.phones[2], "word_index", 1.0), "'phones[2].word'"),
+    (lambda r: setattr(r, "id", 7), "'id'"),
+    (lambda r: setattr(r.phones[2], "word_index", np.int64(1)), "'phones[2].word'"),
+    (lambda r: setattr(r, "features", np.arange(3.0)), "'features'"),
+    (lambda r: r.utterance_scores.update(total="5"), "'utterance_scores.total'"),
+    (lambda r: r.features.__setitem__((1, 2), 1e39), "'features[1][2]'"),  # inf as float32
 ])
 def test_validate_record_names_offender(mutate, field):
     rec = make_record("bad-utt")
@@ -58,7 +71,22 @@ def test_validate_record_names_offender(mutate, field):
     with pytest.raises(DatasetError) as e:
         dm.validate_record(rec)
     msg = str(e.value)
-    assert "bad-utt" in msg and field in msg
+    assert repr(rec.id) in msg and field in msg
+
+
+def test_validate_record_reports_an_unknown_aspect_before_a_bad_value(tmp_path):
+    rec = make_record("u-order")
+    rec.utterance_scores.update(accuracy="5", zz=5.0)  # the unknown key comes last
+    with pytest.raises(DatasetError) as e:
+        dm.validate_record(rec)
+    assert "'utterance_scores.zz'" in str(e.value) and "not an aspect" in str(e.value)
+    dm.save_dataset([make_record("u-order")], tmp_path)
+    corpus = tmp_path / dm.CORPUS_FILE
+    corpus.write_text(corpus.read_text().replace('"accuracy": 5.0', '"accuracy": "5"')
+                      .replace('"total": 5.0}', '"total": 5.0, "zz": 5.0}'))
+    with pytest.raises(DatasetError) as e:
+        dm.load_dataset(tmp_path)
+    assert "'utterance_scores.zz'" in str(e.value) and "not an aspect" in str(e.value)
 
 
 # --- feature container and corpus round trip --------------------------------
@@ -106,6 +134,68 @@ def test_dataset_round_trip(tmp_path):
         # scores are rounded to 4 decimals on write
         np.testing.assert_allclose(a.phone_targets_norm(), b.phone_targets_norm(),
                                    atol=1e-4)
+
+
+def scores(hi: float):
+    """Scores of every kind a caller might pass: ints, floats and numpy floats."""
+    grid = st.integers(0, int(hi * 10**4)).map(lambda k: k / 10**4)
+    return st.one_of(st.integers(0, int(hi)), grid, grid.map(np.float64),
+                     st.floats(0, hi), st.floats(0, hi, width=32).map(np.float32))
+
+
+@st.composite
+def code_built_records(draw):
+    """Records as code builds them, some with an unknown aspect or a feature
+    value float32 cannot hold, which validate_record refuses."""
+    phones, word_scores = [], []
+    for w in range(draw(st.integers(1, 3))):
+        for _ in range(draw(st.integers(1, 3))):
+            phones.append(dm.PhoneEntry(draw(st.sampled_from(ARPABET_39)),
+                                        draw(st.sampled_from(PHONES)),
+                                        draw(scores(dm.PHONE_SCORE_MAX)), w))
+        word_scores.append(tuple(draw(scores(dm.WORD_SCORE_MAX)) for _ in range(3)))
+    utt = {a: draw(scores(dm.UTT_SCORE_MAX)) for a in ASPECTS}
+    utt.update(draw(st.dictionaries(st.sampled_from(["Fluency", "prosodic"]),
+                                    scores(dm.UTT_SCORE_MAX), max_size=1)))
+    values = st.floats(width=32, allow_nan=False, allow_infinity=False) | st.floats(-1e39, 1e39)
+    features = draw(hnp.arrays(np.float64, (len(phones), draw(st.integers(1, 3))),
+                               elements=values))
+    return dm.UtteranceRecord(draw(st.text(max_size=6)), phones, word_scores, utt, features)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rec=code_built_records())
+def test_accepted_records_round_trip(tmp_path, rec):
+    try:
+        dm.validate_record(rec)
+    except DatasetError:
+        return
+    dm.save_dataset([rec], tmp_path)
+    back, = dm.load_dataset(tmp_path)
+    assert back.id == rec.id
+    # the writer rounds scores to 4 decimals and stores features as float32
+    assert back.phones == [dataclasses.replace(p, score=round(p.score, 4)) for p in rec.phones]
+    assert back.word_scores == [tuple(round(s, 4) for s in t) for t in rec.word_scores]
+    assert back.utterance_scores == {a: round(s, 4) for a, s in rec.utterance_scores.items()}
+    np.testing.assert_array_equal(back.features,
+                                  rec.features.astype(np.float32).astype(np.float64))
+
+
+@pytest.mark.parametrize("mutate,field", [
+    (lambda r: setattr(r, "id", 7), "'id'"),
+    (lambda r: setattr(r.phones[2], "word_index", np.int64(1)), "'phones[2].word'"),
+    (lambda r: setattr(r, "features", np.arange(3.0)), "'features'"),
+    (lambda r: setattr(r, "features", None), "'features'"),
+])
+def test_save_dataset_refuses_a_record_before_writing(tmp_path, mutate, field):
+    good, bad = make_record("u-good"), make_record("u-bad")
+    mutate(bad)
+    out = tmp_path / "corpus"
+    with pytest.raises(DatasetError) as e:
+        dm.save_dataset([good, bad], out)
+    assert repr(bad.id) in str(e.value) and field in str(e.value)
+    assert not out.exists()
 
 
 def test_load_dataset_errors(tmp_path):

@@ -173,6 +173,14 @@ def test_train_rejects_wrong_feature_width():
     assert records[0].id in msg and "features" in msg and "9" in msg and "10" in msg
 
 
+def test_train_rejects_a_record_without_features():
+    records, _ = synth_records(4, seed=10, ssl_dim=8)
+    records[1].features = None
+    with pytest.raises(DatasetError) as e:
+        tr.train(records, tr.TrainConfig(epochs=1, batch_size=4), tiny_model(feat_dim=9))
+    assert repr(records[1].id) in str(e.value) and "'features'" in str(e.value)
+
+
 def test_adam_on_quadratic_converges():
     store = ParamStore()
     store.add("x", np.array([5.0, -3.0]))
