@@ -109,14 +109,21 @@ def _score(value, hi: float, rec_id, field: str, key) -> float:
     return value
 
 
-def _check_fields(rec: UtteranceRecord) -> None:
-    """Every rule of ``validate_record`` but finite feature values."""
+def validate_record(rec: UtteranceRecord) -> None:
+    """Raise ``DatasetError`` naming the record and the field unless ``rec`` meets
+    every rule of docs/formats.md; stores scores back as floats, triples as tuples."""
     if not isinstance(rec.id, str):
         _fail(rec.id, "id", f"{rec.id!r} is not a string")
+    try:  # a lone surrogate, say, which the feature container cannot store
+        rec.id.encode()
+    except UnicodeEncodeError as e:
+        _fail(rec.id, "id", f"not encodable as UTF-8: {e.reason}")
     if type(rec.phones) is not list or not rec.phones:
         _fail(rec.id, "phones", "not a non-empty list")
     prev = -1
     for i, p in enumerate(rec.phones):
+        if not isinstance(p, PhoneEntry):
+            _fail(rec.id, f"phones[{i}]", f"a {type(p).__name__}, not a PhoneEntry")
         # a symbol that is not a string may not even be hashable
         if (not isinstance(p.canonical, str) or p.canonical not in PHONE_TO_ID
                 or p.canonical in (DEL, UNK)):
@@ -154,13 +161,6 @@ def _check_fields(rec: UtteranceRecord) -> None:
                               and f.dtype.kind in "fiu" and len(f) == rec.n_phones):
         _fail(rec.id, "features", f"{getattr(f, 'shape', type(f))} is not a 2-D array of "
               f"numbers with {rec.n_phones} rows, one per phone")
-
-
-def validate_record(rec: UtteranceRecord) -> None:
-    """Raise ``DatasetError`` naming the record and the field unless ``rec`` meets
-    every rule of docs/formats.md; stores scores back as floats, triples as tuples."""
-    _check_fields(rec)
-    f = rec.features
     # nan, inf and a value that float32, the container's type, makes inf all fail this
     if f is not None and not np.abs(f).max(initial=0.0) <= FLOAT32_MAX:
         bad = ~(np.abs(f) <= FLOAT32_MAX)
@@ -264,8 +264,8 @@ def _record_from_line(line: bytes, features: dict) -> UtteranceRecord:
 
 
 def save_dataset(records: list[UtteranceRecord], out_dir) -> None:
-    for rec in records:  # non-finite feature values are written; load_dataset refuses them
-        _check_fields(rec)
+    for rec in records:
+        validate_record(rec)
         if rec.features is None:
             _fail(rec.id, "features", "no feature matrix to write")
     out_dir = Path(out_dir)

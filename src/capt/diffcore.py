@@ -106,16 +106,11 @@ def _record(fn, out):
         _TAPES[-1]._ops.append((fn, out))
 
 
-def _acc(t: Tensor, g: np.ndarray, owned: bool = False, at=None):
+def _acc(t: Tensor, g: np.ndarray, owned: bool = False):
     """Add g to t.grad.  ``owned``: g is a fresh array no one else holds, so
     it can become t.grad itself instead of a copy (saves time and memory on
-    the large (T, C, S) tensors).  ``at``: g is the gradient of t.data[at]
-    alone (``at`` selects no element twice) and is added into t.grad[at]."""
-    if at is not None:
-        if t.grad is None:
-            t.grad = np.zeros_like(t.data)
-        t.grad[at] += g
-    elif t.grad is None:
+    the large (T, C, S) tensors)."""
+    if t.grad is None:
         g = g.reshape(t.data.shape)
         t.grad = g if owned else g.copy()
     else:
@@ -293,12 +288,12 @@ def index(a: Tensor, at) -> Tensor:
     out = Tensor(a.data[at])
 
     def bwd(g):
-        if not repeats:
-            _acc(a, g, at=at)
-            return
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
-        np.add.at(a.grad, at, g)
+        if repeats:
+            np.add.at(a.grad, at, g)
+        else:
+            a.grad[at] += g
 
     _record(bwd, out)
     return out

@@ -55,7 +55,7 @@ KEEP_BYTES = 2560 * 1024
 
 def _states(pad, a_bar, b, xs, s, e, tmp):
     """Writes the states h_s .. h_{e-1} into pad[1:], continuing from the
-    state h_{s-1} in pad[0]; h_0 takes no A_bar * h term.
+    state h_{s-1} in pad[0]; the first row, s = 0, reads the zero entry state.
 
     ``xs`` is x when b is B_bar (T, C, S) and delta * x when b is the (T, S)
     projection B, whose states start from (delta * x) (x) B.
@@ -65,21 +65,20 @@ def _states(pad, a_bar, b, xs, s, e, tmp):
         np.einsum("tcs,tc->tcs", b[s:e], xs[s:e], out=h)  # faster than broadcasting
     else:
         np.einsum("tc,ts->tcs", xs[s:e], b[s:e], out=h)  # also faster than broadcasting
-    first = 1 if s == 0 else 0
-    for a_t, h_prev, h_t in zip(a_bar[s + first:e], pad[first:-1], h[first:]):
+    for a_t, h_prev, h_t in zip(a_bar[s:e], pad[:-1], h):
         np.multiply(a_t, h_prev, out=tmp)
         h_t += tmp
 
 
-def _scan_fwd(x, a_bar, b, c, d, delta=None, chunk=None):
+def _scan_fwd(x, a_bar, b, c, d, delta=None):
     """Returns y (T, C) and what ``_scan_bwd`` needs of the states:
     ``(chunk, states)``.
 
-    The stream runs in chunks of ``chunk`` rows (by default as many (C, S)
-    rows as fit CHUNK_BYTES), each read out into y while it is hot.  When
-    the T + 1 states fit KEEP_BYTES, ``states`` is all of them, from the
-    zero state on.  Otherwise the chunks are written into one reused buffer
-    and ``states`` holds the state entering each chunk.
+    The stream runs in chunks of as many (C, S) rows as fit CHUNK_BYTES (at
+    least one), each read out into y while it is hot.  When the T + 1
+    states fit KEEP_BYTES, ``states`` is all of them, from the zero state
+    on.  Otherwise the chunks are written into one reused buffer and
+    ``states`` holds the state entering each chunk.
 
     Without ``delta``, b is B_bar (T, C, S) and the states start from
     B_bar * x; with it, b is the (T, S) projection B and they start from
@@ -88,7 +87,7 @@ def _scan_fwd(x, a_bar, b, c, d, delta=None, chunk=None):
     t_len, n_ch = x.shape
     row = (n_ch, c.shape[1])
     row_bytes = 8 * n_ch * row[1]
-    chunk = chunk or CHUNK_BYTES // row_bytes or 1
+    chunk = CHUNK_BYTES // row_bytes or 1
     keep = (t_len + 1) * row_bytes <= KEEP_BYTES
     states = np.empty((t_len + 1 if keep else -(-t_len // chunk), *row))
     states[0] = 0.0  # the state entering the first chunk

@@ -34,6 +34,9 @@ def make_record(uid="u0"):
     )
 
 
+BAD_PHONE = {"canonical": "AA", "realized": "AE", "score": 0.7, "word": 0}  # not a PhoneEntry
+
+
 # --- record views and validation -------------------------------------------
 
 def test_record_derived_views():
@@ -64,6 +67,8 @@ def test_record_derived_views():
     (lambda r: setattr(r, "features", np.arange(3.0)), "'features'"),
     (lambda r: r.utterance_scores.update(total="5"), "'utterance_scores.total'"),
     (lambda r: r.features.__setitem__((1, 2), 1e39), "'features[1][2]'"),  # inf as float32
+    (lambda r: r.phones.__setitem__(1, BAD_PHONE), "'phones[1]'"),
+    (lambda r: setattr(r, "id", "\ud800x"), "'id': not encodable as UTF-8"),  # lone surrogate
 ])
 def test_validate_record_names_offender(mutate, field):
     rec = make_record("bad-utt")
@@ -184,9 +189,14 @@ def test_accepted_records_round_trip(tmp_path, rec):
 
 @pytest.mark.parametrize("mutate,field", [
     (lambda r: setattr(r, "id", 7), "'id'"),
+    (lambda r: setattr(r, "id", "\ud800x"), "'id': not encodable as UTF-8"),
+    (lambda r: r.phones.__setitem__(1, BAD_PHONE), "'phones[1]'"),
     (lambda r: setattr(r.phones[2], "word_index", np.int64(1)), "'phones[2].word'"),
     (lambda r: setattr(r, "features", np.arange(3.0)), "'features'"),
     (lambda r: setattr(r, "features", None), "'features'"),
+    (lambda r: r.features.__setitem__((2, 1), np.nan), "'features[2][1]'"),
+    (lambda r: r.features.__setitem__((0, 2), -np.inf), "'features[0][2]'"),
+    (lambda r: r.features.__setitem__((1, 0), 1e39), "'features[1][0]'"),  # inf as float32
 ])
 def test_save_dataset_refuses_a_record_before_writing(tmp_path, mutate, field):
     good, bad = make_record("u-good"), make_record("u-bad")
@@ -224,19 +234,33 @@ def test_load_dataset_rejects_duplicate_ids(tmp_path):
 
 def test_load_dataset_rejects_non_finite_features(tmp_path):
     records, _ = dm.synth_records(3, seed=2, ssl_dim=8)
+    dm.save_dataset(records, tmp_path)  # it refuses non-finite values: write those directly
+    features = tmp_path / dm.FEATURE_FILE
     records[1].features[2, 5] = np.nan
     records[2].features[0, 0] = np.inf
-    dm.save_dataset(records, tmp_path)
+    dm.write_feature_file(features, {r.id: r.features for r in records})
     with pytest.raises(DatasetError) as e:
         dm.load_dataset(tmp_path)
     msg = str(e.value)
     assert records[1].id in msg and "features[2][5]" in msg and "nan" in msg
     records[1].features[2, 5] = 0.0
-    dm.save_dataset(records, tmp_path)
+    dm.write_feature_file(features, {r.id: r.features for r in records})
     with pytest.raises(DatasetError) as e:
         dm.load_dataset(tmp_path)
     msg = str(e.value)
     assert records[2].id in msg and "features[0][0]" in msg and "inf" in msg
+
+
+def test_load_dataset_rejects_an_id_that_is_not_utf8(tmp_path):
+    dm.save_dataset([make_record("u0")], tmp_path)
+    corpus = tmp_path / dm.CORPUS_FILE
+    obj = json.loads(corpus.read_text())
+    obj["id"] = "\ud800x"  # JSON escapes it; the line's own features key still finds "u0"
+    corpus.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(DatasetError) as e:
+        dm.load_dataset(tmp_path)
+    msg = str(e.value)
+    assert str(corpus) in msg and "line 1" in msg and "'id'" in msg and "UTF-8" in msg
 
 
 @pytest.mark.parametrize("field,value", [

@@ -284,13 +284,18 @@ def scan_streams(rng, t_len, n_ch, n_st, form, starts=()):
             rng.uniform(0.01, 3.0, size=(t_len, n_ch)))
 
 
-def assert_bit_identical(streams, dy, chunk=None):
+def set_chunk(monkeypatch, chunk):
+    """Makes the kernel run the tests' (C, S) = (6, 4) streams in chunks of ``chunk`` rows."""
+    monkeypatch.setattr(scan, "CHUNK_BYTES", chunk * 8 * 6 * 4)
+
+
+def assert_bit_identical(streams, dy):
     """y and every gradient of the chunked kernel equal the whole-stream
     kernel's; returns the chunked forward's saved states."""
     *arrays, delta = streams
     y_ref, h_pad = whole_fwd(*arrays, delta=delta)
     grads_ref = whole_bwd(*arrays, h_pad, dy, delta=delta)
-    y, saved = scan._scan_fwd(*arrays, delta=delta, chunk=chunk)
+    y, saved = scan._scan_fwd(*arrays, delta=delta)
     grads = scan._scan_bwd(*arrays, saved, dy, delta=delta)
     np.testing.assert_array_equal(y, y_ref)
     for name, g, ref in zip(("dx", "dA_bar", "db", "dC", "dD", "d_delta"), grads, grads_ref):
@@ -305,21 +310,24 @@ CHUNK_LENGTHS = {"1": 1, "3": 3, "T-1": 39, "T": 40, "T+5": 45}
 
 @pytest.mark.parametrize("form", ["delta", "B_bar"])
 @pytest.mark.parametrize("length", sorted(CHUNK_LENGTHS))
-def test_chunked_kernel_is_bit_identical(form, length):
+def test_chunked_kernel_is_bit_identical(form, length, monkeypatch):
     chunk = CHUNK_LENGTHS[length]
+    set_chunk(monkeypatch, chunk)
     rng = np.random.default_rng(chunk)
     streams = scan_streams(rng, 40, 6, 4, form, starts=[0, 1, 7, 8, 23, 39])
-    saved = assert_bit_identical(streams, rng.normal(size=(40, 6)), chunk)
+    saved = assert_bit_identical(streams, rng.normal(size=(40, 6)))
     assert saved[0] == chunk and len(saved[1]) == 41  # all kept at this size
 
 
 @pytest.mark.parametrize("form", ["delta", "B_bar"])
-def test_segment_starts_on_chunk_edges(form):
+def test_segment_starts_on_chunk_edges(form, monkeypatch):
     # chunks of 8 rows: segments start on a chunk's first row (8, 24, 32)
     # and on its last row (15, 39)
+    set_chunk(monkeypatch, 8)
     rng = np.random.default_rng(9)
     streams = scan_streams(rng, 40, 6, 4, form, starts=[0, 8, 15, 24, 32, 39])
-    assert_bit_identical(streams, rng.normal(size=(40, 6)), chunk=8)
+    saved = assert_bit_identical(streams, rng.normal(size=(40, 6)))
+    assert saved[0] == 8
 
 
 @pytest.mark.parametrize("form", ["delta", "B_bar"])
@@ -327,14 +335,15 @@ def test_partially_kept_stream_is_bit_identical(form, monkeypatch):
     # room for 12 of the 41 state rows: only the state entering each of the
     # eight chunks of 5 is kept, and every chunk is recomputed in the backward
     monkeypatch.setattr(scan, "KEEP_BYTES", 12 * 8 * 6 * 4)
+    set_chunk(monkeypatch, 5)
     rng = np.random.default_rng(10)
     streams = scan_streams(rng, 40, 6, 4, form, starts=[0, 5, 14, 29, 30])
     dy = rng.normal(size=(40, 6))
-    _, states = assert_bit_identical(streams, dy, chunk=5)
+    _, states = assert_bit_identical(streams, dy)
     assert states.shape == (8, 6, 4)
     # and with no room for a single state row
     monkeypatch.setattr(scan, "KEEP_BYTES", 0)
-    _, states = assert_bit_identical(streams, dy, chunk=5)
+    _, states = assert_bit_identical(streams, dy)
     assert states.shape == (8, 6, 4)
 
 
