@@ -281,10 +281,10 @@ def save_dataset(records: list[UtteranceRecord], out_dir) -> None:
 
 
 def load_dataset(path) -> list[UtteranceRecord]:
-    path = Path(path)
-    corpus_path = path / CORPUS_FILE if path.is_dir() else path
+    """The records of the corpus directory ``path``."""
+    corpus_path = Path(path) / CORPUS_FILE  # missing when path is a file
     if not corpus_path.exists():
-        raise DatasetError(f"{corpus_path}: no such corpus file")
+        raise DatasetError(f"{path}: not a corpus directory (no {CORPUS_FILE} in it)")
     features = read_feature_file(corpus_path.parent / FEATURE_FILE)
     records = []
     first_line = {}  # utterance id -> corpus line it first appeared on

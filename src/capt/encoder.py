@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import diffcore as dc
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError, as_array
 from .scan import selective_scan
 
 
@@ -180,14 +180,17 @@ class Packing:
     at each segment's first row, and the backward direction reverses rows
     within each segment.  With one segment the layout is the plain
     [phones; think] sequence: no mask or gather is built, and the reversal
-    and the phone rows are slices, which select views.
+    and the phone rows are slices, which select views.  The counts must be
+    positive integers that sum to ``n_total``, the number of phone rows.
     """
 
-    def __init__(self, n_phones, n_think: int):
-        n = np.asarray(n_phones, dtype=np.int64)
-        if n.ndim != 1 or n.size < 1 or n.min() < 1:
-            raise ContractError(f"packing: every utterance needs a phone, got {n.tolist()}")
-        self.n_phones = n
+    def __init__(self, n_phones, n_think: int, n_total: int):
+        n = as_array(n_phones, ContractError, "packing: phone counts")
+        if n.ndim != 1 or n.size < 1 or n.dtype.kind not in "iu" or n.min() < 1:
+            raise ContractError(f"packing: phone counts {n.tolist()} are not positive integers")
+        if n.max() > n_total or n.sum() != n_total:  # the max bound: a sum that cannot wrap
+            raise ContractError(f"packing: phone counts {n.tolist()} do not sum to {n_total}")
+        n = self.n_phones = n.astype(np.int64)
         self.n_think = n_think
         self.single = n.size == 1
         if self.single:
@@ -236,8 +239,6 @@ def mamba_block(x: dc.Tensor, params: ParamStore, prefix: str,
 
     ``packing`` describes the segments when x packs several sequences.
     """
-    if x.data.shape[0] < 1:
-        raise ContractError("mamba_block: empty sequence")
     pos, starts = (None, None) if packing is None else (packing.pos, packing.starts)
     xz = dc.linear(x, params[f"{prefix}.in_proj.w"], params[f"{prefix}.in_proj.b"])
     main = dc.index(xz, np.s_[:, :cfg.d_inner])
@@ -261,10 +262,6 @@ def mamba_block(x: dc.Tensor, params: ParamStore, prefix: str,
 def bimamba_encode(x_ext: dc.Tensor, packing: Packing, params: ParamStore,
                    cfg: EncoderConfig) -> dc.Tensor:
     """Run the bidirectional stack over the packed rows; return the phone rows."""
-    if x_ext.data.shape[0] != packing.n_rows:
-        raise ContractError(
-            f"bimamba_encode: {x_ext.data.shape[0]} rows for a packing of {packing.n_rows}"
-        )
     h = x_ext
     for layer in range(cfg.n_layers):
         p = f"enc.l{layer}"

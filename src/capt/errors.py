@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the array conversion that raises it."""
+
+import numpy as np
 
 
 class CaptError(Exception):
@@ -36,3 +38,11 @@ class AlignmentError(CaptError):
 class PersistenceError(CaptError):
     """Model file cannot be loaded (version, checksum, truncation), or a model
     file or run output cannot be written."""
+
+
+def as_array(value, error: type[CaptError], what: str) -> np.ndarray:
+    """``value`` as an array; ``error`` naming ``what`` if its nesting is ragged."""
+    try:
+        return np.asarray(value)
+    except ValueError as e:
+        raise error(f"{what}: ragged nesting ({e})") from e

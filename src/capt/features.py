@@ -12,14 +12,12 @@ import numpy as np
 
 from . import diffcore as dc
 from .encoder import ParamStore, he_uniform
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 from .phonology import N_ATTRIBUTES, N_PHONES
 
 
 def build_onehot_attr_matrix(attr_table: np.ndarray) -> np.ndarray:
-    """(41, 65) constant matrix: identity one-hot block next to the attributes."""
-    if attr_table.shape != (N_PHONES, N_ATTRIBUTES):
-        raise ShapeError(f"attribute table shape {attr_table.shape}")
+    """(41, 65) constant matrix: identity one-hot block next to the (41, 24) attributes."""
     return np.concatenate([np.eye(N_PHONES), attr_table], axis=1)
 
 
@@ -42,12 +40,8 @@ def check_embedding_injective(onehot_attr: np.ndarray, embed_w: np.ndarray) -> N
 def assemble_utterance_features(feature_rows: np.ndarray, phone_ids: np.ndarray,
                                 onehot_attr: np.ndarray, params: ParamStore) -> dc.Tensor:
     """X_hat = project(gop | ssl) + c_i per phone, where the canonical
-    embedding c_i is the phone's [one-hot | attributes] row times embed.w;
-    one feature row per phone id, else ``dc.add`` raises ``ShapeError``."""
-    feature_rows = np.asarray(feature_rows, dtype=np.float64)
-    phone_ids = np.asarray(phone_ids, dtype=np.int64)
-    if phone_ids.shape[0] < 1:
-        raise ContractError("assemble_utterance_features: no phones")
+    embedding c_i is the phone's [one-hot | attributes] row times embed.w,
+    for the float rows and int64 ids that ``Model.forward`` has checked."""
     x = dc.linear(dc.Tensor(feature_rows), params["feat.proj.w"], params["feat.proj.b"])
     c = dc.matmul(dc.Tensor(onehot_attr[phone_ids]), params["embed.w"])
     return dc.add(x, c)

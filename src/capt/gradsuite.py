@@ -112,7 +112,7 @@ def _layer_checks(rng):
 
     pool_store = init_params(scoring.scoring_params(d_model=5, d_attn=3), rng)
     h = rng.normal(size=(4, 5))
-    spans = [(0, 2), (2, 4)]
+    spans = np.array([(0, 2), (2, 4)])
     phone_tgt = rng.uniform(size=4)
     word_tgt = rng.uniform(size=(2, 3))
     utt_tgt = rng.uniform(size=5)

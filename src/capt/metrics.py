@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import PHONE_SCORE_MAX, UTT_SCORE_MAX, WORD_SCORE_MAX
+from .data import PHONE_SCORE_MAX
 from .errors import AlignmentError, CaptError, ContractError
 from .phonology import DEL_ID
 from .scoring import ASPECTS, WORD_SCORE_NAMES
@@ -155,12 +155,12 @@ def evaluate(model, records) -> EvalReport:
             pred = model.predict(rec.features, canon, rec.word_spans())
         except CaptError as e:
             raise type(e)(f"evaluate: utterance {rec.id!r}: {e}") from e
-        phone_pred.append(pred.phone_scores * PHONE_SCORE_MAX)
-        phone_tgt.append(rec.phone_targets_norm() * PHONE_SCORE_MAX)
-        word_pred.append(pred.word_scores * WORD_SCORE_MAX)
-        word_tgt.append(rec.word_targets_norm() * WORD_SCORE_MAX)
-        utt_pred.append(pred.utterance_scores * UTT_SCORE_MAX)
-        utt_tgt.append(rec.utt_targets_norm() * UTT_SCORE_MAX)
+        phone_pred.append(pred.phone_scores)
+        phone_tgt.append(rec.phone_targets_norm())
+        word_pred.append(pred.word_scores)
+        word_tgt.append(rec.word_targets_norm())
+        utt_pred.append(pred.utterance_scores)
+        utt_tgt.append(rec.utt_targets_norm())
         canonical.append(canon)
         annotated.append(rec.realized_ids())
         predicted.append(pred.mdd_logits.argmax(axis=1))
@@ -169,7 +169,8 @@ def evaluate(model, records) -> EvalReport:
     phone_pred = np.concatenate(phone_pred)
     phone_tgt = np.concatenate(phone_tgt)
     report.n_phones = phone_pred.size
-    report.phone_mse = float(((phone_pred - phone_tgt) ** 2).mean())
+    # on the annotation scale; the PCCs do not depend on scale
+    report.phone_mse = float(((phone_pred - phone_tgt) ** 2).mean()) * PHONE_SCORE_MAX**2
     report.phone_pcc = _pcc_or_flag(phone_pred, phone_tgt, "phone", report.flags)
     word_pred = np.concatenate(word_pred, axis=0)
     word_tgt = np.concatenate(word_tgt, axis=0)

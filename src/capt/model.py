@@ -21,7 +21,7 @@ from . import phonology, scoring
 from .encoder import (EncoderConfig, Packing, ParamStore, bimamba_encode, encoder_params,
                       init_params)
 from .errors import (ConfigError, ContractError, DatasetError, InventoryError, NumericError,
-                     PersistenceError, ShapeError)
+                     PersistenceError, ShapeError, as_array)
 
 MODEL_FORMAT_VERSION = 1
 # metadata fields load_model reads, with the JSON type each must have
@@ -53,36 +53,33 @@ class Model:
         word spans then index the concatenated phone rows.  All utterances
         go through one packed graph (see ``encoder.Packing``); the outputs
         hold their rows in the same order and utterance_scores is (B, 5)
-        instead of (5,).  A non-finite feature raises ``NumericError``
-        naming its row within its utterance and its column; a phone id that
-        is not an integer in [0, N_PHONES) raises ``InventoryError`` naming
-        its position within its utterance and its value.
+        instead of (5,).
+
+        This is the one check of the model's inputs, and the layers it calls
+        only compute: "Model inputs" in docs/formats.md states each rule and
+        the error that breaking it raises.
         """
-        if np.ndim(feature_rows) != 2 or np.shape(feature_rows)[1] != self.feat_dim:
-            raise ShapeError(f"forward: features have shape {np.shape(feature_rows)}, "
+        x = as_array(feature_rows, ShapeError, "forward: features")
+        if x.ndim != 2 or x.shape[1] != self.feat_dim:
+            raise ShapeError(f"forward: features have shape {x.shape}, "
                              f"model feat_dim is {self.feat_dim}")
-        n_total = len(phone_ids)
-        if np.shape(feature_rows)[0] != n_total:
-            raise ShapeError(f"forward: features have {np.shape(feature_rows)[0]} rows "
-                             f"for {n_total} phone ids")
-        packing = Packing([n_total] if n_phones is None else n_phones, self.cfg.n_think)
-        if int(packing.n_phones.sum()) != n_total:
-            raise ContractError(
-                f"forward: phone counts sum to {int(packing.n_phones.sum())}, "
-                f"{n_total} phone ids given"
-            )
-        if not np.isfinite(feature_rows).all():
-            bad = np.argwhere(~np.isfinite(feature_rows))
-            row, col = bad[0]
-            where, i = _locate(packing, row)
-            raise NumericError(
-                f"forward: {where}features[{i}][{col}]: "
-                f"non-finite value {np.asarray(feature_rows)[row, col]} "
-                f"({len(bad)} in these rows)")
-        ids = np.asarray(phone_ids)
+        if x.dtype.kind not in "iuf":
+            raise ContractError(f"forward: features must be real numbers, got {x.dtype}")
+        ids = as_array(phone_ids, InventoryError, "forward: phone ids")
         if ids.ndim != 1 or ids.dtype.kind not in "iuf":
             raise InventoryError(f"forward: phone ids must be a 1-D sequence of integers, "
                                  f"got {ids.dtype} of shape {ids.shape}")
+        if x.shape[0] != ids.size:
+            raise ShapeError(f"forward: features have {x.shape[0]} rows "
+                             f"for {ids.size} phone ids")
+        packing = Packing([ids.size] if n_phones is None else n_phones, self.cfg.n_think,
+                          ids.size)
+        if not np.isfinite(x).all():
+            bad = np.argwhere(~np.isfinite(x))
+            row, col = bad[0]
+            where, i = _locate(packing, row)
+            raise NumericError(f"forward: {where}features[{i}][{col}]: non-finite value "
+                               f"{x[row, col]} ({len(bad)} in these rows)")
         ok = (ids >= 0) & (ids < phonology.N_PHONES) & (ids == np.trunc(ids))
         if not ok.all():
             bad = np.flatnonzero(~ok)
@@ -90,14 +87,13 @@ class Model:
             raise InventoryError(
                 f"forward: {where}phone_ids[{i}]: {ids[bad[0]]} is not "
                 f"a phone id in [0, {phonology.N_PHONES}) ({bad.size} in these ids)")
+        bounds = scoring.validate_word_spans(word_spans, ids.size, packing.phone_starts)
         x_hat = feat.assemble_utterance_features(
-            feature_rows, ids, self.onehot_attr, self.params
-        )
+            np.asarray(x, np.float64), np.asarray(ids, np.int64), self.onehot_attr, self.params)
         think = self.params["enc.think"] if "enc.think" in self.params else None
         h = bimamba_encode(packing.place(x_hat, think), packing, self.params, self.cfg)
         phone_scores, mdd_logits = scoring.phone_level_outputs(h, self.params)
-        word_scores = scoring.word_level_outputs(h, word_spans, self.params,
-                                                 packing.phone_starts)
+        word_scores = scoring.word_level_outputs(h, bounds, self.params)
         utt_scores = scoring.utterance_level_outputs(h, self.params, packing.phone_starts)
         return scoring.PredictionBundle(phone_scores, mdd_logits, word_scores, utt_scores)
 

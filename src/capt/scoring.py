@@ -16,7 +16,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .encoder import ParamStore, he_uniform, normal
-from .errors import AlignmentError, ContractError
+from .errors import AlignmentError, as_array
 from .phonology import N_PHONES
 
 ASPECTS = ("accuracy", "completeness", "fluency", "prosody", "total")
@@ -65,14 +65,19 @@ def phone_level_outputs(h: dc.Tensor, params: ParamStore):
     return scores, logits
 
 
-def validate_word_spans(spans, n_phones: int, starts=(0,)):
-    """Spans must partition 0..N-1 into contiguous nonempty pieces, in order.
+def validate_word_spans(spans, n_phones: int, starts=(0,)) -> np.ndarray:
+    """The spans as a (W, 2) int array of (start, stop) pairs, which must
+    partition 0..N-1 into contiguous nonempty pieces, in order.
 
     No word may cross an utterance boundary: every entry of ``starts``
     (first row of each utterance) must begin a word.
     """
-    expect = 0
-    for w, (start, stop) in enumerate(spans):
+    bounds = as_array(spans, AlignmentError, "word spans")
+    if bounds.ndim != 2 or bounds.shape[1] != 2 or bounds.dtype.kind not in "iu":
+        raise AlignmentError(f"word spans must be (start, stop) integer pairs, "
+                             f"got {bounds.dtype} of shape {bounds.shape}")
+    pairs, expect = bounds.tolist(), 0
+    for w, (start, stop) in enumerate(pairs):
         if start != expect or stop <= start:
             raise AlignmentError(
                 f"word {w}: span ({start}, {stop}) does not continue partition at {expect}"
@@ -81,21 +86,20 @@ def validate_word_spans(spans, n_phones: int, starts=(0,)):
     if expect != n_phones:
         raise AlignmentError(f"word spans cover {expect} phones, utterance has {n_phones}")
     if len(starts) > 1:
-        crossed = {int(s) for s in starts} - {s for s, _ in spans}
+        crossed = {int(s) for s in starts} - {s for s, _ in pairs}
         if crossed:
             raise AlignmentError(
                 f"a word span crosses the utterance boundary at row {min(crossed)}")
+    return bounds
 
 
-def word_level_outputs(h: dc.Tensor, word_spans, params: ParamStore,
-                       starts=(0,)) -> dc.Tensor:
+def word_level_outputs(h: dc.Tensor, bounds: np.ndarray, params: ParamStore) -> dc.Tensor:
     """Mean-pool the phone rows of each word, then one affine map to 3 scores.
 
-    The pooling is one product with a constant (W, N) segment-mean matrix.
+    ``bounds`` is the (W, 2) array ``validate_word_spans`` returns.  The
+    pooling is one product with a constant (W, N) segment-mean matrix.
     """
     n = h.data.shape[0]
-    validate_word_spans(word_spans, n, starts)
-    bounds = np.array(word_spans, dtype=np.int64).reshape(-1, 2)
     sizes = bounds[:, 1] - bounds[:, 0]
     word_of = np.repeat(np.arange(len(sizes)), sizes)
     means = np.zeros((len(sizes), n))
@@ -116,8 +120,6 @@ def utterance_level_outputs(h: dc.Tensor, params: ParamStore, starts=(0,)) -> dc
     """
     hd = h.data
     n = hd.shape[0]
-    if n < 1:
-        raise ContractError("utterance_level_outputs: empty sequence")
     proj = [params[f"pool.{a}.w_proj"] for a in ASPECTS]
     score_w = [params[f"pool.{a}.w_score"] for a in ASPECTS]
     head_w = [params[f"head.utt.{a}.w"] for a in ASPECTS]

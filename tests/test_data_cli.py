@@ -222,6 +222,16 @@ def test_load_dataset_errors(tmp_path):
     assert "line 1" in str(e.value)
 
 
+def test_load_dataset_takes_only_a_directory(tmp_path):
+    records, _ = dm.synth_records(2, seed=2, ssl_dim=8)
+    dm.save_dataset(records, tmp_path)
+    corpus = tmp_path / dm.CORPUS_FILE
+    with pytest.raises(DatasetError) as e:
+        dm.load_dataset(corpus)
+    assert str(e.value).startswith(f"{corpus}: not a corpus directory")
+    assert len(dm.load_dataset(tmp_path)) == 2
+
+
 def test_load_dataset_rejects_duplicate_ids(tmp_path):
     records, _ = dm.synth_records(2, seed=2, ssl_dim=8)
     dm.save_dataset([records[0], records[1], records[0]], tmp_path)

@@ -78,18 +78,11 @@ def test_block_gradients():
     assert dc.grad_check(f, store.tensors(), epsilon=1e-4) < 1e-4
 
 
-def test_block_rejects_empty_sequence():
-    cfg = small_cfg()
-    store = build(cfg)
-    with pytest.raises(ContractError):
-        mamba_block(dc.Tensor(np.zeros((0, 4))), store, "enc.l0.fwd", cfg)
-
-
 def test_append_think_tokens():
     x = dc.Tensor(np.arange(8.0).reshape(2, 4))
-    assert Packing([2], 0).place(x, None) is x
+    assert Packing([2], 0, 2).place(x, None) is x
     tokens = dc.Tensor(np.random.default_rng(0).normal(size=(3, 4)))
-    out = Packing([2], 3).place(x, tokens)
+    out = Packing([2], 3, 2).place(x, tokens)
     assert out.data.shape == (5, 4)
     np.testing.assert_array_equal(out.data[:2], x.data)
     np.testing.assert_array_equal(out.data[2], tokens.data[0])
@@ -102,7 +95,7 @@ def test_encoder_output_length_is_phone_count(k):
     n = 6
     x = dc.Tensor(np.random.default_rng(4).normal(size=(n, 4)))
     think = store["enc.think"] if k > 0 else None
-    packing = Packing([n], k)
+    packing = Packing([n], k, n)
     h = bimamba_encode(packing.place(x, think), packing, store, cfg)
     assert h.data.shape == (n, 4)
 
@@ -111,7 +104,7 @@ def test_encoder_rejects_empty_utterance():
     cfg = small_cfg()
     store = build(cfg)
     with pytest.raises(ContractError):
-        bimamba_encode(dc.Tensor(np.zeros((2, 4))), Packing([0], 2), store, cfg)
+        bimamba_encode(dc.Tensor(np.zeros((2, 4))), Packing([0], 2, 0), store, cfg)
 
 
 def test_think_tokens_receive_gradient():
@@ -120,7 +113,7 @@ def test_think_tokens_receive_gradient():
     x = dc.Tensor(np.random.default_rng(5).normal(size=(5, 4)))
     store.zero_grad()
     with dc.Tape() as tape:
-        packing = Packing([5], 4)
+        packing = Packing([5], 4, 5)
         h = bimamba_encode(packing.place(x, store["enc.think"]), packing, store, cfg)
         tape.backward(dc.mean(h))
     g = store["enc.think"].grad
@@ -153,7 +146,7 @@ def test_encoder_gradients_full_stack():
     x = np.random.default_rng(7).normal(size=(4, 4))
 
     def f():
-        packing = Packing([4], 2)
+        packing = Packing([4], 2, 4)
         xt = packing.place(dc.Tensor(x), store["enc.think"])
         return dc.mean(bimamba_encode(xt, packing, store, cfg))
 
@@ -161,7 +154,7 @@ def test_encoder_gradients_full_stack():
 
 
 def test_packing_layout():
-    packing = Packing([2, 1, 3], 2)
+    packing = Packing([2, 1, 3], 2, 6)
     assert packing.n_rows == 12
     np.testing.assert_array_equal(packing.pos, [0, 1, 2, 3, 0, 1, 2, 0, 1, 2, 3, 4])
     np.testing.assert_array_equal(packing.starts, np.flatnonzero(packing.pos == 0))
@@ -174,7 +167,7 @@ def test_packing_layout():
     np.testing.assert_array_equal(packing.reverse(packed).data[:, 0],
                                   [7, 6, 1, 0, 7, 6, 2, 7, 6, 5, 4, 3])
     np.testing.assert_array_equal(packing.phones(packed).data[:, 0], np.arange(6.0))
-    single = Packing([4], 2)
+    single = Packing([4], 2, 4)
     assert single.single and single.pos is None and single.starts is None
 
 
@@ -187,12 +180,12 @@ def test_packed_encoder_matches_separate_utterances(k):
     lengths = [1, 2, 5]
     xs = [rng.normal(size=(n, 4)) for n in lengths]
     think = store["enc.think"] if k else None
-    packing = Packing(lengths, k)
+    packing = Packing(lengths, k, sum(lengths))
     packed = bimamba_encode(packing.place(dc.Tensor(np.concatenate(xs)), think),
                             packing, store, cfg).data
     separate = []
     for x in xs:
-        single = Packing([len(x)], k)
+        single = Packing([len(x)], k, len(x))
         separate.append(bimamba_encode(single.place(dc.Tensor(x), think), single, store,
                                        cfg).data)
     np.testing.assert_allclose(packed, np.concatenate(separate), rtol=1e-12, atol=1e-15)

@@ -160,6 +160,3 @@ def test_assemble_features_rejects_bad_rows():
     mat = build_onehot_attr_matrix(ph.packaged_table()[0])
     with pytest.raises(ShapeError):
         assemble_utterance_features(np.zeros((3, 5)), np.array([0, 1]), mat, store)
-    with pytest.raises(ContractError):
-        assemble_utterance_features(np.zeros((0, 5)), np.array([], dtype=int),
-                                    mat, store)

@@ -74,7 +74,9 @@ def test_phone_level_shapes():
 
 
 def test_word_spans_validation():
-    scoring.validate_word_spans([(0, 2), (2, 5)], 5)
+    bounds = scoring.validate_word_spans([(0, 2), (2, 5)], 5)
+    assert bounds.dtype.kind == "i"
+    np.testing.assert_array_equal(bounds, [[0, 2], [2, 5]])
     with pytest.raises(AlignmentError):
         scoring.validate_word_spans([(0, 2), (3, 5)], 5)  # gap
     with pytest.raises(AlignmentError):
@@ -88,7 +90,7 @@ def test_word_spans_validation():
 def test_word_level_is_mean_pool_affine():
     store = make_store()
     h = np.random.default_rng(6).normal(size=(5, 6))
-    spans = [(0, 2), (2, 5)]
+    spans = np.array([(0, 2), (2, 5)])
     out = scoring.word_level_outputs(dc.Tensor(h), spans, store)
     assert out.data.shape == (2, 3)
     pooled = np.stack([h[0:2].mean(axis=0), h[2:5].mean(axis=0)])
@@ -162,7 +164,7 @@ def test_heads_gradients():
     store = make_store(seed=8)
     rng = np.random.default_rng(8)
     h = rng.normal(size=(5, 6))
-    spans = [(0, 3), (3, 5)]
+    spans = np.array([(0, 3), (3, 5)])
     tgt_p = rng.uniform(size=5)
     tgt_w = rng.uniform(size=(2, 3))
     tgt_u = rng.uniform(size=5)
@@ -359,6 +361,16 @@ def test_predict_rejects_wrong_row_count():
         model.predict(np.zeros((4, model.feat_dim)), np.arange(5), [(0, 5)])
     msg = str(e.value)
     assert "features" in msg and "4 rows" in msg and "5 phone ids" in msg
+
+
+def test_packed_forward_rejects_word_across_utterances():
+    model = tiny_model()
+    rows = np.zeros((5, model.feat_dim))
+    # the second utterance's first packed row is 2; the second word spans rows 1-2
+    with pytest.raises(AlignmentError, match="utterance boundary at row 2$"):
+        model.forward(rows, np.arange(5), [(0, 1), (1, 3), (3, 5)], n_phones=[2, 3])
+    # the same spans within one utterance are a valid partition
+    assert model.predict(rows, np.arange(5), [(0, 1), (1, 3), (3, 5)]).word_scores.shape == (3, 3)
 
 
 def test_load_ignores_older_d_attn_key(tmp_path):
