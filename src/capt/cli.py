@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 from . import data as data_mod
 from . import metrics as metrics_mod
 from . import model as model_mod
-from .errors import CaptError, DatasetError, PersistenceError
+from .errors import CaptError, DatasetError, PersistenceError, write_file
 from .gradsuite import overfit_sanity, run_suite
 from .phonology import PHONES
 from .scoring import ASPECTS
@@ -22,14 +23,19 @@ def _load_cfg(args) -> data_mod.RunConfig:
     return data_mod.load_run_config(args.config) if args.config else data_mod.RunConfig()
 
 
-def _write(path, what: str, data: bytes = b""):
-    """Write ``data`` to ``path``, raising a PersistenceError that names it.
-    With no data this empties the path before the work that fills it, so an
-    unwritable path fails before the first epoch or evaluation."""
-    try:
-        Path(path).write_bytes(data)
-    except OSError as e:
-        raise PersistenceError(f"{path}: cannot write {what}: {e}") from e
+def _refuse_overwriting(corpus, inputs, outputs):
+    """Raise a PersistenceError if an output path names a file of the --data
+    ``corpus``, of an input or of an earlier output, before any work. Inputs and
+    outputs are (option, path) pairs, with None for an input not given."""
+    seen = {os.path.realpath(Path(corpus) / name): "--data"
+            for name in (data_mod.CORPUS_FILE, data_mod.FEATURE_FILE)}
+    seen |= {os.path.realpath(path): option for option, path in inputs if path}
+    for option, path in outputs:
+        resolved = os.path.realpath(path)
+        if resolved in seen:
+            raise PersistenceError(f"{option} and {seen[resolved]} both name {resolved}; "
+                                   f"refusing to overwrite the {seen[resolved]} file")
+        seen[resolved] = option
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,12 +81,14 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    log_path = args.log or (str(args.out) + ".loss.csv")
+    _refuse_overwriting(args.data, [("--config", args.config)],
+                        [("--out", args.out), ("--log", log_path)])
     cfg = _load_cfg(args)
     records = data_mod.load_dataset(args.data)
     feat_dim = records[0].features.shape[1]
     model = model_mod.init_model(cfg.encoder, feat_dim, seed=cfg.training.seed)
-    log_path = args.log or (str(args.out) + ".loss.csv")
-    _write(args.out, "model file")
+    write_file(args.out, b"", PersistenceError, "model file")
     history = train(records, cfg.training, model, log_path=log_path)
     model_mod.save_model(model, args.out)
     final = history[-1] if history else None
@@ -101,9 +109,11 @@ def _load_model_and_corpus(args):
 
 
 def _cmd_eval(args) -> int:
+    _refuse_overwriting(args.data, [("--model", args.model)],
+                        [("--out", args.out)] if args.out else [])
     model, records = _load_model_and_corpus(args)
     if args.out:
-        _write(args.out, "eval report")
+        write_file(args.out, b"", PersistenceError, "eval report")
     t0 = time.perf_counter()
     report = metrics_mod.evaluate(model, records)
     wall_s = time.perf_counter() - t0
@@ -111,7 +121,7 @@ def _cmd_eval(args) -> int:
     text = report.to_text(wall_s=wall_s, utts_per_s=len(records) / wall_s)
     sys.stdout.write(text)
     if args.out:
-        _write(args.out, "eval report", text.encode())
+        write_file(args.out, text.encode(), PersistenceError, "eval report")
     return 0
 
 

@@ -11,6 +11,7 @@ to [0, 1] on load.  See docs/formats.md for the byte-level layout.
 from __future__ import annotations
 
 import configparser
+import io
 import json
 import struct
 from dataclasses import dataclass, field
@@ -19,10 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import EncoderConfig
-from .errors import ConfigError, DatasetError
+from .errors import ConfigError, DatasetError, read_file, write_file
 from .phonology import (ARPABET_39, DEL, DEL_ID, PHONE_TO_ID, PHONES, UNK,
                         phone_id)
-from .scoring import ASPECTS
+from .scoring import ASPECTS, WORD_SCORE_NAMES
 from .training import TrainConfig
 
 PHONE_SCORE_MAX = 2.0
@@ -144,7 +145,7 @@ def validate_record(rec: UtteranceRecord) -> None:
             _fail(rec.id, f"word_scores[{w}]", f"{t!r} is not a list of numbers")
         t = rec.word_scores[w] = tuple(_score(s, WORD_SCORE_MAX, rec.id, "word_scores[{}]", w)
                                        for s in t)
-        if len(t) != 3:
+        if len(t) != len(WORD_SCORE_NAMES):
             _fail(rec.id, f"word_scores[{w}]", f"invalid triple {t}")
     scores = rec.utterance_scores
     if not isinstance(scores, dict):
@@ -174,27 +175,28 @@ def validate_record(rec: UtteranceRecord) -> None:
 
 
 def write_feature_file(path, matrices: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as f:
-        f.write(FEATURE_MAGIC)
-        f.write(struct.pack("<II", FEATURE_VERSION, len(matrices)))
-        offsets = {}
-        for uid, mat in matrices.items():
-            mat = np.asarray(mat, dtype=np.float32)
-            offsets[uid] = f.tell()
-            f.write(struct.pack("<II", mat.shape[0], mat.shape[1]))
-            f.write(mat.astype("<f4").tobytes())
-        index_offset = f.tell()
-        for uid, ofs in offsets.items():
-            enc = uid.encode()
-            f.write(struct.pack("<I", len(enc)))
-            f.write(enc)
-            f.write(struct.pack("<Q", ofs))
-        f.write(struct.pack("<Q", index_offset))
+    f = io.BytesIO()
+    f.write(FEATURE_MAGIC)
+    f.write(struct.pack("<II", FEATURE_VERSION, len(matrices)))
+    offsets = {}
+    for uid, mat in matrices.items():
+        mat = np.asarray(mat, dtype=np.float32)
+        offsets[uid] = f.tell()
+        f.write(struct.pack("<II", mat.shape[0], mat.shape[1]))
+        f.write(mat.astype("<f4").tobytes())
+    index_offset = f.tell()
+    for uid, ofs in offsets.items():
+        enc = uid.encode()
+        f.write(struct.pack("<I", len(enc)))
+        f.write(enc)
+        f.write(struct.pack("<Q", ofs))
+    f.write(struct.pack("<Q", index_offset))
+    write_file(path, f.getvalue(), DatasetError, "feature container")
 
 
 def read_feature_file(path) -> dict[str, np.ndarray]:
+    blob = read_file(path, DatasetError, "feature container")
     try:
-        blob = Path(path).read_bytes()
         if blob[:8] != FEATURE_MAGIC:
             raise DatasetError(f"{path}: bad magic, not a feature container")
         version, count = struct.unpack_from("<II", blob, 8)
@@ -218,8 +220,6 @@ def read_feature_file(path) -> dict[str, np.ndarray]:
                 raise DatasetError(f"{path}: truncated payload for record {uid!r}")
             out[uid] = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(np.float64)
         return out
-    except OSError as e:
-        raise DatasetError(f"{path}: cannot read feature container: {e}") from e
     except (struct.error, UnicodeDecodeError, IndexError, OverflowError) as e:
         raise DatasetError(f"{path}: corrupt feature container: {e}") from e
 
@@ -268,16 +268,10 @@ def save_dataset(records: list[UtteranceRecord], out_dir) -> None:
         validate_record(rec)
         if rec.features is None:
             _fail(rec.id, "features", "no feature matrix to write")
-    out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / CORPUS_FILE, "w") as f:
-            for rec in records:
-                f.write(_record_to_json(rec))
-        write_feature_file(out_dir / FEATURE_FILE,
-                           {rec.id: rec.features for rec in records})
-    except OSError as e:
-        raise DatasetError(f"{out_dir}: cannot write corpus: {e}") from e
+    write_file(Path(out_dir) / CORPUS_FILE,
+               "".join(_record_to_json(rec) for rec in records).encode(),
+               DatasetError, "corpus file")
+    write_feature_file(Path(out_dir) / FEATURE_FILE, {rec.id: rec.features for rec in records})
 
 
 def load_dataset(path) -> list[UtteranceRecord]:
@@ -286,26 +280,23 @@ def load_dataset(path) -> list[UtteranceRecord]:
     if not corpus_path.exists():
         raise DatasetError(f"{path}: not a corpus directory (no {CORPUS_FILE} in it)")
     features = read_feature_file(corpus_path.parent / FEATURE_FILE)
+    lines = io.BytesIO(read_file(corpus_path, DatasetError, "corpus file"))
     records = []
     first_line = {}  # utterance id -> corpus line it first appeared on
-    try:
-        with open(corpus_path, "rb") as f:
-            for lineno, line in enumerate(f, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    rec = _record_from_line(line, features)
-                except DatasetError as e:
-                    raise DatasetError(f"{corpus_path}: line {lineno}: {e}") from e
-                if rec.id in first_line:
-                    raise DatasetError(
-                        f"{corpus_path}: line {lineno}: duplicate utterance id {rec.id!r} "
-                        f"(first on line {first_line[rec.id]})"
-                    )
-                first_line[rec.id] = lineno
-                records.append(rec)
-    except OSError as e:
-        raise DatasetError(f"{corpus_path}: cannot read corpus file: {e}") from e
+    for lineno, line in enumerate(lines, start=1):  # each line keeps its b"\n"
+        if not line.strip():
+            continue
+        try:
+            rec = _record_from_line(line, features)
+        except DatasetError as e:
+            raise DatasetError(f"{corpus_path}: line {lineno}: {e}") from e
+        if rec.id in first_line:
+            raise DatasetError(
+                f"{corpus_path}: line {lineno}: duplicate utterance id {rec.id!r} "
+                f"(first on line {first_line[rec.id]})"
+            )
+        first_line[rec.id] = lineno
+        records.append(rec)
     if not records:
         raise DatasetError(f"{corpus_path}: empty corpus")
     return records
@@ -403,11 +394,9 @@ def synth_records(n: int, seed: int, rule_seed: int = 0, ssl_dim: int = 32):
 def synth_corpus(n: int, seed: int, out_dir, ssl_dim: int = 32) -> dict:
     records, meta = synth_records(n, seed, ssl_dim=ssl_dim)
     save_dataset(records, out_dir)
-    meta_path = Path(out_dir) / META_FILE
-    try:
-        meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-    except OSError as e:
-        raise DatasetError(f"{meta_path}: cannot write corpus metadata: {e}") from e
+    write_file(Path(out_dir) / META_FILE,
+               (json.dumps(meta, sort_keys=True, indent=2) + "\n").encode(),
+               DatasetError, "corpus metadata")
     return meta
 
 
@@ -434,12 +423,11 @@ def load_run_config(path) -> RunConfig:
     # no header can name the default section, so [DEFAULT] is read as a plain
     # section, and an unknown one, instead of being merged into every other
     cp = configparser.ConfigParser(interpolation=None, default_section="\n")
-    try:
-        read = cp.read(path, encoding="utf-8")
+    blob = read_file(path, ConfigError, "config file")
+    try:  # newline=None reads \r and \r\n line ends as text mode does
+        cp.read_file(io.StringIO(blob.decode("utf-8"), newline=None), source=str(path))
     except (configparser.Error, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: malformed config file: {e}") from e
-    if not read:
-        raise ConfigError(f"{path}: cannot read config file")
     cfg = RunConfig()
     for section in cp.sections():
         if section not in _INI_KEYS:
@@ -490,9 +478,7 @@ def import_speechocean(scores_json_path, out_corpus_path) -> int:
     """
     path = Path(scores_json_path)
     try:
-        raw = json.loads(path.read_bytes().decode("utf-8"))
-    except OSError as e:
-        raise DatasetError(f"{path}: cannot read: {e}") from e
+        raw = json.loads(read_file(path, DatasetError, "scores file").decode("utf-8"))
     except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, or nested too deep
         raise DatasetError(f"{path}: not a UTF-8 JSON file: {e}") from e
     if not isinstance(raw, dict):
@@ -578,10 +564,6 @@ def import_speechocean(scores_json_path, out_corpus_path) -> int:
         keys = {a: a for a in ASPECTS} | {"prosody": "prosodic" if "prosodic" in u else "prosody"}
         records.append(UtteranceRecord(uid, phones, word_scores, {
             a: score(required(u, k, uid, k), UTT_SCORE_MAX, uid, k) for a, k in keys.items()}))
-    out_path = Path(out_corpus_path)
-    try:
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text("".join(_record_to_json(rec) for rec in records))
-    except OSError as e:
-        raise DatasetError(f"{out_path}: cannot write: {e}") from e
+    write_file(out_corpus_path, "".join(_record_to_json(rec) for rec in records).encode(),
+               DatasetError, "corpus file")
     return len(records)

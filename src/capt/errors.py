@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all modules, and the array conversion that raises it."""
+"""Exception hierarchy shared by all modules, and the array and file reads that raise it."""
+
+from pathlib import Path
 
 import numpy as np
 
@@ -46,3 +48,21 @@ def as_array(value, error: type[CaptError], what: str) -> np.ndarray:
         return np.asarray(value)
     except ValueError as e:
         raise error(f"{what}: ragged nesting ({e})") from e
+
+
+def read_file(path, error: type[CaptError], what: str) -> bytes:
+    """The bytes of ``path``; ``error`` naming it and ``what`` if it cannot be read."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as e:
+        raise error(f"{path}: cannot read {what}: {e}") from e
+
+
+def write_file(path, data: bytes, error: type[CaptError], what: str) -> None:
+    """Replace ``path`` with ``data``, creating its missing parent directories;
+    ``error`` naming it and ``what`` if it cannot be written."""
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        Path(path).write_bytes(data)
+    except OSError as e:
+        raise error(f"{path}: cannot write {what}: {e}") from e

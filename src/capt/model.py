@@ -21,7 +21,7 @@ from . import phonology, scoring
 from .encoder import (EncoderConfig, Packing, ParamStore, bimamba_encode, encoder_params,
                       init_params)
 from .errors import (ConfigError, ContractError, DatasetError, InventoryError, NumericError,
-                     PersistenceError, ShapeError, as_array)
+                     PersistenceError, ShapeError, as_array, read_file, write_file)
 
 MODEL_FORMAT_VERSION = 1
 # metadata fields load_model reads, with the JSON type each must have
@@ -140,21 +140,19 @@ def save_model(model: Model, path) -> None:
                                        dtype=np.uint8)
     # plain zipfile with a pinned timestamp so identical models are
     # byte-identical files (np.savez stamps the current time)
-    try:
-        with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
-            for name in sorted(arrays):
-                buf = io.BytesIO()
-                np.lib.format.write_array(buf, np.asanyarray(arrays[name]))
-                info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
-                zf.writestr(info, buf.getvalue())
-    except OSError as e:
-        raise PersistenceError(f"{path}: cannot write model file: {e}") from e
+    blob = io.BytesIO()
+    with zipfile.ZipFile(blob, "w", zipfile.ZIP_STORED) as zf:
+        for name in sorted(arrays):
+            buf = io.BytesIO()
+            np.lib.format.write_array(buf, np.asanyarray(arrays[name]))
+            info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
+            zf.writestr(info, buf.getvalue())
+    write_file(path, blob.getvalue(), PersistenceError, "model file")
 
 
 def load_model(path) -> Model:
     try:
-        # np.load(path) would leave the file open when the zip fails to parse
-        with open(path, "rb") as f, np.load(f) as z:
+        with np.load(io.BytesIO(read_file(path, PersistenceError, "model file"))) as z:
             if "__meta__" not in z:
                 raise PersistenceError(f"{path}: not a model file (missing metadata)")
             meta = json.loads(bytes(z["__meta__"]).decode())

@@ -55,8 +55,8 @@ def scoring_params(d_model: int, d_attn: int) -> list:
                       ("head.phone.b", (), 0.5),
                       ("head.mdd.w", (d_model, N_PHONES), normal(0.02)),
                       ("head.mdd.b", (N_PHONES,), 0.0),
-                      ("head.word.w", (d_model, 3), normal(0.02)),
-                      ("head.word.b", (3,), 0.5)]
+                      ("head.word.w", (d_model, len(WORD_SCORE_NAMES)), normal(0.02)),
+                      ("head.word.b", (len(WORD_SCORE_NAMES),), 0.5)]
 
 
 def phone_level_outputs(h: dc.Tensor, params: ParamStore):

@@ -10,13 +10,15 @@ does not reweight the objective.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import diffcore as dc
 from .encoder import ParamStore
-from .errors import ConfigError, ContractError, DatasetError, NumericError, PersistenceError
+from .errors import (ConfigError, ContractError, DatasetError, NumericError, PersistenceError,
+                     write_file)
 from .scoring import PredictionBundle
 
 
@@ -183,13 +185,11 @@ def train(records, cfg: TrainConfig, model, log_path=None,
     rng = np.random.default_rng(cfg.seed)
     opt = Adam(model.params, cfg.lr)
     history: list[LossBreakdown] = []
-    try:
-        log_file = open(log_path, "w", newline="") if log_path else None
-    except OSError as e:
-        raise PersistenceError(f"{log_path}: cannot write loss log: {e}") from e
-    writer = csv.writer(log_file) if log_file else None
-    if writer:
-        writer.writerow(["epoch", "l_phn", "l_word", "l_utt", "l_mdd", "l_total"])
+    if log_path:  # an unwritable path fails before the first epoch
+        write_file(log_path, b"", PersistenceError, "loss log")
+    log = io.StringIO()
+    writer = csv.writer(log)
+    writer.writerow(["epoch", "l_phn", "l_word", "l_utt", "l_mdd", "l_total"])
     try:
         for epoch in range(cfg.epochs):
             perm = rng.permutation(len(records))
@@ -214,14 +214,12 @@ def train(records, cfg: TrainConfig, model, log_path=None,
                 n_batches += 1
             bd = LossBreakdown(*(float(v) for v in sums / n_batches))
             history.append(bd)
-            if writer:
-                writer.writerow([epoch, repr(bd.l_phn), repr(bd.l_word),
-                                 repr(bd.l_utt), repr(bd.l_mdd),
-                                 repr(bd.l_total(cfg.alpha))])
+            writer.writerow([epoch, repr(bd.l_phn), repr(bd.l_word), repr(bd.l_utt),
+                             repr(bd.l_mdd), repr(bd.l_total(cfg.alpha))])
             if callback and callback(epoch, bd):
                 break
-    finally:
-        if log_file:
-            log_file.close()
+    finally:  # the epochs run so far, also when training stops on an error
+        if log_path:
+            write_file(log_path, log.getvalue().encode(), PersistenceError, "loss log")
     return history
 

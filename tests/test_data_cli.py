@@ -1,5 +1,7 @@
 import dataclasses
+import errno
 import json
+import os
 import re
 from pathlib import Path
 
@@ -951,3 +953,74 @@ def test_cli_unwritable_output_names_the_path(tmp_path, capsys, argv):
     if argv[0] == "train":  # a failed run leaves no model that loads
         with pytest.raises(PersistenceError):
             load_model(argv[argv.index("--out") + 1])
+
+
+@pytest.fixture
+def small_run(tmp_path, capsys):
+    """A 2-utterance corpus, an INI for a 1-epoch tiny model, and that model trained."""
+    corpus = tmp_path / "c"
+    run_cli(["synth", "--n", "2", "--seed", "1", "--out", str(corpus), "--ssl-dim", "2"], capsys)
+    ini = tmp_path / "run.ini"
+    ini.write_text("[model]\nd_model = 4\nd_state = 2\nn_layers = 1\n[training]\nepochs = 1\n")
+    model_path = tmp_path / "m.capt"
+    run_cli(["train", "--config", str(ini), "--data", str(corpus), "--out", str(model_path)],
+            capsys)
+    return {"tmp": tmp_path, "corpus": corpus, "ini": ini, "model": model_path}
+
+
+@pytest.mark.parametrize("argv,victim,options", [
+    # the model through another spelling of its path: paths compare resolved
+    (["eval", "--model", "{model}", "--data", "{corpus}", "--out", "{corpus}/../m.capt"],
+     "{model}", ("--out", "--model")),
+    (["eval", "--model", "{model}", "--data", "{corpus}", "--out", "{corpus}/corpus.jsonl"],
+     "{corpus}/corpus.jsonl", ("--out", "--data")),
+    (["eval", "--model", "{model}", "--data", "{corpus}", "--out", "{corpus}/features.bin"],
+     "{corpus}/features.bin", ("--out", "--data")),
+    (["train", "--config", "{ini}", "--data", "{corpus}", "--out", "{tmp}/x", "--log", "{tmp}/x"],
+     "{tmp}/x", ("--log", "--out")),
+    (["train", "--config", "{ini}", "--data", "{corpus}", "--out", "{corpus}/corpus.jsonl"],
+     "{corpus}/corpus.jsonl", ("--out", "--data")),
+    (["train", "--config", "{ini}", "--data", "{corpus}", "--out", "{tmp}/n.capt",
+      "--log", "{corpus}/features.bin"], "{corpus}/features.bin", ("--log", "--data")),
+    (["train", "--config", "{ini}", "--data", "{corpus}", "--out", "{ini}"],
+     "{ini}", ("--out", "--config")),
+], ids=["eval_out_model", "eval_out_corpus", "eval_out_features", "train_log_out",
+        "train_out_corpus", "train_log_features", "train_out_config"])
+def test_cli_refuses_an_output_that_names_an_input(small_run, capsys, argv, victim, options):
+    (small_run["tmp"] / "x").write_text("a loss log of an earlier run\n")
+    argv = [a.format(**small_run) for a in argv]
+    victim = Path(victim.format(**small_run))
+    before = victim.read_bytes()
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(victim.resolve()) in err and all(option in err for option in options)
+    assert victim.read_bytes() == before
+    assert not (small_run["tmp"] / "n.capt").exists()  # refused before any work
+
+
+def test_cli_train_reports_an_unwritable_loss_log(small_run, capsys):
+    if not Path("/dev/full").exists():
+        pytest.skip("no /dev/full, a device whose writes fail")
+    argv = ["train", "--config", str(small_run["ini"]), "--data", str(small_run["corpus"]),
+            "--out", str(small_run["tmp"] / "n.capt"), "--log", "/dev/full"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: /dev/full: cannot write loss log:") and err.count("\n") == 1
+
+
+def test_cli_train_creates_the_output_directory(small_run, capsys):
+    model_path = small_run["tmp"] / "new_dir" / "m.capt"
+    argv = ["train", "--config", str(small_run["ini"]), "--data", str(small_run["corpus"]),
+            "--out", str(model_path)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    load_model(model_path)
+    assert (small_run["tmp"] / "new_dir" / "m.capt.loss.csv").read_text().count("\n") == 2
+
+
+def test_load_run_config_on_a_directory_names_the_reason(tmp_path):
+    with pytest.raises(ConfigError) as e:
+        dm.load_run_config(tmp_path)
+    assert str(e.value).startswith(f"{tmp_path}: cannot read config file: ")
+    assert os.strerror(errno.EISDIR) in str(e.value)

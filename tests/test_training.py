@@ -1,6 +1,7 @@
 import platform
 import resource
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from capt import gradsuite, metrics
 from capt import training as tr
 from capt.data import synth_records
 from capt.encoder import EncoderConfig, ParamStore
-from capt.errors import ConfigError, ContractError, DatasetError, NumericError, ShapeError
+from capt.errors import (ConfigError, ContractError, DatasetError, NumericError,
+                         PersistenceError, ShapeError)
 from capt.gradsuite import TOLERANCE
 from capt.model import init_model
 from capt.scoring import PredictionBundle
@@ -220,6 +222,17 @@ def test_train_overwrites_an_existing_log(tmp_path):
     assert [row.split(",")[0] for row in lines[1:]] == ["0", "1"]
     assert "0,1,1,1,1,1" not in lines
 
+
+
+def test_train_reports_an_unwritable_loss_log():
+    # writes to /dev/full fail; emptying it succeeds, so the rows' write fails
+    if not Path("/dev/full").exists():
+        pytest.skip("no /dev/full, a device whose writes fail")
+    records, _ = synth_records(4, seed=5, ssl_dim=8)
+    with pytest.raises(PersistenceError) as e:
+        tr.train(records, tr.TrainConfig(epochs=1, batch_size=4), tiny_model(feat_dim=9),
+                 log_path="/dev/full")
+    assert str(e.value).startswith("/dev/full: cannot write loss log:")
 
 def test_train_is_deterministic(tmp_path):
     records, _ = synth_records(6, seed=6, ssl_dim=8)
