@@ -263,11 +263,28 @@ def _record_from_line(line: bytes, features: dict) -> UtteranceRecord:
     return rec
 
 
+def _note_id(first: dict, rec_id, at: str) -> None:
+    """A corpus's unique-id rule: notes that ``rec_id`` appears ``at`` (a line
+    or a record position), refusing an id that ``first`` already maps."""
+    if rec_id in first:
+        raise DatasetError(f"duplicate utterance id {rec_id!r} (first at {first[rec_id]})")
+    first[rec_id] = at
+
+
 def save_dataset(records: list[UtteranceRecord], out_dir) -> None:
-    for rec in records:
-        validate_record(rec)
-        if rec.features is None:
-            _fail(rec.id, "features", "no feature matrix to write")
+    """Writes ``records`` as the corpus directory ``out_dir``, refusing before
+    any file exists what ``load_dataset`` would refuse."""
+    if not records:
+        raise DatasetError(f"{out_dir}: empty corpus (no records to save)")
+    first = {}  # utterance id -> position of the record it first appeared in
+    for i, rec in enumerate(records):
+        try:
+            validate_record(rec)
+            if rec.features is None:
+                _fail(rec.id, "features", "no feature matrix to write")
+            _note_id(first, rec.id, f"records[{i}]")
+        except DatasetError as e:
+            raise DatasetError(f"records[{i}]: {e}") from e
     write_file(Path(out_dir) / CORPUS_FILE,
                "".join(_record_to_json(rec) for rec in records).encode(),
                DatasetError, "corpus file")
@@ -282,20 +299,15 @@ def load_dataset(path) -> list[UtteranceRecord]:
     features = read_feature_file(corpus_path.parent / FEATURE_FILE)
     lines = io.BytesIO(read_file(corpus_path, DatasetError, "corpus file"))
     records = []
-    first_line = {}  # utterance id -> corpus line it first appeared on
+    first = {}  # utterance id -> corpus line it first appeared on
     for lineno, line in enumerate(lines, start=1):  # each line keeps its b"\n"
         if not line.strip():
             continue
         try:
             rec = _record_from_line(line, features)
+            _note_id(first, rec.id, f"line {lineno}")
         except DatasetError as e:
             raise DatasetError(f"{corpus_path}: line {lineno}: {e}") from e
-        if rec.id in first_line:
-            raise DatasetError(
-                f"{corpus_path}: line {lineno}: duplicate utterance id {rec.id!r} "
-                f"(first on line {first_line[rec.id]})"
-            )
-        first_line[rec.id] = lineno
         records.append(rec)
     if not records:
         raise DatasetError(f"{corpus_path}: empty corpus")

@@ -1,22 +1,23 @@
 """Selective-scan kernels: the hot inner loops of the encoder.
 
 The linear recurrence h_t = A_t * h_{t-1} + B_t * x_t is serial over time,
-and so is its adjoint g_t = A_{t+1} * g_{t+1} + dy_t (x) C_t.  Each pass runs
-one Python loop for its recurrence, one (C, S) row update per step through a
-preallocated temp; every other term (the readout y, dx, dA, dB, dC) is one
-vectorized numpy expression per chunk of time rows.
+and so is its adjoint g_t = A_{t+1} * g_{t+1} + dy_t (x) C_t.  One Python
+loop, ``_recur``, runs both (the adjoint on time-reversed views), one (C, S)
+row update per step through a preallocated temp; every other term (the
+readout y, dx, dA, dB, dC) is one numpy expression per chunk of time rows.
 
 The kernel is cache-blocked.  The forward runs the stream in chunks of
 CHUNK_BYTES of (C, S) state rows and reads each chunk's states out into y
 while they sit in L2.  A stream whose T + 1 states fit KEEP_BYTES keeps all
 of them for the backward.  A longer one writes every chunk into one reused
-buffer and keeps only the state entering each chunk; the backward walks the
-chunks in reverse, recomputes each from its entry state, and carries
-A_bar_s * g_s into the previous chunk.  This is how Mamba's scan keeps its
-(B, L, D, N) states out of slow memory (Gu & Dao 2023, section 3.3.2), the
-checkpoint-and-recompute trade of Chen et al. 2016.  Every operation runs in
-the same order as over the whole stream, so y and the gradients do not
-depend on the chunk length or on what is kept.
+buffer and keeps only the state entering each chunk.  The backward walks the
+chunks in reverse in one loop; each takes its states, kept or recomputed from
+its entry state, runs its adjoint and carries A_bar_s * g_s into the chunk
+before.  This is how Mamba's scan keeps its (B, L, D, N) states out of slow
+memory (Gu & Dao 2023, section 3.3.2), the checkpoint-and-recompute trade of
+Chen et al. 2016.  Every operation runs in the same order as over the whole
+stream, so y and the gradients do not depend on the chunk length or on what
+is kept.
 
 The encoder calls the delta form, ``selective_scan(x, A_bar, B, C, D,
 delta=delta)`` with the (T, S) projection B, as Mamba's ``selective_scan_fn``
@@ -65,9 +66,15 @@ def _states(pad, a_bar, b, xs, s, e, tmp):
         np.einsum("tcs,tc->tcs", b[s:e], xs[s:e], out=h)  # faster than broadcasting
     else:
         np.einsum("tc,ts->tcs", xs[s:e], b[s:e], out=h)  # also faster than broadcasting
-    for a_t, h_prev, h_t in zip(a_bar[s:e], pad[:-1], h):
-        np.multiply(a_t, h_prev, out=tmp)
-        h_t += tmp
+    _recur(a_bar[s:e], pad, tmp)
+
+
+def _recur(a, h, tmp):
+    """Runs h[i] += a[i-1] * h[i-1] for i = 1 .. len(h) - 1 in order, through
+    ``tmp``: the states' recurrence, and the adjoint's on reversed views."""
+    for a_prev, h_prev, h_i in zip(a, h[:-1], h[1:]):
+        np.multiply(a_prev, h_prev, out=tmp)
+        h_i += tmp
 
 
 def _scan_fwd(x, a_bar, b, c, d, delta=None):
@@ -110,37 +117,15 @@ def _scan_fwd(x, a_bar, b, c, d, delta=None):
     return y, (chunk, states)
 
 
-def _chunk_states(a_bar, b, xs, saved):
-    """Yields ``(s, e, pad)`` for each chunk of ``saved``, last chunk first:
-    pad[0] is the state h_{s-1} entering rows s:e and pad[1:] their states,
-    kept by the forward or recomputed from the chunk's entry state into one
-    reused buffer (valid until the next chunk is yielded)."""
-    chunk, states = saved
-    t_len = len(a_bar)
-    keep = len(states) == t_len + 1
-    if not keep:
-        work = np.empty((min(chunk, t_len) + 1, *states.shape[1:]))
-        tmp = np.empty(states.shape[1:])
-    for s in reversed(range(0, t_len, chunk)):
-        e = min(s + chunk, t_len)
-        if keep:
-            yield s, e, states[s:e + 1]
-            continue
-        pad = work[:e - s + 1]
-        pad[0] = states[s // chunk]
-        _states(pad, a_bar, b, xs, s, e, tmp)
-        yield s, e, pad
-
-
 def _scan_bwd(x, a_bar, b, c, d, saved, dy, delta=None):
     """Gradients (dx, dA_bar, db, dC, dD, d_delta) of sum(y * dy); d_delta is
     None without ``delta``, and db is then dB_bar (T, C, S).
 
-    Walks the chunks of ``saved`` (from ``_scan_fwd``) in reverse, carrying
-    A_bar_s * g_s into the previous chunk, with the adjoint g of one chunk
-    in one reused buffer.  When the forward kept every state, dA_bar is
-    written over them; otherwise it is a fresh (T, C, S) array, as dB_bar
-    always is without ``delta``.
+    Walks the chunks of ``saved`` (from ``_scan_fwd``) in reverse; each
+    takes its kept states or recomputes them, runs its adjoint g in one
+    reused buffer and carries A_bar_s * g_s into the chunk before.  When the
+    forward kept every state, dA_bar is written over them; otherwise it is a
+    fresh (T, C, S) array, as dB_bar always is without ``delta``.
     """
     t_len, n_ch = x.shape
     row = (n_ch, c.shape[1])
@@ -156,16 +141,21 @@ def _scan_bwd(x, a_bar, b, c, d, saved, dy, delta=None):
     db = np.empty(b.shape)
     g_b = np.empty(x.shape)  # sum_s g * B_bar, or sum_s g * B with delta
     g_buf = np.empty((min(chunk, t_len), *row))
+    work = None if keep else np.empty((min(chunk, t_len) + 1, *row))
     tmp, carry = np.empty(row), np.empty(row)
-    for s, e, pad in _chunk_states(a_bar, b, xs, saved):
+    for s in reversed(range(0, t_len, chunk)):
+        e = min(s + chunk, t_len)
+        if keep:
+            pad = states[s:e + 1]
+        else:  # recompute the chunk's states from the state entering it
+            pad = work[:e - s + 1]
+            pad[0] = states[s // chunk]
+            _states(pad, a_bar, b, xs, s, e, tmp)
         g = g_buf[:e - s]
         np.einsum("tc,ts->tcs", dy[s:e], c[s:e], out=g)  # dy (x) C
         if e < t_len:
             g[-1] += carry
-        # g_t += A_{t+1} * g_{t+1}, for t = e-2 down to s
-        for a_next, g_next, g_t in zip(a_bar[e - 1:s:-1], g[:0:-1], g[-2::-1]):
-            np.multiply(a_next, g_next, out=tmp)
-            g_t += tmp
+        _recur(a_bar[e - 1:s:-1], g[::-1], tmp)  # g_t += A_{t+1} * g_{t+1}, t = e-2 .. s
         if s:
             np.multiply(a_bar[s], g[0], out=carry)
         if not keep:

@@ -236,12 +236,33 @@ def test_load_dataset_takes_only_a_directory(tmp_path):
 
 def test_load_dataset_rejects_duplicate_ids(tmp_path):
     records, _ = dm.synth_records(2, seed=2, ssl_dim=8)
-    dm.save_dataset([records[0], records[1], records[0]], tmp_path)
+    dm.save_dataset(records, tmp_path)  # it refuses duplicate ids: write the third line directly
+    corpus = tmp_path / dm.CORPUS_FILE
+    corpus.write_text(corpus.read_text() + dm._record_to_json(records[0]))
     with pytest.raises(DatasetError) as e:
         dm.load_dataset(tmp_path)
     msg = str(e.value)
     assert dm.CORPUS_FILE in msg and repr(records[0].id) in msg
     assert "line 3" in msg and "line 1" in msg
+
+
+def test_save_dataset_refuses_duplicate_ids_before_writing(tmp_path):
+    records, _ = dm.synth_records(3, seed=2, ssl_dim=8)
+    records[1].id = records[0].id
+    out = tmp_path / "corpus"
+    with pytest.raises(DatasetError) as e:
+        dm.save_dataset(records, out)
+    msg = str(e.value)
+    assert "duplicate" in msg and repr(records[0].id) in msg
+    assert "records[1]" in msg and "records[0]" in msg
+    assert not out.exists()
+
+
+def test_save_dataset_refuses_an_empty_corpus_before_writing(tmp_path):
+    out = tmp_path / "corpus"
+    with pytest.raises(DatasetError, match="empty corpus"):
+        dm.save_dataset([], out)
+    assert not out.exists()
 
 
 def test_load_dataset_rejects_non_finite_features(tmp_path):

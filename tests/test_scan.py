@@ -209,14 +209,7 @@ def test_kernels_match_per_step_oracle(case):
     y_ref, h_ref = oracle_fwd(x, a_bar, b_bar, c, d)
     grads_ref = oracle_bwd(x, a_bar, b_bar, c, d, h_ref, dy)
 
-    y, saved = scan._scan_fwd(x, a_bar, b_bar, c, d)
-    # every state the backward reads, kept or recomputed, is the oracle's
-    ends = []
-    for s, e, pad in scan._chunk_states(a_bar, b_bar, x, saved):
-        np.testing.assert_array_equal(pad[0], h_ref[s - 1] if s else 0.0)
-        np.testing.assert_array_equal(pad[1:], h_ref[s:e])
-        ends.append((s, e))
-    assert ends == [(s, min(s + saved[0], t_len)) for s in range(0, t_len, saved[0])][::-1]
+    y, _ = scan._scan_fwd(x, a_bar, b_bar, c, d)
     assert_close(y, y_ref, "y")
 
     # through the differentiable op and the tape, as training runs it
@@ -394,6 +387,36 @@ def test_scan_holds_at_most_the_kept_and_entry_states():
     assert held <= y.data.nbytes + entries_bytes + row_bytes
     assert held < t_len * row_bytes / 2
     assert arrays[1].grad.shape == (t_len, n_ch, n_st)
+
+
+@pytest.mark.parametrize("kept", ["all", "entries", "train_long"])
+def test_backward_recomputes_each_chunk_once_unless_kept(kept, monkeypatch):
+    """The forward computes each chunk's states once.  The backward
+    recomputes each chunk once, last chunk first, when the forward kept only
+    the states entering the chunks, and computes none when it kept them all."""
+    t_len, n_ch, n_st = (756, 128, 16) if kept == "train_long" else (40, 6, 4)
+    if kept != "train_long":  # train_long's shape overflows the default budgets
+        set_chunk(monkeypatch, 5)
+    if kept == "entries":
+        monkeypatch.setattr(scan, "KEEP_BYTES", 0)
+    calls = []
+    states = scan._states
+
+    def counted(pad, a_bar, b, xs, s, e, tmp):
+        calls.append((s, e))
+        states(pad, a_bar, b, xs, s, e, tmp)
+
+    monkeypatch.setattr(scan, "_states", counted)
+    rng = np.random.default_rng(13)
+    *arrays, delta = scan_streams(rng, t_len, n_ch, n_st, "delta")
+    _, saved = scan._scan_fwd(*arrays, delta=delta)
+    chunk, kept_states = saved
+    chunks = [(s, min(s + chunk, t_len)) for s in range(0, t_len, chunk)]
+    assert len(chunks) > 1 and calls == chunks
+    assert (len(kept_states) == t_len + 1) == (kept == "all")
+    calls.clear()
+    scan._scan_bwd(*arrays, saved, rng.normal(size=(t_len, n_ch)), delta=delta)
+    assert calls == ([] if kept == "all" else chunks[::-1])
 
 
 def test_scan_gradients_on_numpy_backend():
