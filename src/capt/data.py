@@ -475,19 +475,16 @@ def _strip_phone(symbol: str) -> str | None:
     return base if base in PHONE_TO_ID else None
 
 
-def import_speechocean(scores_json_path, out_corpus_path) -> int:
-    """Convert a speechocean762 scores.json into corpus.jsonl records.
-
-    Acoustic feature matrices are not derivable from the annotations and
-    must be supplied separately; only the jsonl file is written, one line
-    per record as ``save_dataset`` writes it.  Returns the number of
-    converted records.  Every word's ``phones`` list is checked first; then
-    an utterance without words, or with a canonical ``<del>``/``<unk>`` in
-    any word, is skipped before its mispronunciations and scores are read.
-    Every score field of a converted utterance must be present.  A malformed
-    file raises ``DatasetError`` naming the file, the utterance and the
-    field, and nothing is written.
-    """
+def import_speechocean(scores_json_path, out_dir) -> int:
+    """Convert a speechocean762 scores.json into the corpus directory ``out_dir``;
+    returns the number of converted records.  Audio features are not derivable
+    from the annotations, so each record gets an (n_phones, 0) feature matrix,
+    and ``save_dataset`` writes them all: the output loads.  Every word's
+    ``phones`` list is checked first; then an utterance without words, or with
+    a canonical ``<del>``/``<unk>`` in any word, is skipped before its
+    mispronunciations and scores are read.  Every score field of a converted
+    utterance must be present.  A malformed file, or one that converts nothing,
+    raises ``DatasetError`` naming the file, and nothing is written."""
     path = Path(scores_json_path)
     try:
         raw = json.loads(read_file(path, DatasetError, "scores file").decode("utf-8"))
@@ -575,7 +572,10 @@ def import_speechocean(scores_json_path, out_corpus_path) -> int:
                 for k in ("accuracy", "stress", "total")))
         keys = {a: a for a in ASPECTS} | {"prosody": "prosodic" if "prosodic" in u else "prosody"}
         records.append(UtteranceRecord(uid, phones, word_scores, {
-            a: score(required(u, k, uid, k), UTT_SCORE_MAX, uid, k) for a, k in keys.items()}))
-    write_file(out_corpus_path, "".join(_record_to_json(rec) for rec in records).encode(),
-               DatasetError, "corpus file")
+            a: score(required(u, k, uid, k), UTT_SCORE_MAX, uid, k) for a, k in keys.items()},
+            features=np.zeros((len(phones), 0))))
+    try:
+        save_dataset(records, out_dir)
+    except DatasetError as e:
+        raise DatasetError(f"{path}: {e}") from e
     return len(records)

@@ -602,21 +602,22 @@ SPEECHOCEAN = {
 def test_import_speechocean(tmp_path):
     src = tmp_path / "scores.json"
     src.write_text(json.dumps(SPEECHOCEAN))
-    out = tmp_path / "corpus.jsonl"
+    out = tmp_path / "so"
     n = dm.import_speechocean(src, out)
     assert n == 1  # the <unk>-canonical utterance is skipped
-    rec = json.loads(out.read_text().splitlines()[0])
-    assert rec["id"] == "000010011"
-    assert [p["canonical"] for p in rec["phones"]] == ["W", "IY", "K", "AO", "L"]
-    assert rec["phones"][3]["realized"] == "AA"
-    assert rec["utterance_scores"]["prosody"] == 9.0
+    [rec] = dm.load_dataset(out)
+    assert rec.id == "000010011"
+    assert [p.canonical for p in rec.phones] == ["W", "IY", "K", "AO", "L"]
+    assert rec.phones[3].realized == "AA"
+    assert rec.utterance_scores["prosody"] == 9.0
+    assert rec.features.shape == (5, 0)  # no audio features: a 0-wide matrix
 
 
 def import_error(tmp_path, content: bytes) -> str:
     """The DatasetError message of importing ``content``; nothing is written."""
     src = tmp_path / "scores.json"
     src.write_bytes(content)
-    out = tmp_path / "corpus.jsonl"
+    out = tmp_path / "so"
     with pytest.raises(DatasetError) as e:
         dm.import_speechocean(src, out)
     assert not out.exists()
@@ -637,7 +638,7 @@ def mutated_speechocean(path, value):
 
 def test_import_speechocean_unreadable_or_malformed_file(tmp_path):
     with pytest.raises(DatasetError) as e:
-        dm.import_speechocean(tmp_path / "missing.json", tmp_path / "corpus.jsonl")
+        dm.import_speechocean(tmp_path / "missing.json", tmp_path / "so")
     assert "missing.json" in str(e.value)
     assert "cannot read" in str(e.value)
     assert "not a UTF-8 JSON" in import_error(tmp_path, b'{"000010011": {"words": [}')
@@ -723,10 +724,10 @@ def test_import_speechocean_pronounced_phone_missing(tmp_path):
 @pytest.mark.parametrize("value", ["<DEL>", "<Del>"])
 def test_import_speechocean_deletion_in_any_case(tmp_path, value):
     # a deletion is a deletion in any letter case, not a noncategorizable <unk>
-    src, out = tmp_path / "scores.json", tmp_path / "corpus.jsonl"
+    src, out = tmp_path / "scores.json", tmp_path / "so"
     src.write_bytes(mutated_speechocean(PRONOUNCED_FIELD[0], value))
     assert dm.import_speechocean(src, out) == 1
-    assert json.loads(out.read_text())["phones"][3]["realized"] == "<del>"
+    assert dm.load_dataset(out)[0].phones[3].realized == "<del>"
 
 
 UNK_WORD = {"phones": ["<unk>"], "phones-accuracy": [0.0]}
@@ -735,12 +736,18 @@ UNSCORED_WORD = {"phones": ["K"], "phones-accuracy": [2.0], "stress": 10, "total
 
 def test_import_speechocean_skips_before_reading_scores(tmp_path):
     # the <unk> word skips the utterance in either word order, so the score
-    # its other word lacks is never read
-    src, out = tmp_path / "scores.json", tmp_path / "corpus.jsonl"
+    # its other word lacks is never read: the import fails as empty, not as
+    # a missing score
     for words in ([UNK_WORD, UNSCORED_WORD], [UNSCORED_WORD, UNK_WORD]):
-        src.write_text(json.dumps({"u1": {"words": words}}))
-        assert dm.import_speechocean(src, out) == 0
-        assert out.read_text() == ""
+        msg = import_error(tmp_path, json.dumps({"u1": {"words": words}}).encode())
+        assert msg.endswith("empty corpus (no records to save)")
+
+
+def test_import_speechocean_refuses_what_load_dataset_refuses(tmp_path):
+    # an id the feature container cannot store fails before any file exists
+    raw = {"\ud800x": SPEECHOCEAN["000010011"]}
+    msg = import_error(tmp_path, json.dumps(raw).encode())
+    assert "field 'id'" in msg and "not encodable as UTF-8" in msg
 
 
 def test_import_speechocean_checks_every_word_before_a_skip(tmp_path):

@@ -7,7 +7,7 @@ may escape.  The examples are derandomized, so every run tests the same
 inputs.
 """
 
-import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -113,9 +113,18 @@ def test_fuzz_model_file(tmp_path, blob):
 @FUZZ
 @given(blob=mutated(SCORES_JSON))
 def test_fuzz_speechocean_scores(tmp_path, blob):
+    # whatever the importer writes, the loader reads
     (tmp_path / "scores.json").write_bytes(blob)
-    loads_or_capt_error(dm.import_speechocean, tmp_path / "scores.json",
-                        tmp_path / dm.CORPUS_FILE)
+    out = tmp_path / "so"
+    shutil.rmtree(out, ignore_errors=True)
+    try:
+        n = dm.import_speechocean(tmp_path / "scores.json", out)
+    except CaptError:
+        assert not out.exists()
+        return
+    records = dm.load_dataset(out)
+    assert len(records) == n
+    assert all(rec.features.shape == (rec.n_phones, 0) for rec in records)
 
 
 @FUZZ
@@ -125,15 +134,15 @@ def test_fuzz_speechocean_mispronunciation_index(tmp_path, index):
     # any other is an error, never a mispronunciation dropped in silence
     (tmp_path / "scores.json").write_bytes(SCORES_JSON.replace(b'"index": 1',
                                                                b'"index": %d' % index))
-    out = tmp_path / dm.CORPUS_FILE
-    out.unlink(missing_ok=True)
+    out = tmp_path / "so"
+    shutil.rmtree(out, ignore_errors=True)
     try:
         dm.import_speechocean(tmp_path / "scores.json", out)
     except CaptError as e:
         assert not 0 <= index < 2 and not out.exists()
         assert "'words[0].mispronunciations[0].index'" in str(e)
     else:
-        realized = [p["realized"] for p in json.loads(out.read_text())["phones"]]
+        realized = [p.realized for p in dm.load_dataset(out)[0].phones]
         assert 0 <= index < 2 and realized[index] == "AA"
 
 
@@ -151,6 +160,7 @@ def test_unmutated_files_load(tmp_path):
         (tmp_path / name).write_bytes(blob)
     assert len(dm.load_dataset(tmp_path)) == 2
     (tmp_path / "scores.json").write_bytes(SCORES_JSON)
-    assert dm.import_speechocean(tmp_path / "scores.json", tmp_path / "so.jsonl") == 1
+    assert dm.import_speechocean(tmp_path / "scores.json", tmp_path / "so") == 1
+    assert dm.load_dataset(tmp_path / "so")[0].features.shape == (2, 0)
     assert ph.load_attribute_table(TABLE.decode("latin-1")).shape == (41, 24)
     assert np.isfinite(load_model(tmp_path / "m.capt").params["enc.l0.fwd.a_raw"].data).all()
