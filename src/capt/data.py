@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import EncoderConfig
-from .errors import ConfigError, DatasetError, read_file, write_file
+from .errors import ConfigError, DatasetError, read_file, write_file, write_files
+from .model import MAX_PARAMS, check_config
 from .phonology import (ARPABET_39, DEL, DEL_ID, PHONE_TO_ID, PHONES, UNK,
                         phone_id)
 from .scoring import ASPECTS, WORD_SCORE_NAMES
@@ -175,6 +176,10 @@ def validate_record(rec: UtteranceRecord) -> None:
 
 
 def write_feature_file(path, matrices: dict[str, np.ndarray]) -> None:
+    write_file(path, _feature_container(matrices), DatasetError, "feature container")
+
+
+def _feature_container(matrices: dict[str, np.ndarray]) -> bytes:
     f = io.BytesIO()
     f.write(FEATURE_MAGIC)
     f.write(struct.pack("<II", FEATURE_VERSION, len(matrices)))
@@ -191,7 +196,7 @@ def write_feature_file(path, matrices: dict[str, np.ndarray]) -> None:
         f.write(enc)
         f.write(struct.pack("<Q", ofs))
     f.write(struct.pack("<Q", index_offset))
-    write_file(path, f.getvalue(), DatasetError, "feature container")
+    return f.getvalue()
 
 
 def read_feature_file(path) -> dict[str, np.ndarray]:
@@ -273,7 +278,8 @@ def _note_id(first: dict, rec_id, at: str) -> None:
 
 def save_dataset(records: list[UtteranceRecord], out_dir) -> None:
     """Writes ``records`` as the corpus directory ``out_dir``, refusing before
-    any file exists what ``load_dataset`` would refuse."""
+    any file exists what ``load_dataset`` would refuse.  Both files are
+    written before either replaces an older one (``errors.write_files``)."""
     if not records:
         raise DatasetError(f"{out_dir}: empty corpus (no records to save)")
     first = {}  # utterance id -> position of the record it first appeared in
@@ -285,10 +291,13 @@ def save_dataset(records: list[UtteranceRecord], out_dir) -> None:
             _note_id(first, rec.id, f"records[{i}]")
         except DatasetError as e:
             raise DatasetError(f"records[{i}]: {e}") from e
-    write_file(Path(out_dir) / CORPUS_FILE,
-               "".join(_record_to_json(rec) for rec in records).encode(),
-               DatasetError, "corpus file")
-    write_feature_file(Path(out_dir) / FEATURE_FILE, {rec.id: rec.features for rec in records})
+    # corpus.jsonl goes last: a directory without it is not a corpus
+    write_files([(Path(out_dir) / FEATURE_FILE,
+                  _feature_container({rec.id: rec.features for rec in records}),
+                  "feature container"),
+                 (Path(out_dir) / CORPUS_FILE,
+                  "".join(_record_to_json(rec) for rec in records).encode(), "corpus file")],
+                DatasetError)
 
 
 def load_dataset(path) -> list[UtteranceRecord]:
@@ -332,6 +341,9 @@ def synth_records(n: int, seed: int, rule_seed: int = 0, ssl_dim: int = 32):
     for name, value in (("seed", seed), ("rule_seed", rule_seed), ("ssl_dim", ssl_dim)):
         if value < 0:
             raise DatasetError(f"synthetic corpus: {name} {value} must be >= 0")
+    if len(PHONES) * ssl_dim > MAX_PARAMS:  # the rule's table below, a model's budget
+        raise DatasetError(f"synthetic corpus: ssl_dim {ssl_dim} needs a ({len(PHONES)}, "
+                           f"{ssl_dim}) rule table, more than MAX_PARAMS ({MAX_PARAMS:,}) values")
     # the planted rule: hidden maps tying features to scores and realized phones
     rule_rng = np.random.default_rng(rule_seed)
     emb_realized = rule_rng.normal(0.0, 1.0, size=(len(PHONES), ssl_dim))
@@ -455,7 +467,7 @@ def load_run_config(path) -> RunConfig:
             except ValueError as e:
                 raise ConfigError(f"{path}: section [{section}]: bad {key}: {e}") from e
     try:
-        cfg.encoder.validate()
+        check_config(cfg.encoder, 0)
         cfg.training.validate()
     except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from e

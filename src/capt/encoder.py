@@ -12,20 +12,13 @@ utterances run as one sequence packed along time (``Packing``).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import diffcore as dc
 from .errors import ConfigError, ContractError, ShapeError, as_array
 from .scan import selective_scan
-
-
-#: The most parameters a model may have: 400 MB of float64, and Adam keeps
-#: two more buffers of that size.  ``EncoderConfig.validate`` checks it before
-#: anything is allocated.
-MAX_PARAMS = 50_000_000
 
 
 @dataclass
@@ -45,32 +38,12 @@ class EncoderConfig:
         """The attention pooler width."""
         return max(self.d_model // 2, 1)
 
-    def n_params(self, feat_dim: int = 0) -> int:
-        """Parameters of every array whose size a width sets: the encoder, the
-        projection from feat_dim input features and the five aspect poolers of
-        width ``attn_dim``.  The fixed-size embedding and heads, small beside
-        these, are left out."""
-        # one layer's entries times n_layers, so that a huge n_layers is
-        # counted without listing its entries
-        one = replace(self, n_layers=1, n_think=0)
-        layer = sum(math.prod(shape) for _, shape, _ in encoder_params(one))
-        # think rows, feature projection, one pooler projection per aspect
-        return self.n_layers * layer + (self.n_think + feat_dim + 5 * self.attn_dim) * self.d_model
-
-    def validate(self, feat_dim: int = 0):
-        """Check the fields; a model built with ``feat_dim`` input features
-        must fit in MAX_PARAMS."""
+    def validate(self):
+        """Check the fields; ``model.check_config`` also bounds the model's size."""
         if min(self.d_model, self.d_state, self.n_layers, self.conv_width) < 1:
             raise ConfigError("encoder dimensions must all be >= 1")
         if self.n_think < 0:
             raise ConfigError("think token count must be >= 0")
-        if feat_dim < 0:
-            raise ConfigError(f"feat_dim {feat_dim} must be >= 0")
-        n = self.n_params(feat_dim)
-        if n > MAX_PARAMS:
-            sizes = ", ".join(f"{f.name} {getattr(self, f.name)}" for f in fields(self))
-            raise ConfigError(f"{sizes}, feat_dim {feat_dim}: "
-                              f"{n:,} parameters, more than MAX_PARAMS ({MAX_PARAMS:,})")
 
 
 class ParamStore(dict):

@@ -1,5 +1,6 @@
 """Exception hierarchy shared by all modules, and the array and file reads that raise it."""
 
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -66,3 +67,21 @@ def write_file(path, data: bytes, error: type[CaptError], what: str) -> None:
         Path(path).write_bytes(data)
     except OSError as e:
         raise error(f"{path}: cannot write {what}: {e}") from e
+
+
+def write_files(files: list, error: type[CaptError]) -> None:
+    """``write_file`` for each (path, data, what), each to a temporary beside
+    its path first: only once all are written are they renamed over their
+    paths, in order.  The temporaries are removed on failure."""
+    temps = [Path(path).with_name(f".{Path(path).name}.tmp") for path, _, _ in files]
+    try:
+        for (_, data, what), tmp in zip(files, temps):
+            write_file(tmp, data, error, what)
+        for (path, _, what), tmp in zip(files, temps):
+            tmp.replace(path)
+    except OSError as e:  # a rename's; write_file raises ``error`` itself
+        raise error(f"{path}: cannot write {what}: {e}") from e
+    finally:
+        for tmp in temps:  # a renamed one is gone already
+            with suppress(OSError):
+                tmp.unlink(missing_ok=True)

@@ -115,7 +115,7 @@ def _layer_checks(rng):
     spans = np.array([(0, 2), (2, 4)])
     phone_tgt = rng.uniform(size=4)
     word_tgt = rng.uniform(size=(2, 3))
-    utt_tgt = rng.uniform(size=5)
+    utt_tgt = rng.uniform(size=(1, 5))
     labels = rng.integers(0, 41, size=4)
 
     def heads_loss():

@@ -10,9 +10,10 @@ from __future__ import annotations
 import io
 import json
 import lzma
+import math
 import zipfile
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -24,6 +25,10 @@ from .errors import (ConfigError, ContractError, DatasetError, InventoryError, N
                      PersistenceError, ShapeError, as_array, read_file, write_file)
 
 MODEL_FORMAT_VERSION = 1
+#: The most parameters a model may have: 400 MB of float64, and Adam keeps
+#: two more buffers of that size.  ``check_config`` checks it before anything
+#: is allocated.
+MAX_PARAMS = 50_000_000
 # metadata fields load_model reads, with the JSON type each must have
 _META_FIELDS = {"table_checksum": str, "config": dict, "feat_dim": int}
 
@@ -52,8 +57,8 @@ class Model:
         counts of several whose rows and ids are concatenated in order; the
         word spans then index the concatenated phone rows.  All utterances
         go through one packed graph (see ``encoder.Packing``); the outputs
-        hold their rows in the same order and utterance_scores is (B, 5)
-        instead of (5,).
+        hold their rows in the same order, and utterance_scores is (B, 5)
+        for the B utterances, (1, 5) for one.
 
         This is the one check of the model's inputs, and the layers it calls
         only compute: "Model inputs" in docs/formats.md states each rule and
@@ -98,7 +103,10 @@ class Model:
         return scoring.PredictionBundle(phone_scores, mdd_logits, word_scores, utt_scores)
 
     def predict(self, feature_rows, phone_ids, word_spans) -> scoring.PredictionBundle:
-        return self.forward(feature_rows, phone_ids, word_spans).detach()
+        """One utterance's predictions as arrays; utterance_scores is its (5,) row."""
+        out = self.forward(feature_rows, phone_ids, word_spans).detach()
+        out.utterance_scores = out.utterance_scores[0]
+        return out
 
     def check_feature_width(self, records, where: str = "") -> None:
         """Raise ``DatasetError``, its message prefixed by ``where``, naming
@@ -118,8 +126,25 @@ def param_entries(cfg: EncoderConfig, feat_dim: int) -> list:
             + scoring.scoring_params(cfg.d_model, cfg.attn_dim))
 
 
+def check_config(cfg: EncoderConfig, feat_dim: int) -> int:
+    """Check the fields, and that the model with ``feat_dim`` input features
+    has at most MAX_PARAMS parameters; returns the count of ``param_entries``."""
+    cfg.validate()
+    if feat_dim < 0:
+        raise ConfigError(f"feat_dim {feat_dim} must be >= 0")
+    # each layer adds the same entries: a huge n_layers is counted, never listed
+    one, two = (sum(math.prod(shape) for _, shape, _ in
+                    param_entries(replace(cfg, n_layers=k), feat_dim)) for k in (1, 2))
+    n = one + (cfg.n_layers - 1) * (two - one)
+    if n > MAX_PARAMS:
+        sizes = ", ".join(f"{f.name} {getattr(cfg, f.name)}" for f in fields(cfg))
+        raise ConfigError(f"{sizes}, feat_dim {feat_dim}: "
+                          f"{n:,} parameters, more than MAX_PARAMS ({MAX_PARAMS:,})")
+    return n
+
+
 def init_model(cfg: EncoderConfig, feat_dim: int, seed: int) -> Model:
-    cfg.validate(feat_dim)
+    check_config(cfg, feat_dim)
     store = init_params(param_entries(cfg, feat_dim), np.random.default_rng(seed))
     attr, checksum = phonology.packaged_table()
     onehot_attr = feat.build_onehot_attr_matrix(attr)
@@ -190,7 +215,7 @@ def load_model(path) -> Model:
                                    f"not a {type(defaults[key]).__name__}")
     cfg, feat_dim = EncoderConfig(**config), meta["feat_dim"]
     try:
-        cfg.validate(feat_dim)
+        check_config(cfg, feat_dim)
     except ConfigError as e:
         raise PersistenceError(f"{path}: bad model configuration: {e}") from e
     attr, checksum = phonology.packaged_table()

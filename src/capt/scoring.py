@@ -25,13 +25,13 @@ WORD_SCORE_NAMES = ("accuracy", "stress", "total")
 
 @dataclass
 class PredictionBundle:
-    """Predictions for one utterance or a packed batch, normalized scale:
-    graph tensors from ``Model.forward``, numpy arrays after ``detach``."""
+    """Predictions for a packed batch of utterances, normalized scale: graph
+    tensors from ``Model.forward``, numpy arrays after ``detach``."""
 
     phone_scores: dc.Tensor | np.ndarray  # (N,)
     mdd_logits: dc.Tensor | np.ndarray  # (N, 41)
     word_scores: dc.Tensor | np.ndarray  # (W, 3)
-    utterance_scores: dc.Tensor | np.ndarray  # (5,), or (B, 5) for a batch
+    utterance_scores: dc.Tensor | np.ndarray  # (B, 5); (5,) from Model.predict
 
     def detach(self) -> PredictionBundle:
         return PredictionBundle(
@@ -85,11 +85,9 @@ def validate_word_spans(spans, n_phones: int, starts=(0,)) -> np.ndarray:
         expect = stop
     if expect != n_phones:
         raise AlignmentError(f"word spans cover {expect} phones, utterance has {n_phones}")
-    if len(starts) > 1:
-        crossed = {int(s) for s in starts} - {s for s, _ in pairs}
-        if crossed:
-            raise AlignmentError(
-                f"a word span crosses the utterance boundary at row {min(crossed)}")
+    crossed = {int(s) for s in starts} - {s for s, _ in pairs}
+    if crossed:
+        raise AlignmentError(f"a word span crosses the utterance boundary at row {min(crossed)}")
     return bounds
 
 
@@ -109,7 +107,7 @@ def word_level_outputs(h: dc.Tensor, bounds: np.ndarray, params: ParamStore) -> 
 
 
 def utterance_level_outputs(h: dc.Tensor, params: ParamStore, starts=(0,)) -> dc.Tensor:
-    """Five aspect scores: (5,) for one utterance, (B, 5) for B utterance ``starts``.
+    """Five aspect scores for each of the B utterance ``starts``: (B, 5).
 
     Per aspect a and utterance this is the weights
     alpha_i = softmax_i(w_a . tanh(W_a h_i)), the pooled row sum_i alpha_i h_i
@@ -138,10 +136,9 @@ def utterance_level_outputs(h: dc.Tensor, params: ParamStore, starts=(0,)) -> dc
     pooled = np.add.reduceat(alpha[:, :, None] * hd[:, None, :], starts, axis=0)
     y = np.einsum("bad,ad->ba", pooled, w_head)
     y += [p.data for p in head_b]
-    out = dc.Tensor(y[0] if starts.size == 1 else y)
+    out = dc.Tensor(y)
 
     def bwd(g):
-        g = g.reshape(-1, n_asp)  # (B, 5)
         g_pooled = (g[:, :, None] * w_head)[seg]  # (N, 5, d), each row's utterance
         g_alpha = np.einsum("nad,nd->na", g_pooled, hd)
         # softmax adjoint within each utterance and aspect

@@ -102,12 +102,11 @@ def batch_loss(model, batch, alpha: float):
                         spans, n_phones)
     phone_w = np.repeat(1.0 / (n_utts * n_phones), n_phones)
     word_w = np.repeat(1.0 / (n_utts * n_words), n_words)
-    utt_t = np.stack([rec.utt_targets_norm() for rec in batch])
     l_phn, l_word, l_utt, l_apa = apa_loss(
         out,
         np.concatenate([rec.phone_targets_norm() for rec in batch]),
         np.concatenate([rec.word_targets_norm() for rec in batch]),
-        utt_t.reshape(out.utterance_scores.data.shape),  # (5,) for one utterance
+        np.stack([rec.utt_targets_norm() for rec in batch]),
         phone_w, word_w,
     )
     l_mdd = mdd_loss(out.mdd_logits, np.concatenate([rec.realized_ids() for rec in batch]),

@@ -15,7 +15,7 @@ from capt import cli, metrics
 from capt import data as dm
 from capt.encoder import EncoderConfig
 from capt.errors import ConfigError, DatasetError, PersistenceError
-from capt.model import init_model, load_model, save_model
+from capt.model import MAX_PARAMS, init_model, load_model, save_model
 from capt.phonology import ARPABET_39, PHONES
 from capt.scoring import ASPECTS
 
@@ -944,6 +944,31 @@ def test_save_dataset_unwritable_dir(tmp_path):
     with pytest.raises(DatasetError) as e:
         dm.save_dataset([make_record()], blocker / "corpus")
     assert str(blocker / "corpus") in str(e.value)
+
+
+def test_save_dataset_failed_write_keeps_the_older_corpus(tmp_path):
+    dm.save_dataset([make_record()], tmp_path)
+    before = (tmp_path / dm.CORPUS_FILE).read_bytes()
+    (tmp_path / dm.FEATURE_FILE).unlink()
+    (tmp_path / dm.FEATURE_FILE).mkdir()  # the feature path is taken by a directory
+    rec = make_record()
+    rec.utterance_scores["total"] = 9.0  # a corpus.jsonl that differs from the older one
+    with pytest.raises(DatasetError, match="cannot write feature container"):
+        dm.save_dataset([rec], tmp_path)
+    assert (tmp_path / dm.CORPUS_FILE).read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [dm.CORPUS_FILE, dm.FEATURE_FILE]
+
+
+def test_cli_synth_refuses_an_ssl_dim_it_cannot_allocate(tmp_path, capsys):
+    out_dir = tmp_path / "huge"
+    code, out, err = run_cli(["synth", "--n", "1", "--ssl-dim", "1000000000",
+                              "--out", str(out_dir)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "ssl_dim 1000000000" in err
+    assert not out_dir.exists()
+    # the first width whose (41, ssl_dim) rule table exceeds a model's budget
+    with pytest.raises(DatasetError, match="MAX_PARAMS"):
+        dm.synth_records(1, seed=0, ssl_dim=MAX_PARAMS // len(PHONES) + 1)
 
 
 def test_synth_corpus_unwritable_meta(tmp_path):

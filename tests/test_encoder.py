@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -7,6 +5,7 @@ from capt import diffcore as dc
 from capt.encoder import (EncoderConfig, Packing, bimamba_encode, encoder_params,
                           init_params, mamba_block)
 from capt.errors import ConfigError, ContractError
+from capt.model import MAX_PARAMS, check_config, init_model
 from scan_reference import sequential_values
 
 
@@ -26,7 +25,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         EncoderConfig(n_think=-1).validate()
     with pytest.raises(ConfigError, match="feat_dim -3 must be >= 0"):
-        EncoderConfig().validate(-3)
+        check_config(EncoderConfig(), -3)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -34,14 +33,19 @@ def test_config_validation():
     EncoderConfig(d_model=48, d_state=8, n_layers=1, conv_width=3, n_think=4),  # criterion 5
     EncoderConfig(d_model=14, d_state=5, n_layers=3, conv_width=2, n_think=0),
 ])
-def test_n_params_counts_the_width_set_arrays(cfg):
-    from capt.model import param_entries
+def test_check_config_counts_every_parameter_of_the_built_model(cfg):
+    built = init_model(cfg, 33, 0)
+    assert check_config(cfg, 33) == sum(p.data.size for p in built.params.values())
 
-    feat_dim = 33
-    sized = [math.prod(shape) for name, shape, _ in param_entries(cfg, feat_dim)
-             if name.startswith("enc.") or name == "feat.proj.w"
-             or (name.startswith("pool.") and name.endswith(".w_proj"))]
-    assert cfg.n_params(feat_dim) == sum(sized)
+
+def test_check_config_bound_is_inclusive():
+    # d_model 1: each input feature adds exactly one parameter, feat.proj.w's row
+    cfg = EncoderConfig(d_model=1)
+    feat_dim = MAX_PARAMS - check_config(cfg, 0)
+    assert check_config(cfg, feat_dim) == MAX_PARAMS
+    with pytest.raises(ConfigError, match=f"feat_dim {feat_dim + 1}: "
+                                          f"{MAX_PARAMS + 1:,} parameters, more than MAX_PARAMS"):
+        check_config(cfg, feat_dim + 1)
 
 
 def test_block_zero_out_proj_is_identity():

@@ -102,7 +102,7 @@ def test_utterance_level_five_scores():
     store = make_store()
     h = dc.Tensor(np.random.default_rng(7).normal(size=(6, 6)))
     out = scoring.utterance_level_outputs(h, store)
-    assert out.data.shape == (5,)
+    assert out.data.shape == (1, 5)
 
 
 def oracle_aspect_scores(h, params):
@@ -125,7 +125,7 @@ def test_utterance_pooler_matches_per_aspect_chain(n_rows, starts):
     store = make_store(seed=9)
     h = dc.Tensor(np.random.default_rng(9).normal(size=(n_rows, 6)))
     tensors = [h] + store.tensors()
-    w = np.random.default_rng(10).normal(size=(5,) if len(starts) == 1 else (len(starts), 5))
+    w = np.random.default_rng(10).normal(size=(len(starts), 5))
 
     def fused():
         out = scoring.utterance_level_outputs(h, store, starts)
@@ -133,15 +133,14 @@ def test_utterance_pooler_matches_per_aspect_chain(n_rows, starts):
 
     def chain():
         # the one-utterance chain on each utterance's rows, all on one tape
-        w_b = w.reshape(len(starts), 5)
         values, loss = [], None
         for b, (s, e) in enumerate(zip(starts, [*starts[1:], n_rows])):
             scores = oracle_aspect_scores(dc.index(h, np.s_[s:e]), store)
             values.append([t.data for t in scores])
             for i, t in enumerate(scores):
-                term = dc.total_sum(dc.mul(t, dc.Tensor(w_b[b, i])))
+                term = dc.total_sum(dc.mul(t, dc.Tensor(w[b, i])))
                 loss = term if loss is None else dc.add(loss, term)
-        return np.array(values).reshape(w.shape), loss
+        return np.array(values), loss
 
     results = []
     for f in (fused, chain):
@@ -167,7 +166,7 @@ def test_heads_gradients():
     spans = np.array([(0, 3), (3, 5)])
     tgt_p = rng.uniform(size=5)
     tgt_w = rng.uniform(size=(2, 3))
-    tgt_u = rng.uniform(size=5)
+    tgt_u = rng.uniform(size=(1, 5))
     labels = rng.integers(0, 41, size=5)
 
     def f():
@@ -198,6 +197,10 @@ def test_model_forward_shapes():
     assert out.mdd_logits.shape == (4, 41)
     assert out.word_scores.shape == (2, 3)
     assert out.utterance_scores.shape == (5,)
+    # forward keeps the batch axis for one utterance; predict returns its row
+    graph = model.forward(rows, ids, [(0, 2), (2, 4)])
+    assert graph.utterance_scores.data.shape == (1, 5)
+    np.testing.assert_array_equal(graph.utterance_scores.data[0], out.utterance_scores)
 
 
 @pytest.mark.parametrize("n_think", [2, 0], ids=["n_think2", "n_think0"])
